@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import os
@@ -18,6 +19,7 @@ import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 from . import __version__
@@ -30,7 +32,6 @@ from .hamiltonians import (hamiltonian, verify_commutativity,
 from .kp import (kp_bilinear_check, kp_equation_check, kp_hierarchy_check,
                  tau_from_disk)
 from .partitions import partitions_of, render as render_partition
-from .scalars import ExactScalar
 
 
 def _parse_rational(text):
@@ -65,40 +66,74 @@ def default_cache_dir():
 # operator cache
 
 
+def _sha256():
+    """CPython's built-in sha256 (`_sha2` from 3.12, `_sha256` before), so
+    that one digest does not map OpenSSL, about 3.5 MB resident."""
+    for name in ("_sha2", "_sha256", "hashlib"):
+        try:
+            return importlib.import_module(name).sha256()
+        except ImportError:
+            pass
+
+
+@lru_cache(maxsize=None)
+def _source_digest():
+    """sha256 over the package's own source files: any edit to the code that
+    generates an operator changes it, so it keys the cache."""
+    digest = _sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
+def _current_payload(path):
+    """The cache file's contents if the current sources wrote it, else None."""
+    try:
+        payload = json.loads(path.read_text())
+    except (OSError, ValueError):
+        return None
+    if (isinstance(payload, dict)
+            and payload.get("source_sha256") == _source_digest()):
+        return payload
+    return None
+
+
 def cached_hamiltonian(n, W, cache_dir, use_cache=True):
-    """Generate (or reload) the Hamiltonian for (n, W); caches include a
-    version header and stale-version files are ignored."""
+    """Generate (or reload) the Hamiltonian for (n, W).  A cache file is
+    served only if a digest of the current sources wrote it; any other file
+    is regenerated and replaced atomically."""
     if not use_cache or cache_dir is None:
         return hamiltonian(n, W)
     path = Path(cache_dir) / f"hamiltonian_{n}_{W}.json"
-    if path.exists():
+    payload = _current_payload(path)
+    if payload and payload.get("n") == n and payload.get("W") == W:
         try:
-            payload = json.loads(path.read_text())
-            if (payload.get("code_version") == __version__
-                    and payload.get("n") == n and payload.get("W") == W):
-                return NormalOrderedOperator.from_json(payload["terms"])
-        except (ValueError, KeyError):
+            return NormalOrderedOperator.from_json(payload["terms"])
+        except (ValueError, KeyError, TypeError):
             pass
     op = hamiltonian(n, W)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(
-        {"n": n, "W": W, "code_version": __version__, "terms": op.to_json()}))
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    tmp.write_text(json.dumps(
+        {"n": n, "W": W, "code_version": __version__,
+         "source_sha256": _source_digest(), "terms": op.to_json()}))
+    os.replace(tmp, path)
     return op
 
 
 def _verify_cache_sample(cache_dir, rng):
-    """Reload one random cached operator and re-verify it against fresh
-    generation; silently passes when the cache is empty."""
+    """Reload one random cached operator written by the current sources and
+    re-verify it against fresh generation.  Returns (passed, detail);
+    passed is None, and the detail gives the reason, when no such entry
+    exists to check."""
     files = sorted(Path(cache_dir).glob("hamiltonian_*_*.json")) \
-        if cache_dir and Path(cache_dir).exists() else []
-    if not files:
-        return True
-    path = rng.choice(files)
-    payload = json.loads(path.read_text())
-    if payload.get("code_version") != __version__:
-        return True
+        if cache_dir and Path(cache_dir).is_dir() else []
+    current = [p for p in map(_current_payload, files) if p]
+    if not current:
+        return None, "no cached operator written by the current sources"
+    payload = rng.choice(current)
     fresh = hamiltonian(payload["n"], payload["W"])
-    return NormalOrderedOperator.from_json(payload["terms"]) == fresh
+    return NormalOrderedOperator.from_json(payload["terms"]) == fresh, {}
 
 
 # ---------------------------------------------------------------------------
@@ -205,12 +240,12 @@ def cmd_verify(args):
         for name, fn in tasks:
             results[name] = fn()
     if not args.no_cache:
-        cache_ok = _verify_cache_sample(args.cache_dir, rng)
-        results["cache_sample"] = (cache_ok, {})
-    report = {name: {"passed": ok, "detail": _jsonable(detail)}
+        results["cache_sample"] = _verify_cache_sample(args.cache_dir, rng)
+    report = {name: {"skipped": True, "reason": detail} if ok is None
+              else {"passed": ok, "detail": _jsonable(detail)}
               for name, (ok, detail) in results.items()}
     print(json.dumps(report, indent=2, sort_keys=True))
-    return 0 if all(ok for ok, _ in results.values()) else 1
+    return 0 if all(ok is not False for ok, _ in results.values()) else 1
 
 
 def _jsonable(obj):

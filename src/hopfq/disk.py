@@ -18,11 +18,11 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .fock import FockPolynomial, mono_degree, partition_from_mono
+from .fock import FockPolynomial
 from .hamiltonians import (eigenvalue_closed_form, hamiltonian,
                            vacuum_constant)
 from .partitions import check_partition, dim, partitions_of, partitions_upto, size
-from .scalars import ExactScalar
+from .scalars import ExactScalar, add_into
 from .schur import scaled_schur, schur
 
 
@@ -85,15 +85,7 @@ def expand_in_t(pot, t_orders):
             for k, m in enumerate(powers):
                 if m:
                     coeff = coeff * amp.exponents[k] ** m * Fraction(1, factorial(m))
-            if coeff.is_zero():
-                continue
-            term = base * coeff
-            prev = result.get(powers)
-            term = term if prev is None else prev + term
-            if term.is_zero():
-                result.pop(powers, None)
-            else:
-                result[powers] = term
+            add_into(result, powers, base * coeff)
     return result
 
 

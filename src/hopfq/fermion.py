@@ -19,7 +19,8 @@ from typing import NamedTuple
 
 from .fock import FockPolynomial
 from .partitions import frobenius
-from .scalars import ExactScalar
+from .scalars import (ExactScalar, SparseSum, add_into, exp_u0_series,
+                      inv_s_series, series_mul)
 from .schur import complete_homogeneous
 
 
@@ -102,19 +103,12 @@ def state_for_partition_label(partition):
     return WedgeState(added, removed)
 
 
-class FermionVector:
+class FermionVector(SparseSum):
     """Finite linear combination of wedge states with FockPolynomial
     coefficients (polynomials in the bosonic q-variables appear while
     expanding e^{K(q)})."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = terms or {}
-
-    @classmethod
-    def zero(cls):
-        return cls()
+    __slots__ = ()
 
     @classmethod
     def vacuum(cls):
@@ -126,34 +120,6 @@ class FermionVector:
         if coeff.is_zero():
             return cls()
         return cls({state: coeff})
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if isinstance(other, FermionVector):
-            return self.terms == other.terms
-        return NotImplemented
-
-    def __add__(self, other):
-        result = dict(self.terms)
-        for state, c in other.terms.items():
-            new = result.get(state)
-            new = c if new is None else new + c
-            if new.is_zero():
-                result.pop(state, None)
-            else:
-                result[state] = new
-        return FermionVector(result)
-
-    def __neg__(self):
-        return FermionVector({s: -c for s, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, coeff):
         coeff = _as_poly(coeff)
@@ -215,25 +181,25 @@ def _psi_star_state(state, m):
 def psi(k, vector):
     """Wedge insertion psi_k = e_k wedge (exterior multiplication)."""
     m = _to_m(k)
-    result = FermionVector.zero()
+    result = {}
     for state, c in vector.terms.items():
         hit = _psi_state(state, m)
         if hit:
             sign, new = hit
-            result = result + FermionVector.basis(new, c * sign)
-    return result
+            add_into(result, new, c * sign)
+    return FermionVector(result)
 
 
 def psi_star(k, vector):
     """Interior derivative psi_k* = d/de_k."""
     m = _to_m(k)
-    result = FermionVector.zero()
+    result = {}
     for state, c in vector.terms.items():
         hit = _psi_star_state(state, m)
         if hit:
             sign, new = hit
-            result = result + FermionVector.basis(new, c * sign)
-    return result
+            add_into(result, new, c * sign)
+    return FermionVector(result)
 
 
 def state_of_partition(partition):
@@ -255,7 +221,7 @@ def state_of_partition(partition):
 
 def shift_operator(n, vector):
     """sum_j :psi_j psi*_{j+n}: for n >= 1 (the q_n-component of K)."""
-    result = FermionVector.zero()
+    result = {}
     for state, c in vector.terms.items():
         sources = list(state.added)
         sources += [m for m in range(0, min(state.removed, default=1) - 1 - n, -1)
@@ -266,8 +232,8 @@ def shift_operator(n, vector):
                 continue
             s1, mid = _psi_star_state(state, src)
             s2, new = _psi_state(mid, dst)
-            result = result + FermionVector.basis(new, c * (s1 * s2))
-    return result
+            add_into(result, new, c * (s1 * s2))
+    return FermionVector(result)
 
 
 def apply_K(vector):
@@ -326,17 +292,10 @@ def diagonal_operator_eigenvalue(partition):
     state = state_for_partition_label(tuple(partition))
     counts = {}
     for m in state.added:        # occupied positive slots: +e^{kz}
-        k = _to_k(m)
-        counts[k] = counts.get(k, 0) + 1
+        add_into(counts, _to_k(m), 1)
     for m in state.removed:      # vacated negative slots: -e^{kz}
-        k = _to_k(m)
-        counts[k] = counts.get(k, 0) - 1
-    return {e: c for e, c in counts.items() if c}
-
-
-def render_exponential_sum(counts):
-    """Sorted list of [coefficient, numerator of 2*exponent]."""
-    return [[c, int(2 * e)] for e, c in sorted(counts.items())]
+        add_into(counts, _to_k(m), -1)
+    return counts
 
 
 def dressed_fermion_check(k, max_energy):
@@ -385,8 +344,6 @@ def fermionic_hamiltonian_eigenvalue_series(partition, order):
     Agreement with the bosonic eigenvalue series at eps = 1 is the
     independent wedge-side check of the eigenbasis theorem.
     """
-    from .hamiltonians import _exp_u0_series, _series_mul
-    from .scalars import inv_s_series
     inner = [ExactScalar.from_rational(inv_s_series(order)[n])
              for n in range(order + 1)]
     for e, c in diagonal_operator_eigenvalue(partition).items():
@@ -394,4 +351,4 @@ def fermionic_hamiltonian_eigenvalue_series(partition, order):
         for n in range(1, order + 1):
             inner[n] = inner[n] + ExactScalar.from_rational(
                 c * Fraction(e) ** (n - 1) / factorial(n - 1))
-    return _series_mul(_exp_u0_series(order), inner, order)
+    return series_mul(exp_u0_series(order), inner, order)

@@ -13,7 +13,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .partitions import partitions_of
-from .scalars import ExactScalar
+from .scalars import ExactScalar, SparseSum, add_into
 
 # ---------------------------------------------------------------------------
 # sparse multi-indices
@@ -27,13 +27,6 @@ def mono_from_partition(partition):
     for p in partition:
         counts[p] = counts.get(p, 0) + 1
     return tuple(sorted(counts.items()))
-
-
-def partition_from_mono(mono):
-    parts = []
-    for k, m in mono:
-        parts.extend([k] * m)
-    return tuple(sorted(parts, reverse=True))
 
 
 def mono_weight(mono):
@@ -76,17 +69,10 @@ def render_mono(mono, letter="q"):
 # ---------------------------------------------------------------------------
 
 
-class FockPolynomial:
+class FockPolynomial(SparseSum):
     """Sparse polynomial in q1, q2, ... with ExactScalar coefficients."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = terms or {}
-
-    @classmethod
-    def zero(cls):
-        return cls()
+    __slots__ = ()
 
     @classmethod
     def one(cls):
@@ -113,36 +99,8 @@ class FockPolynomial:
             return cls()
         return cls({tuple(mono): coeff})
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if isinstance(other, FockPolynomial):
-            return self.terms == other.terms
-        return NotImplemented
-
     def coefficient(self, mono):
         return self.terms.get(tuple(mono), ExactScalar.zero())
-
-    def __add__(self, other):
-        result = dict(self.terms)
-        for mono, c in other.terms.items():
-            new = result.get(mono)
-            new = c if new is None else new + c
-            if new.is_zero():
-                result.pop(mono, None)
-            else:
-                result[mono] = new
-        return FockPolynomial(result)
-
-    def __neg__(self):
-        return FockPolynomial({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -154,14 +112,7 @@ class FockPolynomial:
         result = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                mono = mono_mul(m1, m2)
-                c = c1 * c2
-                new = result.get(mono)
-                new = c if new is None else new + c
-                if new.is_zero():
-                    result.pop(mono, None)
-                else:
-                    result[mono] = new
+                add_into(result, mono_mul(m1, m2), c1 * c2)
         return FockPolynomial(result)
 
     __rmul__ = __mul__
@@ -188,10 +139,6 @@ class FockPolynomial:
 
     def weights(self):
         return sorted({mono_weight(m) for m in self.terms})
-
-    def weight_component(self, w):
-        return FockPolynomial({m: c for m, c in self.terms.items()
-                               if mono_weight(m) == w})
 
     def is_homogeneous(self, w=None):
         ws = self.weights()
@@ -225,20 +172,13 @@ def _contraction_weights(a, b, k):
     return tuple(out)
 
 
-class NormalOrderedOperator:
+class NormalOrderedOperator(SparseSum):
     """Normally ordered operator: sparse map (alpha, beta) -> ExactScalar.
 
     A term (alpha, beta, c) acts on f as c * q^alpha * prod_k (hbar k d/dq_k)^beta_k f.
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = terms or {}
-
-    @classmethod
-    def zero(cls):
-        return cls()
+    __slots__ = ()
 
     @classmethod
     def identity(cls, coeff=None):
@@ -262,36 +202,8 @@ class NormalOrderedOperator:
     def annihilation(cls, k, power=1):
         return cls.term(EMPTY, ((k, power),))
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if isinstance(other, NormalOrderedOperator):
-            return self.terms == other.terms
-        return NotImplemented
-
     def coefficient(self, alpha, beta):
         return self.terms.get((tuple(alpha), tuple(beta)), ExactScalar.zero())
-
-    def __add__(self, other):
-        result = dict(self.terms)
-        for key, c in other.terms.items():
-            new = result.get(key)
-            new = c if new is None else new + c
-            if new.is_zero():
-                result.pop(key, None)
-            else:
-                result[key] = new
-        return NormalOrderedOperator(result)
-
-    def __neg__(self):
-        return NormalOrderedOperator({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, scalar):
         if isinstance(scalar, (int, Fraction)):
@@ -306,9 +218,7 @@ class NormalOrderedOperator:
         """Swap creation and annihilation multi-indices in every term."""
         result = {}
         for (alpha, beta), c in self.terms.items():
-            key = (beta, alpha)
-            new = result.get(key)
-            result[key] = c if new is None else new + c
+            add_into(result, (beta, alpha), c)
         return NormalOrderedOperator(result)
 
     def is_weight_preserving(self):
@@ -337,13 +247,7 @@ class NormalOrderedOperator:
                         factor *= k * (mk - i)
                 coeff = c * cm * ExactScalar.monomial(
                     factor, eps_power=2 * mono_degree(beta))
-                out = mono_mul(rest, alpha)
-                new = result.get(out)
-                new = coeff if new is None else new + coeff
-                if new.is_zero():
-                    result.pop(out, None)
-                else:
-                    result[out] = new
+                add_into(result, mono_mul(rest, alpha), coeff)
         return FockPolynomial(result)
 
     def compose(self, other, max_weight=None):
@@ -397,13 +301,7 @@ class NormalOrderedOperator:
                     beta = mono_mul(b2, tuple(sorted(beta_acc.items())))
                     if max_weight is not None and mono_weight(beta) > max_weight:
                         continue
-                    key = (alpha, beta)
-                    new = result.get(key)
-                    new = coeff if new is None else new + coeff
-                    if new.is_zero():
-                        result.pop(key, None)
-                    else:
-                        result[key] = new
+                    add_into(result, (alpha, beta), coeff)
         return NormalOrderedOperator(result)
 
     def commutator(self, other, max_weight=None):
@@ -497,35 +395,3 @@ def naive_hamiltonian(n, max_weight):
 def weight_basis(n):
     """Monomial basis of V_n: partitions of n in rev-lex order."""
     return [mono_from_partition(p) for p in partitions_of(n)]
-
-
-def matrix_on_weight(op, n, basis="monomial"):
-    """Matrix of a weight-preserving operator on V_n.
-
-    Columns are images of basis vectors; entry [i][j] is the coefficient of
-    basis vector i in op(basis vector j).  basis is "monomial" or "schur"
-    (the eps-scaled Schur basis s_lambda(q/eps)).
-    """
-    if not op.is_weight_preserving():
-        raise ValueError("operator does not preserve the grading")
-    if basis == "monomial":
-        monos = weight_basis(n)
-        index = {m: i for i, m in enumerate(monos)}
-        cols = []
-        for m in monos:
-            image = op.apply(FockPolynomial.monomial(m))
-            col = [ExactScalar.zero()] * len(monos)
-            for mono, c in image.terms.items():
-                col[index[mono]] = c
-            cols.append(col)
-        return [[cols[j][i] for j in range(len(monos))] for i in range(len(monos))]
-    if basis == "schur":
-        from .schur import scaled_schur, expand_in_scaled_schur
-        labels = partitions_of(n)
-        cols = []
-        for lam in labels:
-            image = op.apply(scaled_schur(lam))
-            coeffs = expand_in_scaled_schur(image, n)
-            cols.append([coeffs[mu] for mu in labels])
-        return [[cols[j][i] for j in range(len(labels))] for i in range(len(labels))]
-    raise ValueError(f"unknown basis {basis!r}")

@@ -21,28 +21,12 @@ from math import comb, factorial
 
 from .fock import (FockPolynomial, NormalOrderedOperator, mono_from_partition,
                    weight_basis)
-from .partitions import dim, frobenius, partitions_of, partitions_upto
-from .scalars import ExactScalar, bernoulli, inv_s_series, s_series
+from .partitions import frobenius, partitions_of, partitions_upto
+from .scalars import (ExactScalar, add_into, bernoulli, exp_u0_series,
+                      inv_s_series, s_series, series_mul)
 
 # ---------------------------------------------------------------------------
 # z-series helpers (lists of ExactScalar, index = power of z)
-
-
-def _series_mul(a, b, order):
-    out = [ExactScalar.zero()] * (order + 1)
-    for i, ca in enumerate(a[:order + 1]):
-        if ca.is_zero():
-            continue
-        for j, cb in enumerate(b[:order + 1 - i]):
-            if not cb.is_zero():
-                out[i + j] = out[i + j] + ca * cb
-    return out
-
-
-def _exp_u0_series(order):
-    """e^{z u0} as a z-series."""
-    return [ExactScalar.monomial(Fraction(1, factorial(n)), 0, n)
-            for n in range(order + 1)]
 
 
 def _exp_eps_series(a, order):
@@ -60,11 +44,7 @@ def _inv_s_eps_series(order):
 
 @lru_cache(maxsize=None)
 def _s_power_coeffs(power, order):
-    s = s_series(order)
-    acc = s ** 0
-    for _ in range(power):
-        acc = acc * s
-    return tuple(acc.coeffs)
+    return tuple((s_series(order) ** power).coeffs)
 
 
 def _zs_power_series(k, power, order):
@@ -80,7 +60,7 @@ def _zs_power_series(k, power, order):
 @lru_cache(maxsize=None)
 def _vacuum_series(order):
     """e^{z u0} / s(eps z)."""
-    return tuple(_series_mul(_exp_u0_series(order), _inv_s_eps_series(order), order))
+    return tuple(series_mul(exp_u0_series(order), _inv_s_eps_series(order), order))
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +92,7 @@ def hamiltonian_generating_coefficients(K, max_weight):
                     counts[k] = counts.get(k, 0) + m
                     denom *= factorial(m)
                 for k, m in sorted(counts.items()):
-                    series = _series_mul(series, _zs_power_series(k, m, order), order)
+                    series = series_mul(series, _zs_power_series(k, m, order), order)
                 scale = Fraction(1, denom)
                 for n in range(-1, K + 1):
                     coeff = series[n + 2] * scale
@@ -129,7 +109,6 @@ def hamiltonian(n, max_weight):
 def cut_and_join(max_weight):
     """(1/2) sum_{i,j} (hbar (i+j) q_i q_j d_{i+j} + hbar^2 i j q_{i+j} d_i d_j),
     written normally ordered; equals H_1 at u0 = 0."""
-    op = NormalOrderedOperator.zero()
     terms = {}
     for i in range(1, max_weight):
         for j in range(i, max_weight - i + 1):
@@ -138,8 +117,7 @@ def cut_and_join(max_weight):
             single = ((i + j, 1),)
             terms[(alpha, single)] = ExactScalar.from_rational(half)
             terms[(single, alpha)] = ExactScalar.from_rational(half)
-    op = NormalOrderedOperator(terms)
-    return op
+    return NormalOrderedOperator(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +160,7 @@ def eigenvalue_series(partition, K):
         # multiply by eps * z: shift by one power of z and one power of eps
         shifted = [ExactScalar.zero()] + [c.shift_eps(1) for c in delta[:order]]
         inner = [x + y for x, y in zip(inner, shifted)]
-    series = _series_mul(_exp_u0_series(order), inner, order)
+    series = series_mul(exp_u0_series(order), inner, order)
     assert series[0] == ExactScalar.one()
     return EigenvalueSeries(tuple(partition), tuple(series[1:]))
 
@@ -235,9 +213,9 @@ def exponential_row_form(partition):
     e^{z(-i + 1/2)}], canonicalized."""
     counts = {}
     for a, b in _content_shifts(partition):
-        counts[a] = counts.get(a, 0) + 1
-        counts[b] = counts.get(b, 0) - 1
-    return {e: c for e, c in counts.items() if c}
+        add_into(counts, a, 1)
+        add_into(counts, b, -1)
+    return counts
 
 
 def exponential_frobenius_form(partition):
@@ -248,9 +226,9 @@ def exponential_frobenius_form(partition):
     for alpha_i, beta_i in zip(coords.alpha, coords.beta):
         a = Fraction(2 * alpha_i + 1, 2)
         b = -Fraction(2 * beta_i + 1, 2)
-        counts[a] = counts.get(a, 0) + 1
-        counts[b] = counts.get(b, 0) - 1
-    return {e: c for e, c in counts.items() if c}
+        add_into(counts, a, 1)
+        add_into(counts, b, -1)
+    return counts
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 
 from .fock import FockPolynomial, mono_mul, mono_weight, render_mono
-from .scalars import ExactScalar
+from .scalars import ExactScalar, add_into
 from .schur import complete_homogeneous
 
 # ---------------------------------------------------------------------------
@@ -42,12 +42,7 @@ def vl_monomial(exponents, scalar=None):
 def vl_add(a, b):
     result = dict(a)
     for e, c in b.items():
-        new = result.get(e)
-        new = c if new is None else new + c
-        if new.is_zero():
-            result.pop(e, None)
-        else:
-            result[e] = new
+        add_into(result, e, c)
     return result
 
 
@@ -68,13 +63,7 @@ def vl_mul(a, b):
     for e1, c1 in a.items():
         for e2, c2 in b.items():
             e = tuple(x + y for x, y in zip(e1, e2)) if e1 and e2 else (e1 or e2)
-            c = c1 * c2
-            new = result.get(e)
-            new = c if new is None else new + c
-            if new.is_zero():
-                result.pop(e, None)
-            else:
-                result[e] = new
+            add_into(result, e, c1 * c2)
     return result
 
 
@@ -338,11 +327,9 @@ def generating_identity_coefficients(y_order, y_vars=4, eps=None):
                     total[k - 1] += a
                 for k, a in enumerate(extra):
                     total[k] += a
-                key = tuple(total)
-                contribution = hd * FockPolynomial.monomial(dmono, fac * scalar1)
-                prev = out.get(key, FockPolynomial.zero())
-                out[key] = prev + contribution
-    return {k: v for k, v in out.items() if not v.is_zero()}
+                add_into(out, tuple(total),
+                         hd * FockPolynomial.monomial(dmono, fac * scalar1))
+    return out
 
 
 def _y_tuples(n, max_total):

@@ -2,19 +2,79 @@
 
 The universal coefficient ring is Q[u0][eps, eps^-1], with the quantization
 parameter hbar represented as eps^2 throughout (half-integer hbar powers occur
-in the disk amplitudes, so eps is the primitive variable).  Also provides
-Bernoulli numbers and the two power series s(t) = sinh(t/2)/(t/2) and 1/s(t)
-that govern the quantum corrections.
+in the disk amplitudes, so eps is the primitive variable).  `SparseSum` and
+`add_into` hold the sum-of-terms rule shared by every coefficient map in the
+package: scalars, Fock polynomials, operators, wedge vectors and tau
+coefficients.  Also provides Bernoulli numbers, the truncated series product,
+and the two power series s(t) = sinh(t/2)/(t/2) and 1/s(t) that govern the
+quantum corrections.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 
 
-class ExactScalar:
+def add_into(terms, key, value):
+    """terms[key] += value, deleting the entry when the sum is zero.
+
+    The one accumulation rule of every sparse sum in the package: a
+    coefficient map never stores a zero.
+    """
+    old = terms.get(key)
+    if old is not None:
+        value = old + value
+    if value:
+        terms[key] = value
+    elif old is not None:
+        del terms[key]
+
+
+class SparseSum:
+    """Finite sum of terms: a sparse map key -> coefficient with no zero
+    coefficients.  Subclasses fix the key type and the coefficient ring and
+    add their products; the additive group structure lives here.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        # terms is trusted to be reduced (no zero coefficients)
+        self.terms = terms or {}
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def is_zero(self):
+        return not self.terms
+
+    def __eq__(self, other):
+        if isinstance(other, type(self)):
+            return self.terms == other.terms
+        return NotImplemented
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        terms = dict(self.terms)
+        for key, value in other.terms.items():
+            add_into(terms, key, value)
+        return type(self)(terms)
+
+    def __neg__(self):
+        return type(self)({k: -v for k, v in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+
+class ExactScalar(SparseSum):
     """Element of Q[u0][eps, eps^-1], stored as a sparse map
     (eps power, u0 power) -> Fraction with no zero entries.
 
@@ -22,11 +82,7 @@ class ExactScalar:
     localized at u0).  Instances are immutable by convention.
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        # terms is trusted to be reduced (no zero values, u0 powers >= 0)
-        self.terms = terms or {}
+    __slots__ = ()
 
     # -- constructors -----------------------------------------------------
 
@@ -45,10 +101,6 @@ class ExactScalar:
         if value == 0:
             return cls()
         return cls({(eps_power, u0_power): value})
-
-    @classmethod
-    def zero(cls):
-        return cls()
 
     @classmethod
     def one(cls):
@@ -70,20 +122,12 @@ class ExactScalar:
             raise ValueError("hbar power must be a multiple of 1/2")
         return cls.eps(int(p))
 
-    # -- ring structure ---------------------------------------------------
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self):
-        return not self.terms
+    # -- ring structure: int and Fraction operands coerce -----------------
 
     def __eq__(self, other):
-        if isinstance(other, ExactScalar):
-            return self.terms == other.terms
         if isinstance(other, (int, Fraction)):
-            return self == ExactScalar.from_rational(other)
-        return NotImplemented
+            other = ExactScalar.from_rational(other)
+        return SparseSum.__eq__(self, other)
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
@@ -91,25 +135,9 @@ class ExactScalar:
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = ExactScalar.from_rational(other)
-        elif not isinstance(other, ExactScalar):
-            return NotImplemented
-        result = dict(self.terms)
-        for key, val in other.terms.items():
-            new = result.get(key, 0) + val
-            if new:
-                result[key] = new
-            else:
-                result.pop(key, None)
-        return ExactScalar(result)
+        return SparseSum.__add__(self, other)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return ExactScalar({k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, ExactScalar)
-                       else ExactScalar.from_rational(-Fraction(other)))
 
     def __rsub__(self, other):
         return ExactScalar.from_rational(other) - self
@@ -124,12 +152,7 @@ class ExactScalar:
         result = {}
         for (e1, u1), v1 in self.terms.items():
             for (e2, u2), v2 in other.terms.items():
-                key = (e1 + e2, u1 + u2)
-                new = result.get(key, 0) + v1 * v2
-                if new:
-                    result[key] = new
-                else:
-                    del result[key]
+                add_into(result, (e1 + e2, u1 + u2), v1 * v2)
         return ExactScalar(result)
 
     __rmul__ = __mul__
@@ -164,12 +187,7 @@ class ExactScalar:
             if u0 is not None:
                 v = v * Fraction(u0) ** u
                 u = 0
-            key = (e, u)
-            new = result.get(key, 0) + v
-            if new:
-                result[key] = new
-            else:
-                result.pop(key, None)
+            add_into(result, (e, u), v)
         return ExactScalar(result)
 
     def as_fraction(self):
@@ -192,13 +210,6 @@ class ExactScalar:
         """The u0-polynomial multiplying eps^power."""
         return ExactScalar({(e, u): v for (e, u), v in self.terms.items()
                             if e == power})
-
-    def lowest_eps_part(self):
-        """(order, component) at the minimal eps power; zero -> (0, 0)."""
-        if not self.terms:
-            return 0, ExactScalar()
-        order = self.min_eps_order()
-        return order, self.eps_component(order)
 
     def eps_powers(self):
         return sorted({e for e, _ in self.terms})
@@ -237,10 +248,6 @@ class ExactScalar:
         return cls(terms)
 
 
-ZERO = ExactScalar.zero()
-ONE = ExactScalar.one()
-
-
 @lru_cache(maxsize=None)
 def bernoulli(n):
     """Bernoulli number B_n in the convention B_1 = -1/2.
@@ -253,6 +260,26 @@ def bernoulli(n):
         return Fraction(1)
     total = sum(comb(n + 1, j) * bernoulli(j) for j in range(n))
     return -total / (n + 1)
+
+
+def series_mul(a, b, order):
+    """Product of two power series given as coefficient lists (index =
+    power), truncated at the given order.  The coefficients may be Fractions
+    or ExactScalars."""
+    out = [type(a[0])()] * (order + 1)
+    for i, ca in enumerate(a[:order + 1]):
+        if not ca:
+            continue
+        for j, cb in enumerate(b[:order + 1 - i]):
+            if cb:
+                out[i + j] += ca * cb
+    return out
+
+
+def exp_u0_series(order):
+    """e^{z u0} as a z-series over ExactScalar."""
+    return [ExactScalar.monomial(Fraction(1, factorial(n)), 0, n)
+            for n in range(order + 1)]
 
 
 class UnivariateSeries:
@@ -278,14 +305,8 @@ class UnivariateSeries:
         return isinstance(other, UnivariateSeries) and self.coeffs == other.coeffs
 
     def __mul__(self, other):
-        order = min(self.order, other.order)
-        coeffs = [Fraction(0)] * (order + 1)
-        for i, a in enumerate(self.coeffs[:order + 1]):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs[:order + 1 - i]):
-                coeffs[i + j] += a * b
-        return UnivariateSeries(coeffs)
+        return UnivariateSeries(series_mul(self.coeffs, other.coeffs,
+                                           min(self.order, other.order)))
 
     def __pow__(self, n):
         result = UnivariateSeries([1] + [0] * self.order)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .fock import FockPolynomial, mono_degree, mono_from_partition, weight_basis
+from .fock import FockPolynomial, mono_degree, weight_basis
 from .partitions import dim, partitions_of, size, transpose
 from .scalars import ExactScalar
 

@@ -1,10 +1,22 @@
 """Command-line surface: subcommands, exit codes, cache, determinism."""
 
+import hashlib
 import json
 
 import pytest
 
+from hopfq import __version__
 from hopfq.cli import main
+
+# sha256 of the stdout of fixed commands; any change to the rendered
+# operators or tables shows here byte for byte.
+PINNED_STDOUT = {
+    ("hamiltonian", "--n", "3", "--weight", "6", "--format", "json",
+     "--no-cache"):
+        "3a3d9dd012dacc294348eddab4bfd06973c7d8397d8cb2b5ef7b79af219f2f01",
+    ("tables", "disk", "--weight", "4", "--K", "2"):
+        "6c8ef5aa2c06f6472700e28dbb74d389ab57ca9cfbd3fc637c426e0bab4250e4",
+}
 
 
 def run(argv, capsys):
@@ -123,3 +135,54 @@ def test_hbar_square_root_refusal(capsys):
     code, _ = run(["tables", "p1", "--degree", "1", "--K", "1",
                    "--hbar", "2", "--no-cache"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_STDOUT))
+def test_stdout_is_pinned(argv, capsys):
+    code, out = run(list(argv), capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[argv]
+
+
+def test_cache_entry_from_other_sources_is_regenerated(tmp_path, capsys):
+    args = ["hamiltonian", "--n", "1", "--weight", "4",
+            "--cache-dir", str(tmp_path)]
+    code, fresh = run(args, capsys)
+    assert code == 0
+    path = tmp_path / "hamiltonian_1_4.json"
+    payload = json.loads(path.read_text())
+    # current version header, but written by other sources, with wrong terms
+    assert payload["code_version"] == __version__
+    payload["source_sha256"] = "0" * 64
+    payload["terms"] = payload["terms"][:1]
+    path.write_text(json.dumps(payload))
+    code, out = run(args, capsys)
+    assert code == 0 and out == fresh
+    assert json.loads(path.read_text())["source_sha256"] != "0" * 64
+    # written through a temp file that is renamed into place
+    assert [p.name for p in tmp_path.iterdir()] == ["hamiltonian_1_4.json"]
+
+
+def test_cache_sample_without_current_entry_is_skipped(tmp_path, capsys):
+    verify = ["verify", "hurwitz", "--n", "2", "--m", "1",
+              "--cache-dir", str(tmp_path)]
+    code, out = run(verify, capsys)
+    assert code == 0
+    sample = json.loads(out)["cache_sample"]
+    assert sample["skipped"] is True and sample["reason"]
+    assert "passed" not in sample
+    # an entry written by other sources is not checked either
+    code, _ = run(["hamiltonian", "--n", "0", "--weight", "2",
+                   "--cache-dir", str(tmp_path)], capsys)
+    path = tmp_path / "hamiltonian_0_2.json"
+    payload = json.loads(path.read_text())
+    payload["source_sha256"] = "0" * 64
+    path.write_text(json.dumps(payload))
+    code, out = run(verify, capsys)
+    assert code == 0 and json.loads(out)["cache_sample"]["skipped"] is True
+    # a current entry is reloaded and checked
+    run(["hamiltonian", "--n", "0", "--weight", "2",
+         "--cache-dir", str(tmp_path)], capsys)
+    code, out = run(verify, capsys)
+    assert code == 0
+    assert json.loads(out)["cache_sample"] == {"passed": True, "detail": {}}

@@ -56,6 +56,11 @@ def test_apply_matches_differential_action():
 @settings(max_examples=40, deadline=None)
 def test_compose_agrees_with_sequential_apply(a, b, f):
     assert a.compose(b).apply(f) == a.apply(b.apply(f))
+    # no result stores a zero coefficient, nor a zero rational inside one
+    g = b.apply(f)
+    for result in (a + b, a - b, a.compose(b), a.apply(f), g,
+                   f + g, f - g, f * g, a.apply(f) - a.apply(f)):
+        assert all(c and all(c.terms.values()) for c in result.terms.values())
 
 
 @given(small_operators())

@@ -31,6 +31,8 @@ def test_ring_axioms(a, b, c):
     assert a + ExactScalar.zero() == a
     assert a * ExactScalar.one() == a
     assert (a - a).is_zero()
+    for result in (a + b, a - b, a * b, a * b + c, a - b * c):
+        assert all(result.terms.values())  # no zero coefficient is stored
 
 
 @given(scalars(), scalars(),
