@@ -17,7 +17,6 @@ import math
 import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -167,7 +166,7 @@ def _suite_tasks(args):
         return not rep["failures"], rep
 
     def eigen():
-        rep = verify_eigenvectors(K, min(W, 8))
+        rep = verify_eigenvectors(K, W)
         return not rep["failures"], rep
 
     def disk():
@@ -175,11 +174,12 @@ def _suite_tasks(args):
         ok = verify_printed_expansion(issues)
         ok = ok and integer_hbar_check(min(W, 6))
         ok = ok and all(schroedinger_check(k, min(W, 6)) for k in range(K + 1))
-        return ok, {"printed_expansion_issues": [str(i) for i in issues]}
+        return ok, {"printed_expansion_issues": [str(i) for i in issues],
+                    "effective_bounds": {"weight": min(W, 6), "K": K}}
 
     def hirota():
         pot = disk_potential(min(W, 8), 4)
-        report = {}
+        report = {"effective_bounds": {"weight": min(W, 8)}}
         ok = True
         for label, active in [("none", set()), ("t0", {0}), ("t0t1", {0, 1})]:
             tau = tau_from_disk(pot, active, 0, Fraction(1))
@@ -205,19 +205,22 @@ def _suite_tasks(args):
             for lam in partitions_upto(min(W, 6)))
         ok = ok and all(dressed_fermion_check(Fraction(j, 2), 3)
                         for j in (-3, -1, 1, 3))
-        return ok, {}
+        return ok, {"effective_bounds": {"weight": min(W, 6)}}
 
     def hurwitz():
-        rep = hurwitz_match_report(min(args.n if args.n is not None else 5, 5),
-                                   min(args.m, 6))
-        return not rep["mismatches"], rep
+        n = min(args.n if args.n is not None else 5, 5)
+        m = min(args.m, 6)
+        rep = hurwitz_match_report(n, m)
+        return not rep["mismatches"], {**rep,
+                                       "effective_bounds": {"n": n, "m": m}}
 
     def p1():
+        bounds = {"effective_bounds": {"weight": min(W, 4), "K": K}}
         try:
             p1_partition_function(min(W, 4), K)
-            return True, {}
+            return True, bounds
         except AssertionError as ex:
-            return False, {"error": str(ex)}
+            return False, {"error": str(ex), **bounds}
 
     table = {"commute": commute, "eigen": eigen, "disk": disk,
              "hirota": hirota, "fermion": fermion, "hurwitz": hurwitz,
@@ -230,15 +233,7 @@ def _suite_tasks(args):
 def cmd_verify(args):
     rng = random.Random(args.seed)
     tasks = _suite_tasks(args)
-    results = {}
-    if args.jobs and args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [(name, pool.submit(fn)) for name, fn in tasks]
-            for name, fut in futures:  # deterministic collection order
-                results[name] = fut.result()
-    else:
-        for name, fn in tasks:
-            results[name] = fn()
+    results = {name: fn() for name, fn in tasks}
     if not args.no_cache:
         results["cache_sample"] = _verify_cache_sample(args.cache_dir, rng)
     report = {name: {"skipped": True, "reason": detail} if ok is None
@@ -351,7 +346,6 @@ def build_parser():
         p.add_argument("--format", choices=["text", "json", "csv", "latex"],
                        default="text")
         p.add_argument("--cache-dir", type=Path, default=default_cache_dir())
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--no-cache", action="store_true")
 

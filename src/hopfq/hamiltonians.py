@@ -17,10 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
+from operator import mul
 
-from .fock import (FockPolynomial, NormalOrderedOperator, mono_from_partition,
-                   weight_basis)
+from .fock import (EMPTY, FockPolynomial, NormalOrderedOperator, mono_degree,
+                   mono_from_partition, mono_mul, mono_weight, weight_basis)
 from .partitions import frobenius, partitions_of, partitions_upto
 from .scalars import (ExactScalar, add_into, bernoulli, exp_u0_series,
                       inv_s_series, s_series, series_mul)
@@ -232,61 +233,212 @@ def exponential_frobenius_form(partition):
 
 
 # ---------------------------------------------------------------------------
-# verification sweeps
+# verification sweeps: the generating series fixes how H_n depends on u0 and
+# eps, so both sweeps assert that structure and then work at u0 = 0, eps = 1
+
+
+def _term_failure(premise, n, key, coeff, expected=None):
+    alpha, beta = key
+    entry = {"premise": premise, "n": n,
+             "alpha": [list(km) for km in alpha],
+             "beta": [list(km) for km in beta],
+             "coefficient": coeff.render()}
+    if expected is not None:
+        entry["expected"] = expected.render()
+    return entry
+
+
+def _u0_expansion(at_zero, n):
+    """Coefficients (e, j) -> value of sum_j u0^j / j! X_{n-j}(0), where
+    at_zero[i] is the u0-free part {e: value} of X_{i-2}."""
+    terms = {}
+    for j in range(n + 3):
+        for e, v in at_zero[n + 2 - j].items():
+            terms[(e, j)] = v / factorial(j)
+    return terms
+
+
+def _premise_failures(operators):
+    """Entries for every term of `operators` (H_{-1}, H_0, ...) that breaks
+    premise (a) or (b)."""
+    failures = []
+    empty = [{}] * (len(operators) + 1)
+    at_zero = {(EMPTY, EMPTY): [{0: Fraction(1)}] + empty[1:]}
+    for n, op in enumerate(operators, start=-1):
+        for key, c in op.terms.items():
+            alpha, beta = key
+            length = mono_degree(alpha) + mono_degree(beta)
+            if (mono_weight(alpha) != mono_weight(beta)
+                    or any(e + u + length != n + 2 for e, u in c.terms)):
+                failures.append(_term_failure("grading", n, key, c))
+            parts = at_zero.setdefault(key, list(empty))
+            parts[n + 2] = {e: v for (e, u), v in c.terms.items() if not u}
+    for key, parts in sorted(at_zero.items()):
+        for n, op in enumerate(operators, start=-1):
+            c = op.terms.get(key, ExactScalar.zero())
+            expected = _u0_expansion(parts, n)
+            if c.terms != expected:
+                failures.append(_term_failure("u0_expansion", n, key, c,
+                                              ExactScalar(expected)))
+    return failures
+
+
+@lru_cache(maxsize=None)
+def _lowering_factor(rest, beta):
+    """p^beta q^(rest + beta) = factor * q^rest at eps = 1."""
+    have = dict(rest)
+    factor = 1
+    for k, b in beta:
+        m = have.get(k, 0)
+        factor *= k ** b * factorial(m + b) // factorial(m)
+    return factor
+
+
+def _weight_blocks(operators, W):
+    """(bases, blocks): bases[w] is the monomial basis of V_w, and
+    blocks[i] = (L, mats) with mats[w] the integer matrix L * R on V_w of
+    operators[i] (column mu holds the image of q^mu), R its matrix at
+    u0 = 0, eps = 1 and L the lcm of R's denominators."""
+    bases = [weight_basis(w) for w in range(W + 1)]
+    index = [{m: i for i, m in enumerate(basis)} for basis in bases]
+    blocks = []
+    for op in operators:
+        values = []
+        for (alpha, beta), c in op.terms.items():
+            v = sum(val for (_, u), val in c.terms.items() if not u)
+            wt = mono_weight(beta)
+            # a term that changes the weight breaks (a) and is reported there
+            if v and wt == mono_weight(alpha) and wt <= W:
+                values.append((alpha, beta, wt, v))
+        scale = lcm(*(v.denominator for *_, v in values))
+        mats = [[[0] * len(basis) for _ in basis] for basis in bases]
+        for alpha, beta, wt, v in values:
+            v = v.numerator * (scale // v.denominator)
+            for w in range(wt, W + 1):
+                mat, idx = mats[w], index[w]
+                for rest in bases[w - wt]:
+                    mat[idx[mono_mul(rest, alpha)]][idx[mono_mul(rest, beta)]] \
+                        += v * _lowering_factor(rest, beta)
+        blocks.append((scale, mats))
+    return bases, blocks
+
+
+def _matmul(rows, cols):
+    return [[sum(map(mul, row, col)) for col in cols] for row in rows]
+
+
+def _render_at_unit(basis, values, scale):
+    """The vector `values` / `scale` on `basis` as a rendered polynomial."""
+    return FockPolynomial({
+        m: ExactScalar.from_rational(Fraction(x, scale))
+        for m, x in zip(basis, values) if x}).render()
 
 
 def verify_commutativity(N, W, operators=None):
     """Check [H_n, H_m] = 0 exactly on every monomial of weight <= W for
     -1 <= n < m <= N, with symbolic u0 and eps.
 
-    Works weight by weight: images of the monomial basis of V_w under each
-    H are computed once, then both composition orders are compared on every
-    basis monomial (the operators preserve the grading, so this is the exact
-    action on all monomials of weight <= W).
+    Two premises are asserted on every term of `operators`; a term that
+    breaks one is a failure entry with a "premise" key:
+      (a) grading: every term c u0^a eps^b q^alpha p^beta of H_n has
+          wt(alpha) = wt(beta) and a + b + l(alpha) + l(beta) = n + 2;
+      (b) u0 expansion: H_n(u0) = sum_j u0^j / j! H_{n-j}(0), with
+          H_{-2}(0) = Id.
+    By (a), H_n(0) acts on V_w as eps^(n+2) D^-1 R_n D, with
+    D = diag(eps^l(mu)) and R_n H_n's matrix at u0 = 0, eps = 1; by (b), the
+    H_n(u0) commute exactly when the H_n(0) do.  So the check multiplies the
+    integer matrices L_n R_n (L_n the lcm of R_n's denominators) on every
+    V_w, w <= W.  A commutator failure gives the nonzero column at u0 = 0,
+    eps = 1 as "difference".
     """
     if operators is None:
         operators = hamiltonian_generating_coefficients(N, W)
-    failures = []
-    for w in range(W + 1):
-        basis = weight_basis(w)
-        images = [{m: op.apply(FockPolynomial.monomial(m)) for m in basis}
-                  for op in operators]
-        for n_idx in range(len(operators)):
-            for m_idx in range(n_idx + 1, len(operators)):
-                for mono in basis:
-                    left = _apply_images(images[n_idx], images[m_idx][mono])
-                    right = _apply_images(images[m_idx], images[n_idx][mono])
-                    if left != right:
+    failures = _premise_failures(operators)
+    bases, blocks = _weight_blocks(operators, W)
+    for w, basis in enumerate(bases):
+        mats = [mats[w] for _, mats in blocks]
+        cols = [list(zip(*mat)) for mat in mats]
+        nonzero = [i for i, mat in enumerate(mats) if any(map(any, mat))]
+        for a, i in enumerate(nonzero):
+            for j in nonzero[a + 1:]:
+                ab = _matmul(mats[i], cols[j])
+                ba = _matmul(mats[j], cols[i])
+                if ab == ba:
+                    continue
+                scale = blocks[i][0] * blocks[j][0]
+                for c, mono in enumerate(basis):
+                    diff = [x[c] - y[c] for x, y in zip(ab, ba)]
+                    if any(diff):
                         failures.append({
-                            "n": n_idx - 1, "m": m_idx - 1,
-                            "monomial": list(mono),
-                            "difference": (left - right).render()})
+                            "n": i - 1, "m": j - 1, "monomial": list(mono),
+                            "difference": _render_at_unit(basis, diff, scale)})
     return {"pairs_checked": len(operators) * (len(operators) - 1) // 2,
-            "weight_bound": W, "failures": failures}
+            "weight_bound": W, "failures": failures,
+            "operator_terms": sum(len(op.terms) for op in operators),
+            "basis_dims": [len(basis) for basis in bases]}
 
 
-def _apply_images(images, poly):
-    acc = FockPolynomial.zero()
-    for mono, c in poly.terms.items():
-        acc = acc + images[mono] * c
-    return acc
+def _eigenvalue_premise_failures(partition, values):
+    """Entries for every E_k(lambda) in `values` (k = -1 ..) that is not
+    homogeneous of degree k + 2 in (u0, eps) or breaks
+    E_k = sum_j u0^j / j! E_{k-j}(0), E_{-2} = 1."""
+    failures = []
+    at_zero = [{0: Fraction(1)}]
+    for k, value in enumerate(values, start=-1):
+        at_zero.append({e: v for (e, u), v in value.terms.items() if not u})
+        if any(e + u != k + 2 for e, u in value.terms):
+            failures.append({"premise": "eigenvalue_grading", "k": k,
+                             "partition": list(partition),
+                             "eigenvalue": value.render()})
+        expected = _u0_expansion(at_zero, k)
+        if value.terms != expected:
+            failures.append({"premise": "eigenvalue_u0_expansion", "k": k,
+                             "partition": list(partition),
+                             "eigenvalue": value.render(),
+                             "expected": ExactScalar(expected).render()})
+    return failures
 
 
 def verify_eigenvectors(K, W, operators=None):
     """Check H_k s_lambda(q/eps) = E_k(lambda) s_lambda(q/eps) exactly for
-    all |lambda| <= W and k <= K, with E_k from the closed Bernoulli form."""
-    from .schur import scaled_schur
+    all |lambda| <= W and k <= K, with E_k from the closed Bernoulli form.
+
+    Premises (a) grading and (b) u0 expansion are asserted on `operators`
+    as in `verify_commutativity`, and their analogues on each E_k(lambda):
+    it is homogeneous of degree k + 2 in (u0, eps), and
+    E_k = sum_j u0^j / j! E_{k-j}(0) with E_{-2} = 1.  Under them the
+    identity holds exactly when
+    R_k s_lambda(q) = e_k(lambda) s_lambda(q), with R_k H_k's matrix at
+    u0 = 0, eps = 1 and e_k(lambda) the eps^(k+2) coefficient of
+    E_k(lambda).  An eigenvector failure gives R_k s - e_k s at u0 = 0,
+    eps = 1 as "difference".
+    """
+    from .schur import schur
     if operators is None:
         operators = hamiltonian_generating_coefficients(K, W)
-    failures = []
+    failures = _premise_failures(operators)
+    bases, blocks = _weight_blocks(operators[:K + 2], W)
     checked = 0
     for lam in partitions_upto(W):
-        vec = scaled_schur(lam)
-        for k in range(-1, K + 1):
+        values = [eigenvalue_closed_form(k, lam) for k in range(-1, K + 1)]
+        failures += _eigenvalue_premise_failures(lam, values)
+        basis = bases[sum(lam)]
+        poly = schur(lam)
+        coeffs = [poly.coefficient(m).as_fraction() for m in basis]
+        den = lcm(*(c.denominator for c in coeffs))
+        vec = [c.numerator * (den // c.denominator) for c in coeffs]
+        for k, value in enumerate(values, start=-1):
             checked += 1
-            expected = vec * eigenvalue_closed_form(k, lam)
-            actual = operators[k + 1].apply(vec)
-            if actual != expected:
-                failures.append({"k": k, "partition": list(lam),
-                                 "difference": (actual - expected).render()})
-    return {"pairs_checked": checked, "weight_bound": W, "failures": failures}
+            scale, mats = blocks[k + 1]
+            image = [sum(map(mul, row, vec)) for row in mats[sum(lam)]]
+            e_k = value.terms.get((k + 2, 0), Fraction(0)) * scale
+            diff = [x * e_k.denominator - e_k.numerator * y
+                    for x, y in zip(image, vec)]
+            if any(diff):
+                failures.append({
+                    "k": k, "partition": list(lam),
+                    "difference": _render_at_unit(
+                        basis, diff, scale * den * e_k.denominator)})
+    return {"pairs_checked": checked, "weight_bound": W, "failures": failures,
+            "operator_terms": sum(len(op.terms) for op in operators),
+            "basis_dims": [len(basis) for basis in bases]}

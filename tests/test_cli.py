@@ -80,11 +80,26 @@ def test_verify_commute_small(capsys):
 
 def test_verify_all_parallel_is_deterministic(capsys):
     args = ["verify", "all", "--N", "2", "--K", "2", "--weight", "5",
-            "--jobs", "2", "--no-cache"]
+            "--no-cache"]
     code1, out1 = run(args, capsys)
     code2, out2 = run(args, capsys)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_verify_reports_the_bounds_it_ran(capsys):
+    code, out = run(["verify", "eigen", "--K", "1", "--weight", "9",
+                     "--no-cache"], capsys)
+    assert code == 0
+    eigen = json.loads(out)["eigen"]
+    assert eigen["passed"] is True
+    assert eigen["detail"]["weight_bound"] == 9
+    assert eigen["detail"]["basis_dims"][9] == 30
+    code, out = run(["verify", "disk", "--K", "1", "--weight", "8",
+                     "--no-cache"], capsys)
+    assert code == 0
+    bounds = json.loads(out)["disk"]["detail"]["effective_bounds"]
+    assert bounds == {"weight": 6, "K": 1}
 
 
 def test_operator_cache_roundtrip(tmp_path, capsys):

@@ -2,12 +2,16 @@
 
 from fractions import Fraction
 
+import pytest
+
+from hopfq import hamiltonians
 from hopfq.fock import (FockPolynomial, NormalOrderedOperator,
-                        degree_operator, naive_hamiltonian)
+                        degree_operator, naive_hamiltonian, weight_basis)
 from hopfq.hamiltonians import (cut_and_join, eigenvalue_closed_form,
                                 eigenvalue_frobenius_form, eigenvalue_series,
                                 exponential_frobenius_form,
                                 exponential_row_form, hamiltonian,
+                                hamiltonian_generating_coefficients,
                                 vacuum_constant, verify_commutativity,
                                 verify_eigenvectors)
 from hopfq.partitions import partitions_upto
@@ -136,3 +140,166 @@ def test_schur_eigenvector_single_case():
     op = hamiltonian(2, 4)
     vec = scaled_schur((2, 1))
     assert op.apply(vec) == vec * eigenvalue_closed_form(2, (2, 1))
+
+
+# ---------------------------------------------------------------------------
+# brute-force oracles: the symbolic sweeps, with u0 and eps kept symbolic and
+# every operator applied monomial by monomial
+
+
+def symbolic_commutativity(N, W, operators=None):
+    """Check [H_n, H_m] = 0 exactly on every monomial of weight <= W for
+    -1 <= n < m <= N, with symbolic u0 and eps.
+
+    Works weight by weight: images of the monomial basis of V_w under each
+    H are computed once, then both composition orders are compared on every
+    basis monomial (the operators preserve the grading, so this is the exact
+    action on all monomials of weight <= W).
+    """
+    if operators is None:
+        operators = hamiltonian_generating_coefficients(N, W)
+    failures = []
+    for w in range(W + 1):
+        basis = weight_basis(w)
+        images = [{m: op.apply(FockPolynomial.monomial(m)) for m in basis}
+                  for op in operators]
+        for n_idx in range(len(operators)):
+            for m_idx in range(n_idx + 1, len(operators)):
+                for mono in basis:
+                    left = _apply_images(images[n_idx], images[m_idx][mono])
+                    right = _apply_images(images[m_idx], images[n_idx][mono])
+                    if left != right:
+                        failures.append({
+                            "n": n_idx - 1, "m": m_idx - 1,
+                            "monomial": list(mono),
+                            "difference": (left - right).render()})
+    return {"pairs_checked": len(operators) * (len(operators) - 1) // 2,
+            "weight_bound": W, "failures": failures}
+
+
+def _apply_images(images, poly):
+    acc = FockPolynomial.zero()
+    for mono, c in poly.terms.items():
+        acc = acc + images[mono] * c
+    return acc
+
+
+def symbolic_eigenvectors(K, W, operators=None):
+    """Check H_k s_lambda(q/eps) = E_k(lambda) s_lambda(q/eps) exactly for
+    all |lambda| <= W and k <= K, with E_k from the closed Bernoulli form."""
+    if operators is None:
+        operators = hamiltonian_generating_coefficients(K, W)
+    failures = []
+    checked = 0
+    for lam in partitions_upto(W):
+        vec = scaled_schur(lam)
+        for k in range(-1, K + 1):
+            checked += 1
+            expected = vec * hamiltonians.eigenvalue_closed_form(k, lam)
+            actual = operators[k + 1].apply(vec)
+            if actual != expected:
+                failures.append({"k": k, "partition": list(lam),
+                                 "difference": (actual - expected).render()})
+    return {"pairs_checked": checked, "weight_bound": W, "failures": failures}
+
+
+def _kinds(report):
+    """The set of failure kinds: a premise name, or "matrix"."""
+    return {f.get("premise", "matrix") for f in report["failures"]}
+
+
+def _perturbed(operators, n, coeff):
+    """operators with coeff * q1 p1 added to H_n."""
+    out = list(operators)
+    out[n + 1] = out[n + 1] + NormalOrderedOperator.term(((1, 1),), ((1, 1),),
+                                                         coeff)
+    return out
+
+
+# Perturbations of H_{-1} .. H_3: (n, coefficient of q1 p1 added to H_n,
+# the failure kinds the structured engine must report).  The symbolic
+# oracle must fail on every one of them.
+PERTURBATIONS = {
+    # eps^5 q1 p1 breaks grading (a) in H_3; -eps^3 q1 p1 cancels it at
+    # eps = 1, so neither (b) nor the matrices can see it
+    "grading": (3, ExactScalar.monomial(1, 5) - ExactScalar.monomial(1, 3),
+                {"grading"}),
+    # a graded u0^0 change to H_2: H_3's u0^1 part no longer equals H_2(0),
+    # and H_2(0) no longer commutes with the others
+    "u0_expansion_via_h2": (2, ExactScalar.monomial(1, 2),
+                            {"u0_expansion", "matrix"}),
+    # a graded u0^1 change to H_3: invisible at u0 = 0, so only (b) sees it
+    "u0_expansion_top": (3, ExactScalar.monomial(1, 2, 1), {"u0_expansion"}),
+    # a graded u0^0 change to the top operator: both premises hold, only
+    # the matrix check catches it
+    "matrix": (3, ExactScalar.monomial(1, 3), {"matrix"}),
+}
+
+
+def test_structured_engine_agrees_with_symbolic_oracle():
+    ops = hamiltonian_generating_coefficients(3, 6)
+    fast = verify_commutativity(3, 6, ops)
+    slow = symbolic_commutativity(3, 6, ops)
+    assert fast["failures"] == slow["failures"] == []
+    assert fast["pairs_checked"] == slow["pairs_checked"] == 10
+    assert fast["operator_terms"] == sum(len(op.terms) for op in ops)
+    assert fast["basis_dims"] == [1, 1, 2, 3, 5, 7, 11]
+
+
+@pytest.mark.parametrize("name", sorted(PERTURBATIONS))
+def test_commutativity_perturbations_fail_in_both_engines(name):
+    n, coeff, kinds = PERTURBATIONS[name]
+    ops = _perturbed(hamiltonian_generating_coefficients(3, 6), n, coeff)
+    assert symbolic_commutativity(3, 6, ops)["failures"]
+    assert _kinds(verify_commutativity(3, 6, ops)) == kinds
+
+
+def test_eigen_engine_agrees_with_symbolic_oracle():
+    ops = hamiltonian_generating_coefficients(3, 5)
+    fast = verify_eigenvectors(3, 5, ops)
+    slow = symbolic_eigenvectors(3, 5, ops)
+    assert fast["failures"] == slow["failures"] == []
+    assert fast["pairs_checked"] == slow["pairs_checked"] == 5 * 19
+    assert fast["basis_dims"] == [1, 1, 2, 3, 5, 7]
+
+
+@pytest.mark.parametrize("name", sorted(PERTURBATIONS))
+def test_eigen_perturbations_fail_in_both_engines(name):
+    n, coeff, kinds = PERTURBATIONS[name]
+    ops = _perturbed(hamiltonian_generating_coefficients(3, 5), n, coeff)
+    assert symbolic_eigenvectors(3, 5, ops)["failures"]
+    assert _kinds(verify_eigenvectors(3, 5, ops)) == kinds
+
+
+# A change to E_3((2, 1)) that keeps its eps^5 u0^0 coefficient, so the
+# matrix check at u0 = 0, eps = 1 cannot see it; only the named premise can.
+EIGENVALUE_PERTURBATIONS = {
+    "eigenvalue_grading": ExactScalar.monomial(1, 6),
+    "eigenvalue_u0_expansion": ExactScalar.monomial(1, 4, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EIGENVALUE_PERTURBATIONS))
+def test_eigenvalue_perturbations_fail_in_both_engines(name, monkeypatch):
+    closed = hamiltonians.eigenvalue_closed_form
+
+    def perturbed(k, lam):
+        value = closed(k, lam)
+        if (k, tuple(lam)) == (3, (2, 1)):
+            value = value + EIGENVALUE_PERTURBATIONS[name]
+        return value
+
+    monkeypatch.setattr(hamiltonians, "eigenvalue_closed_form", perturbed)
+    ops = hamiltonian_generating_coefficients(3, 5)
+    assert symbolic_eigenvectors(3, 5, ops)["failures"]
+    report = verify_eigenvectors(3, 5, ops)
+    assert _kinds(report) == {name}
+    assert [(f["k"], f["partition"]) for f in report["failures"]] == [(3, [2, 1])]
+
+
+def test_commutativity_at_weight_12():
+    report = verify_commutativity(5, 12)
+    assert report["failures"] == []
+    assert report["pairs_checked"] == 21
+    assert report["weight_bound"] == 12
+    assert report["basis_dims"][12] == 77
