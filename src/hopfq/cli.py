@@ -160,6 +160,8 @@ def cmd_hamiltonian(args):
 def _suite_tasks(args):
     """(name, callable) pairs for the requested verification suite."""
     N, K, W = args.N, args.K, args.weight
+    if W < 0:
+        raise ValueError("--weight must be >= 0")
 
     def commute():
         rep = verify_commutativity(N, W)

@@ -387,6 +387,8 @@ def hurwitz_oracle_direct(n, m, mu):
 def hurwitz_match_report(W, M):
     """Compare every hurwitz_series coefficient against the oracle; returns
     a dict with counts and a list of mismatches."""
+    if W < 1 or M < 0:
+        raise ValueError("Hurwitz bounds must be n >= 1 and m >= 0")
     series = hurwitz_series(W, M)
     mismatches = []
     checked = 0

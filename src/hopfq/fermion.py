@@ -19,8 +19,7 @@ from typing import NamedTuple
 
 from .fock import FockPolynomial
 from .partitions import frobenius
-from .scalars import (ExactScalar, SparseSum, add_into, exp_u0_series,
-                      inv_s_series, series_mul)
+from .scalars import SparseSum, UnivariateSeries, add_into, inv_s_series, lift
 from .schur import complete_homogeneous
 
 
@@ -344,11 +343,10 @@ def fermionic_hamiltonian_eigenvalue_series(partition, order):
     Agreement with the bosonic eigenvalue series at eps = 1 is the
     independent wedge-side check of the eigenbasis theorem.
     """
-    inner = [ExactScalar.from_rational(inv_s_series(order)[n])
-             for n in range(order + 1)]
+    inner = inv_s_series(order).coeffs
     for e, c in diagonal_operator_eigenvalue(partition).items():
-        # z * e^{z e} contributes c * e^(n-1) z^n / (n-1)!
+        # t * e^{t e} contributes c * e^(n-1) t^n / (n-1)!
         for n in range(1, order + 1):
-            inner[n] = inner[n] + ExactScalar.from_rational(
-                c * Fraction(e) ** (n - 1) / factorial(n - 1))
-    return series_mul(exp_u0_series(order), inner, order)
+            inner[n] += c * Fraction(e) ** (n - 1) / factorial(n - 1)
+    g = UnivariateSeries(inner)
+    return [lift(g, 0, n - 2).substitute(eps=1) for n in range(order + 1)]

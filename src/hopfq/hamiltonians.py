@@ -7,9 +7,15 @@ The generating operator series is
 
 obtained by pushing s(i eps z d/dx) through the Fourier modes (s is even, so
 it acts on e^{+-ikx} as the scalar s(eps z k)) and performing the x-integral
-combinatorially.  H_n is the coefficient of z^(n+2).  Closed-form eigenvalues
-on the scaled Schur basis come with both the z-series and the Bernoulli-sum
-expression, which must agree.
+combinatorially.  H_n is the coefficient of z^(n+2).
+
+The coefficient of q^alpha p^beta is e^{z u0} z^(l(alpha) + l(beta)) g(eps z)
+/ (alpha! beta!), with g(t) = (1/s(t)) prod_k s(k t)^(alpha_k + beta_k) a
+rational series depending only on the multiset of modes.  So each g is
+built once over Q, and `scalars.lift` adds u0 and eps back.  The eigenvalues
+E_k(lambda) on the scaled Schur basis have the same shape, e^{z u0} G(eps z);
+they come with both that series and the Bernoulli-sum expression, which must
+agree.
 """
 
 from __future__ import annotations
@@ -17,54 +23,30 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import comb, factorial, lcm, prod
 from operator import mul
 
 from .fock import (EMPTY, FockPolynomial, NormalOrderedOperator, mono_degree,
                    mono_from_partition, mono_mul, mono_weight, weight_basis)
 from .partitions import frobenius, partitions_of, partitions_upto
-from .scalars import (ExactScalar, add_into, bernoulli, exp_u0_series,
-                      inv_s_series, s_series, series_mul)
-
-# ---------------------------------------------------------------------------
-# z-series helpers (lists of ExactScalar, index = power of z)
+from .scalars import (ExactScalar, UnivariateSeries, add_into, bernoulli,
+                      inv_s_series, lift, s_series)
 
 
-def _exp_eps_series(a, order):
-    """e^{z eps a} for rational a."""
-    a = Fraction(a)
-    return [ExactScalar.monomial(a ** n / factorial(n), n)
-            for n in range(order + 1)]
-
-
-def _inv_s_eps_series(order):
-    """1/s(eps z) as a z-series over ExactScalar."""
-    inv = inv_s_series(order)
-    return [ExactScalar.monomial(inv[n], n) for n in range(order + 1)]
-
-
-@lru_cache(maxsize=None)
-def _s_power_coeffs(power, order):
-    return tuple((s_series(order) ** power).coeffs)
-
-
-def _zs_power_series(k, power, order):
-    """[z s(eps z k)]^power as a z-series (z-offset included)."""
-    coeffs = _s_power_coeffs(power, max(order - power, 0))
-    out = [ExactScalar.zero()] * (order + 1)
-    for j, c in enumerate(coeffs):
-        if c and power + j <= order:
-            out[power + j] = ExactScalar.monomial(c * Fraction(k) ** j, j)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _vacuum_series(order):
-    """e^{z u0} / s(eps z)."""
-    return tuple(series_mul(exp_u0_series(order), _inv_s_eps_series(order), order))
-
-
-# ---------------------------------------------------------------------------
+def _mode_series(modes, order, memo):
+    """g(t) = (1/s(t)) prod_{k in modes} s(k t) over Q up to t^order, for a
+    sorted tuple of modes (one factor s(k t) per occurrence of k).  memo
+    maps each tuple of modes already done to its series; within one
+    generation the order of a tuple is fixed by its length."""
+    if modes not in memo:
+        if modes:
+            k = modes[-1]
+            scaled = UnivariateSeries(
+                [c * k ** j for j, c in enumerate(s_series(order).coeffs)])
+            memo[modes] = scaled * _mode_series(modes[:-1], order + 1, memo)
+        else:
+            memo[modes] = inv_s_series(order)
+    return memo[modes]
 
 
 def hamiltonian_generating_coefficients(K, max_weight):
@@ -72,32 +54,24 @@ def hamiltonian_generating_coefficients(K, max_weight):
     weight <= max_weight.  Returned as a list indexed by n + 1."""
     if K < -1:
         raise ValueError("K must be >= -1")
+    if max_weight < 0:
+        raise ValueError("max_weight must be >= 0")
     order = K + 2
     ops = [{} for _ in range(K + 2)]  # ops[n + 1] accumulates H_n
-    vacuum = list(_vacuum_series(order))
+    memo = {}  # g depends only on the multiset of modes of alpha and beta
     for w in range(max_weight + 1):
         for ap in partitions_of(w):
             for bp in partitions_of(w):
-                degree = len(ap) + len(bp)
-                if degree > order:
+                length = len(ap) + len(bp)
+                if length > order:
                     continue
                 alpha = mono_from_partition(ap)
                 beta = mono_from_partition(bp)
-                series = vacuum
-                denom = 1
-                counts = {}
-                for k, m in alpha:
-                    counts[k] = counts.get(k, 0) + m
-                    denom *= factorial(m)
-                for k, m in beta:
-                    counts[k] = counts.get(k, 0) + m
-                    denom *= factorial(m)
-                for k, m in sorted(counts.items()):
-                    series = series_mul(series, _zs_power_series(k, m, order), order)
-                scale = Fraction(1, denom)
+                g = _mode_series(tuple(sorted(ap + bp)), order - length, memo)
+                scale = Fraction(1, prod(factorial(m) for _, m in alpha + beta))
                 for n in range(-1, K + 1):
-                    coeff = series[n + 2] * scale
-                    if not coeff.is_zero():
+                    coeff = lift(g, length, n) * scale
+                    if coeff:
                         ops[n + 1][(alpha, beta)] = coeff
     return [NormalOrderedOperator(terms) for terms in ops]
 
@@ -148,22 +122,20 @@ def _content_shifts(partition):
 
 
 def eigenvalue_series(partition, K):
-    """E_n from the finite rewriting
-    E(z) = e^{z u0} [1/s(eps z) + eps z sum_i (e^{z eps a_i} - e^{z eps b_i})]
+    """E_n = lift(G, 0, n) from the finite rewriting E(z) = e^{z u0} G(eps z),
+    G(t) = 1/s(t) + t sum_i (e^{t a_i} - e^{t b_i})
     (the infinite geometric tail is absorbed into 1/s)."""
     if K < -1:
         raise ValueError("K must be >= -1")
     order = K + 2
-    inner = _inv_s_eps_series(order)
+    inner = inv_s_series(order).coeffs
     for a, b in _content_shifts(partition):
-        delta = [ca - cb for ca, cb in zip(_exp_eps_series(a, order),
-                                           _exp_eps_series(b, order))]
-        # multiply by eps * z: shift by one power of z and one power of eps
-        shifted = [ExactScalar.zero()] + [c.shift_eps(1) for c in delta[:order]]
-        inner = [x + y for x, y in zip(inner, shifted)]
-    series = series_mul(exp_u0_series(order), inner, order)
-    assert series[0] == ExactScalar.one()
-    return EigenvalueSeries(tuple(partition), tuple(series[1:]))
+        # t (e^{t a} - e^{t b}) contributes (a^(n-1) - b^(n-1)) t^n / (n-1)!
+        for n in range(1, order + 1):
+            inner[n] += (a ** (n - 1) - b ** (n - 1)) / factorial(n - 1)
+    g = UnivariateSeries(inner)
+    return EigenvalueSeries(tuple(partition),
+                            tuple(lift(g, 0, n) for n in range(-1, K + 1)))
 
 
 def vacuum_constant(k):
@@ -351,6 +323,8 @@ def verify_commutativity(N, W, operators=None):
     V_w, w <= W.  A commutator failure gives the nonzero column at u0 = 0,
     eps = 1 as "difference".
     """
+    if N < 0:
+        raise ValueError("commutativity needs N >= 0 (at least one pair)")
     if operators is None:
         operators = hamiltonian_generating_coefficients(N, W)
     failures = _premise_failures(operators)

@@ -5,9 +5,9 @@ parameter hbar represented as eps^2 throughout (half-integer hbar powers occur
 in the disk amplitudes, so eps is the primitive variable).  `SparseSum` and
 `add_into` hold the sum-of-terms rule shared by every coefficient map in the
 package: scalars, Fock polynomials, operators, wedge vectors and tau
-coefficients.  Also provides Bernoulli numbers, the truncated series product,
-and the two power series s(t) = sinh(t/2)/(t/2) and 1/s(t) that govern the
-quantum corrections.
+coefficients.  Also provides Bernoulli numbers, truncated power series over
+Q, the two series s(t) = sinh(t/2)/(t/2) and 1/s(t) that govern the quantum
+corrections, and `lift`, which attaches u0 and eps to a series in t = eps z.
 """
 
 from __future__ import annotations
@@ -262,26 +262,6 @@ def bernoulli(n):
     return -total / (n + 1)
 
 
-def series_mul(a, b, order):
-    """Product of two power series given as coefficient lists (index =
-    power), truncated at the given order.  The coefficients may be Fractions
-    or ExactScalars."""
-    out = [type(a[0])()] * (order + 1)
-    for i, ca in enumerate(a[:order + 1]):
-        if not ca:
-            continue
-        for j, cb in enumerate(b[:order + 1 - i]):
-            if cb:
-                out[i + j] += ca * cb
-    return out
-
-
-def exp_u0_series(order):
-    """e^{z u0} as a z-series over ExactScalar."""
-    return [ExactScalar.monomial(Fraction(1, factorial(n)), 0, n)
-            for n in range(order + 1)]
-
-
 class UnivariateSeries:
     """Truncated power series in one formal variable over Q.
 
@@ -305,14 +285,13 @@ class UnivariateSeries:
         return isinstance(other, UnivariateSeries) and self.coeffs == other.coeffs
 
     def __mul__(self, other):
-        return UnivariateSeries(series_mul(self.coeffs, other.coeffs,
-                                           min(self.order, other.order)))
-
-    def __pow__(self, n):
-        result = UnivariateSeries([1] + [0] * self.order)
-        for _ in range(n):
-            result = result * self
-        return result
+        order = min(self.order, other.order)
+        out = [0] * (order + 1)
+        for i, a in enumerate(self.coeffs[:order + 1]):
+            if a:
+                for j, b in enumerate(other.coeffs[:order + 1 - i]):
+                    out[i + j] += a * b
+        return UnivariateSeries(out)
 
     def inverse(self):
         """Multiplicative inverse; requires an invertible constant term."""
@@ -359,3 +338,20 @@ def inv_s_series(order):
             fact *= n
         coeffs.append((Fraction(2) ** (1 - n) - 1) * bernoulli(n) / fact)
     return UnivariateSeries(coeffs)
+
+
+def lift(g, length, n):
+    """Coefficient of z^(n+2) in e^{z u0} z^length g(eps z), for g a
+    UnivariateSeries over Q: sum_i g_i eps^i u0^(d-i) / (d-i)! with
+    d = n + 2 - length.
+
+    Every generated series of the package (the operators H_n, the
+    eigenvalues E_k) has this shape, so this is the one place where u0 and
+    eps enter it.  Raises IndexError if g is truncated below t^d.
+    """
+    d = n + 2 - length
+    terms = {}
+    for i in range(d + 1):
+        if g[i]:
+            terms[(i, d - i)] = g[i] / factorial(d - i)
+    return ExactScalar(terms)

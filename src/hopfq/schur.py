@@ -42,21 +42,21 @@ def schur(partition):
         return FockPolynomial.one()
     entries = [[complete_homogeneous(partition[i] - i + j)
                 for j in range(rows)] for i in range(rows)]
-    return _det(entries, tuple(range(rows)))
 
+    @lru_cache(maxsize=None)
+    def det(cols):
+        """Minor on the last len(cols) rows and the columns cols, expanded
+        along its first row; each minor is computed once."""
+        row = rows - len(cols)
+        if len(cols) == 1:
+            return entries[row][cols[0]]
+        acc = FockPolynomial.zero()
+        for i, c in enumerate(cols):
+            term = entries[row][c] * det(cols[:i] + cols[i + 1:])
+            acc = acc + (term if i % 2 == 0 else -term)
+        return acc
 
-def _det(entries, cols):
-    if len(cols) == 1:
-        return entries[len(entries) - 1][cols[0]]
-    row = len(entries) - len(cols)
-    acc = FockPolynomial.zero()
-    sign = 1
-    for i, c in enumerate(cols):
-        minor = _det(entries, cols[:i] + cols[i + 1:])
-        term = entries[row][c] * minor
-        acc = acc + (term if sign > 0 else -term)
-        sign = -sign
-    return acc
+    return det(tuple(range(rows)))
 
 
 @lru_cache(maxsize=None)

@@ -16,6 +16,8 @@ PINNED_STDOUT = {
         "3a3d9dd012dacc294348eddab4bfd06973c7d8397d8cb2b5ef7b79af219f2f01",
     ("tables", "disk", "--weight", "4", "--K", "2"):
         "6c8ef5aa2c06f6472700e28dbb74d389ab57ca9cfbd3fc637c426e0bab4250e4",
+    ("hamiltonian", "--n", "5", "--weight", "12", "--no-cache"):
+        "02cc225862b8c102095c75824040f7e4f2d36a678717ebacbd25ca0071a397b1",
 }
 
 
@@ -144,6 +146,27 @@ def test_tables_p1_json(capsys):
     rows = json.loads(out)
     degree2 = [r for r in rows if r["degree"] == 2]
     assert len(degree2) == 2  # partitions (2) and (1,1)
+
+
+# bounds under which a check would run nothing (or spurious failures)
+DEGENERATE_BOUNDS = [
+    ["verify", "commute", "--weight", "-1"],
+    ["verify", "commute", "--N", "-1"],
+    ["verify", "eigen", "--weight", "-1"],
+    ["verify", "fermion", "--weight", "-3"],
+    ["verify", "hurwitz", "--n", "0"],
+    ["verify", "hurwitz", "--m", "-1"],
+    ["hamiltonian", "--n", "2", "--weight", "-1"],
+]
+
+
+@pytest.mark.parametrize("argv", DEGENERATE_BOUNDS, ids=" ".join)
+def test_degenerate_bounds_are_refused(argv, capsys):
+    code = main(argv + ["--no-cache"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_hbar_square_root_refusal(capsys):

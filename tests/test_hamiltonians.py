@@ -1,12 +1,14 @@
 """Quantum Hamiltonians, eigenvalues, and verification sweeps."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from hopfq import hamiltonians
 from hopfq.fock import (FockPolynomial, NormalOrderedOperator,
-                        degree_operator, naive_hamiltonian, weight_basis)
+                        degree_operator, mono_from_partition,
+                        naive_hamiltonian, weight_basis)
 from hopfq.hamiltonians import (cut_and_join, eigenvalue_closed_form,
                                 eigenvalue_frobenius_form, eigenvalue_series,
                                 exponential_frobenius_form,
@@ -14,8 +16,8 @@ from hopfq.hamiltonians import (cut_and_join, eigenvalue_closed_form,
                                 hamiltonian_generating_coefficients,
                                 vacuum_constant, verify_commutativity,
                                 verify_eigenvectors)
-from hopfq.partitions import partitions_upto
-from hopfq.scalars import ExactScalar
+from hopfq.partitions import partitions_of, partitions_upto
+from hopfq.scalars import ExactScalar, inv_s_series, s_series
 from hopfq.schur import scaled_schur
 
 
@@ -140,6 +142,59 @@ def test_schur_eigenvector_single_case():
     op = hamiltonian(2, 4)
     vec = scaled_schur((2, 1))
     assert op.apply(vec) == vec * eigenvalue_closed_form(2, (2, 1))
+
+
+# ---------------------------------------------------------------------------
+# brute-force oracle for the generator: the generating series multiplied out
+# pair by pair as z-series over ExactScalar, with u0 and eps symbolic
+
+
+def _z_series_mul(a, b, order):
+    out = [ExactScalar.zero()] * (order + 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b[:order + 1 - i]):
+            out[i + j] += ca * cb
+    return out
+
+
+def symbolic_generating_coefficients(K, max_weight):
+    """H_{-1} .. H_K as the z^(n+2) coefficients of
+    e^{z u0} / s(eps z) * prod_k [z s(eps z k)]^(alpha_k + beta_k)
+    / (alpha! beta!), every factor a z-series over ExactScalar."""
+    order = K + 2
+    s, inv_s = s_series(order), inv_s_series(order)
+    vacuum = _z_series_mul(
+        [ExactScalar.u0(j) * Fraction(1, factorial(j)) for j in range(order + 1)],
+        [ExactScalar.monomial(inv_s[j], j) for j in range(order + 1)], order)
+    ops = [{} for _ in range(K + 2)]
+    for w in range(max_weight + 1):
+        for ap in partitions_of(w):
+            for bp in partitions_of(w):
+                if len(ap) + len(bp) > order:
+                    continue  # z^(l(alpha) + l(beta)) is past z^(K+2)
+                alpha, beta = mono_from_partition(ap), mono_from_partition(bp)
+                series = vacuum
+                for k in ap + bp:
+                    z_s = [ExactScalar.zero()] + [
+                        ExactScalar.monomial(s[j] * k ** j, j)
+                        for j in range(order)]
+                    series = _z_series_mul(series, z_s, order)
+                denom = 1
+                for _, m in alpha + beta:
+                    denom *= factorial(m)
+                for n in range(-1, K + 1):
+                    coeff = series[n + 2] * Fraction(1, denom)
+                    if coeff:
+                        ops[n + 1][(alpha, beta)] = coeff
+    return [NormalOrderedOperator(terms) for terms in ops]
+
+
+def test_generator_agrees_with_symbolic_oracle():
+    fast = hamiltonian_generating_coefficients(5, 8)
+    slow = symbolic_generating_coefficients(5, 8)
+    assert len(fast) == len(slow) == 7
+    for n in range(-1, 6):
+        assert fast[n + 1].terms == slow[n + 1].terms
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ def test_leading_q1_coefficient_is_dim_over_factorial():
 
 
 def test_transpose_sign_identity():
-    for lam in partitions_upto(7):
+    for lam in partitions_upto(9):
         assert verify_transpose_sign(lam)
 
 
