@@ -14,70 +14,60 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial, lcm, perm, prod
 
-from .fock import FockPolynomial, mono_mul, mono_weight, render_mono
-from .scalars import ExactScalar, add_into
+from .fock import (FockPolynomial, mono_degree, mono_mul, mono_sub,
+                   mono_weight, render_mono)
+from .scalars import ExactScalar, SparseSum, add_into
 from .schur import complete_homogeneous
 
 # ---------------------------------------------------------------------------
-# Laurent coefficients in the v-variables: plain dicts {exponent tuple: ExactScalar}
+# Laurent coefficients in the v-variables
+
+
+class Laurent(SparseSum):
+    """Laurent polynomial in v_0, v_1, ... over ExactScalar: a sparse map
+    exponent tuple -> ExactScalar.  The tuples of one tau have one entry per
+    active t-variable; the product reads a shorter tuple as padded with
+    zero exponents.
+    """
+
+    __slots__ = ()
+
+    def __mul__(self, other):
+        """Ring product with another Laurent, or scaling by an ExactScalar
+        or a rational."""
+        if not isinstance(other, Laurent):
+            if not other:
+                return Laurent()
+            return Laurent({e: c * other for e, c in self.terms.items()})
+        terms = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(map(sum, itertools.zip_longest(e1, e2, fillvalue=0)))
+                add_into(terms, e, c1 * c2)
+        return Laurent(terms)
+
+    def render(self):
+        if not self.terms:
+            return "0"
+        parts = []
+        for e, c in sorted(self.terms.items()):
+            factors = [f"({c.render()})"]
+            factors += [f"v{i}^{p}" for i, p in enumerate(e) if p]
+            parts.append(" * ".join(factors))
+        return " + ".join(parts)
 
 
 def vl_constant(scalar):
     if isinstance(scalar, (int, Fraction)):
         scalar = ExactScalar.from_rational(scalar)
-    if scalar.is_zero():
-        return {}
-    return {(): scalar}
+    return Laurent({(): scalar} if scalar else {})
 
 
 def vl_monomial(exponents, scalar=None):
     scalar = ExactScalar.one() if scalar is None else scalar
-    if scalar.is_zero():
-        return {}
-    return {tuple(exponents): scalar}
-
-
-def vl_add(a, b):
-    result = dict(a)
-    for e, c in b.items():
-        add_into(result, e, c)
-    return result
-
-
-def vl_neg(a):
-    return {e: -c for e, c in a.items()}
-
-
-def vl_scale(a, scalar):
-    if isinstance(scalar, (int, Fraction)):
-        scalar = ExactScalar.from_rational(scalar)
-    if scalar.is_zero():
-        return {}
-    return {e: c * scalar for e, c in a.items()}
-
-
-def vl_mul(a, b):
-    result = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(x + y for x, y in zip(e1, e2)) if e1 and e2 else (e1 or e2)
-            add_into(result, e, c1 * c2)
-    return result
-
-
-def vl_render(a, names=None):
-    if not a:
-        return "0"
-    parts = []
-    for e, c in sorted(a.items()):
-        factors = [f"({c.render()})"]
-        for i, p in enumerate(e):
-            if p:
-                factors.append(f"v{i}^{p}")
-        parts.append(" * ".join(factors))
-    return " + ".join(parts)
+    return Laurent({tuple(exponents): scalar} if scalar else {})
 
 
 # ---------------------------------------------------------------------------
@@ -93,13 +83,9 @@ class TruncatedTau:
     __slots__ = ("terms", "valid_weight", "eps")
 
     def __init__(self, terms, valid_weight, eps=None):
-        self.terms = terms          # {p-mono: v-laurent dict}
+        self.terms = terms          # {p-mono: Laurent}
         self.valid_weight = valid_weight
         self.eps = eps              # Fraction, or None if symbolic
-
-    @classmethod
-    def zero(cls, valid_weight, eps=None):
-        return cls({}, valid_weight, eps)
 
     def copy_meta(self, terms, valid_weight=None):
         return TruncatedTau(terms,
@@ -112,29 +98,23 @@ class TruncatedTau:
                                if mono_weight(m) <= self.valid_weight})
 
     def __add__(self, other):
-        valid = min(self.valid_weight, other.valid_weight)
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            new = vl_add(terms.get(m, {}), c)
-            if new:
-                terms[m] = new
-            else:
-                terms.pop(m, None)
-        return self.copy_meta(terms, valid)
+            add_into(terms, m, c)
+        return self.copy_meta(terms,
+                              min(self.valid_weight, other.valid_weight))
 
     def __neg__(self):
-        return self.copy_meta({m: vl_neg(c) for m, c in self.terms.items()})
+        return self.copy_meta({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, scalar):
-        """Multiply by an ExactScalar/rational or a v-Laurent dict."""
-        if isinstance(scalar, dict):
-            return self.copy_meta({m: vl_mul(c, scalar)
-                                   for m, c in self.terms.items()})
-        return self.copy_meta({m: vl_scale(c, scalar)
-                               for m, c in self.terms.items()})
+        """Multiply by an ExactScalar, a rational or a Laurent."""
+        if not scalar:
+            return self.copy_meta({})
+        return self.copy_meta({m: c * scalar for m, c in self.terms.items()})
 
     def __mul__(self, other):
         valid = min(self.valid_weight, other.valid_weight)
@@ -144,29 +124,22 @@ class TruncatedTau:
             if w1 > valid:
                 continue
             for m2, c2 in other.terms.items():
-                if w1 + mono_weight(m2) > valid:
-                    continue
-                m = mono_mul(m1, m2)
-                new = vl_add(terms.get(m, {}), vl_mul(c1, c2))
-                if new:
-                    terms[m] = new
-                else:
-                    terms.pop(m, None)
+                if w1 + mono_weight(m2) <= valid:
+                    add_into(terms, mono_mul(m1, m2), c1 * c2)
         return self.copy_meta(terms, valid)
 
-    def derivative(self, k):
-        """d/dp_k; the result is complete one k-weight lower."""
+    def derivative(self, mono):
+        """The partial derivative prod_k (d/dp_k)^{a_k} for the multi-index
+        mono = ((k, a_k), ...); the result is complete mono_weight(mono)
+        lower."""
         terms = {}
-        for mono, c in self.terms.items():
-            for i, (var, power) in enumerate(mono):
-                if var == k:
-                    reduced = (mono[:i] + ((var, power - 1),) + mono[i + 1:]
-                               if power > 1 else mono[:i] + mono[i + 1:])
-                    terms[reduced] = vl_add(terms.get(reduced, {}),
-                                            vl_scale(c, power))
-                    break
-        terms = {m: c for m, c in terms.items() if c}
-        return self.copy_meta(terms, self.valid_weight - k)
+        for m, c in self.terms.items():
+            reduced = mono_sub(m, mono)
+            if reduced is not None:
+                powers = dict(m)
+                # m -> reduced is injective, so no two terms meet here
+                terms[reduced] = c * prod(perm(powers[k], a) for k, a in mono)
+        return self.copy_meta(terms, self.valid_weight - mono_weight(mono))
 
     def is_zero_to_valid(self):
         return all(not c or mono_weight(m) > self.valid_weight
@@ -176,18 +149,8 @@ class TruncatedTau:
         for m, c in sorted(self.terms.items(),
                            key=lambda t: (mono_weight(t[0]), t[0])):
             if c and mono_weight(m) <= self.valid_weight:
-                return f"{render_mono(m, 'p')}: {vl_render(c)}"
+                return f"{render_mono(m, 'p')}: {c.render()}"
         return None
-
-    def constant_coefficient(self):
-        return self.terms.get((), {})
-
-    def render(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(f"[{vl_render(c)}] {render_mono(m, 'p')}"
-                          for m, c in sorted(self.terms.items(),
-                                             key=lambda t: (mono_weight(t[0]), t[0])))
 
 
 def tau_from_disk(pot, active_k, u0, eps=None):
@@ -219,11 +182,7 @@ def tau_from_disk(pot, active_k, u0, eps=None):
         vexp = tuple(int(q * d) for q, d in zip(exponents[lam], denominators))
         poly = amp.polynomial_part().substitute_scalars(eps=eps, u0=u0)
         for mono, c in poly.terms.items():
-            new = vl_add(terms.get(mono, {}), vl_monomial(vexp, c))
-            if new:
-                terms[mono] = new
-            else:
-                terms.pop(mono, None)
+            add_into(terms, mono, vl_monomial(vexp, c))
     return TruncatedTau(terms, pot.max_weight, eps)
 
 
@@ -233,26 +192,38 @@ def tau_from_disk(pot, active_k, u0, eps=None):
 
 def hirota_apply(P, f, g):
     """P(D) f.g with D^a f.g = sum_b prod C(a_k, b_k) (-1)^{|a-b|}
-    (d^b f)(d^{a-b} g); valid to min validity minus the top D-weight."""
+    (d^b f)(d^{a-b} g); valid to min validity minus the top D-weight.
+
+    Each partial d^b f and d^b g is taken once per call, and each product
+    only up to the valid weight of the result.
+    """
     valid = min(f.valid_weight, g.valid_weight)
     if P.terms:
         valid -= max(mono_weight(m) for m in P.terms)
-    acc = TruncatedTau.zero(valid, f.eps)
+    partials = {}
+
+    def partial(h, b):
+        # when f is g the two keys coincide and the partial is shared
+        key = (h is f, b)
+        if key not in partials:
+            partials[key] = h.derivative(b)
+        return partials[key]
+
+    terms = {}
     for dmono, coeff in P.terms.items():
         for choice in itertools.product(*(range(a + 1) for _, a in dmono)):
-            fac = Fraction(1)
-            df, dg = f, g
-            flips = 0
-            for (k, a), b in zip(dmono, choice):
-                fac *= comb(a, b)
-                flips += a - b
-                for _ in range(b):
-                    df = df.derivative(k)
-                for _ in range(a - b):
-                    dg = dg.derivative(k)
-            term = (df * dg).scale(coeff * (fac if flips % 2 == 0 else -fac))
-            acc = acc + term.copy_meta(term.terms, valid)
-    return acc.truncate()
+            b = tuple((k, c) for (k, _), c in zip(dmono, choice) if c)
+            rest = tuple((k, a - c) for (k, a), c in zip(dmono, choice)
+                         if a > c)
+            fac = prod(comb(a, c) for (_, a), c in zip(dmono, choice))
+            if mono_degree(rest) % 2:
+                fac = -fac
+            df = partial(f, b)
+            product = df.copy_meta(df.terms, valid) * partial(g, rest)
+            scalar = coeff * fac
+            for m, c in product.terms.items():
+                add_into(terms, m, c * scalar)
+    return TruncatedTau(terms, valid, f.eps)
 
 
 def _hbar_scalar(eps):
@@ -275,10 +246,18 @@ def printed_bilinear(which, eps=None):
     raise ValueError("which must be 1 or 2")
 
 
-def kp_bilinear_check(which, tau):
-    """Exact vanishing of a printed bilinear equation on tau."""
-    residual = hirota_apply(printed_bilinear(which, tau.eps), tau, tau)
+def _verdict(residual):
+    """Whether the residual vanishes up to its valid weight, or None when it
+    is complete to no weight, so that the check tested nothing."""
+    if residual.valid_weight < 0:
+        return None
     return residual.is_zero_to_valid()
+
+
+def kp_bilinear_check(which, tau):
+    """Exact vanishing of a printed bilinear equation on tau; None when tau
+    is too short for the equation's D-weight."""
+    return _verdict(hirota_apply(printed_bilinear(which, tau.eps), tau, tau))
 
 
 # ---------------------------------------------------------------------------
@@ -288,15 +267,11 @@ def kp_bilinear_check(which, tau):
 def _d_tilde_substitution(j, eps=None):
     """h_j with q_k -> eps * k * D_k (as a FockPolynomial in D-symbols)."""
     e = ExactScalar.eps() if eps is None else ExactScalar.from_rational(eps)
-    acc = FockPolynomial.zero()
+    terms = {}
     for mono, c in complete_homogeneous(j).terms.items():
-        factor = Fraction(1)
-        degree = 0
-        for k, a in mono:
-            factor *= Fraction(k) ** a
-            degree += a
-        acc = acc + FockPolynomial.monomial(mono, c * factor * e ** degree)
-    return acc
+        add_into(terms, mono,
+                 c * prod(k ** a for k, a in mono) * e ** mono_degree(mono))
+    return FockPolynomial(terms)
 
 
 def generating_identity_coefficients(y_order, y_vars=4, eps=None):
@@ -316,18 +291,13 @@ def generating_identity_coefficients(y_order, y_vars=4, eps=None):
             scalar1 = c1 * Fraction(-2) ** ydeg1
             # exponential factor up to the remaining y-degree
             for extra in _y_tuples(y_vars, y_order - ydeg1):
-                fac = ExactScalar.one()
-                dmono = ()
-                for k, a in enumerate(extra, start=1):
-                    if a:
-                        fac = fac * (e ** a) * Fraction(1, factorial(a))
-                        dmono = mono_mul(dmono, ((k, a),))
-                total = [0] * y_vars
-                for k, a in ymono:
-                    total[k - 1] += a
-                for k, a in enumerate(extra):
-                    total[k] += a
-                add_into(out, tuple(total),
+                dmono = tuple((k, a) for k, a in enumerate(extra, start=1)
+                              if a)
+                fac = e ** sum(extra) * Fraction(
+                    1, prod(factorial(a) for a in extra))
+                total = tuple(a + dict(ymono).get(k, 0)
+                              for k, a in enumerate(extra, start=1))
+                add_into(out, total,
                          hd * FockPolynomial.monomial(dmono, fac * scalar1))
     return out
 
@@ -346,23 +316,26 @@ def _y_tuples(n, max_total):
 def _drop_odd(P):
     """Remove odd-total-degree D-monomials (they annihilate any f.f)."""
     return FockPolynomial({m: c for m, c in P.terms.items()
-                           if sum(a for _, a in m) % 2 == 0})
+                           if mono_degree(m) % 2 == 0})
 
 
 def kp_hierarchy_check(tau, y_order=2, y_vars=4):
     """Every y-coefficient of the generating identity (total degree <=
     y_order in y_1..y_{y_vars}) annihilates tau.tau up to its valid weight.
+    A coefficient whose residual is complete to no weight counts as skipped,
+    not checked.
 
     The pure y3 and y4 coefficients are additionally asserted (after
     dropping odd monomials) to be exact scalar multiples of the two printed
     bilinear equations; the report records the factors.
     """
     coeffs = generating_identity_coefficients(y_order, y_vars, tau.eps)
-    report = {"checked": 0, "failures": [], "factors": {}}
+    report = {"checked": 0, "skipped": 0, "failures": [], "factors": {}}
     for ymono, P in sorted(coeffs.items()):
         residual = hirota_apply(P, tau, tau)
-        report["checked"] += 1
-        if not residual.is_zero_to_valid():
+        verdict = _verdict(residual)
+        report["checked" if verdict is not None else "skipped"] += 1
+        if verdict is False:
             report["failures"].append((ymono, residual.max_residual_term()))
     # proportionality to the printed pair
     e2 = ExactScalar.eps(2) if tau.eps is None else \
@@ -375,10 +348,7 @@ def kp_hierarchy_check(tau, y_order=2, y_vars=4):
         if sum(ymono) > y_order or len(ymono) != y_vars:
             continue
         got = _drop_odd(coeffs.get(ymono, FockPolynomial.zero()))
-        expected = FockPolynomial.zero()
-        for m, c in target.terms.items():
-            expected = expected + FockPolynomial.monomial(m, c * factor)
-        if got != expected:
+        if got != target * factor:
             report["failures"].append((ymono, "proportionality mismatch"))
         else:
             report["factors"][ymono] = factor.render()
@@ -392,10 +362,10 @@ def kp_hierarchy_check(tau, y_order=2, y_vars=4):
 def log_series(tau):
     """log(tau / c0) where c0 is the constant coefficient (required to be a
     single invertible Laurent monomial)."""
-    c0 = tau.constant_coefficient()
-    if len(c0) != 1:
+    c0 = tau.terms.get((), Laurent())
+    if len(c0.terms) != 1:
         raise ValueError("constant term is not a single monomial")
-    (vexp, coeff), = c0.items()
+    (vexp, coeff), = c0.terms.items()
     if len(coeff.terms) != 1:
         raise ValueError("constant coefficient is not invertible")
     (ce, cu), cval = next(iter(coeff.terms.items()))
@@ -409,7 +379,7 @@ def log_series(tau):
                          tau.valid_weight, tau.eps)
     if any(mono_weight(m) == 0 for m, c in r.terms.items() if c):
         raise AssertionError("normalized tau does not start at 1")
-    acc = TruncatedTau.zero(tau.valid_weight, tau.eps)
+    acc = TruncatedTau({}, tau.valid_weight, tau.eps)
     power = TruncatedTau({(): vl_monomial(zeros)}, tau.valid_weight, tau.eps)
     for m in range(1, tau.valid_weight + 1):
         power = (power * r).truncate()
@@ -419,14 +389,12 @@ def log_series(tau):
 
 def kp_equation_check(tau):
     """Residual of u_xt = u_yy + (u u_x + (hbar/12) u_xxx)_x for
-    u = eps^2 d^2/dp_1^2 log tau, with x = p_1, y = p_2, t = p_3."""
-    hbar = _hbar_scalar(tau.eps)
-    eps2 = hbar  # eps^2 == hbar
-    u = log_series(tau).derivative(1).derivative(1).scale(eps2)
-    u_xt = u.derivative(1).derivative(3)
-    u_yy = u.derivative(2).derivative(2)
-    inner = u * u.derivative(1) + \
-        u.derivative(1).derivative(1).derivative(1).scale(
-            hbar * Fraction(1, 12))
-    residual = u_xt - u_yy - inner.derivative(1)
-    return residual.is_zero_to_valid()
+    u = eps^2 d^2/dp_1^2 log tau, with x = p_1, y = p_2, t = p_3; None when
+    tau is too short (weight <= 5) for the residual to be complete anywhere."""
+    hbar = _hbar_scalar(tau.eps)  # eps^2 == hbar
+    u = log_series(tau).derivative(((1, 2),)).scale(hbar)
+    u_xt = u.derivative(((1, 1), (3, 1)))
+    u_yy = u.derivative(((2, 2),))
+    inner = u * u.derivative(((1, 1),)) + \
+        u.derivative(((1, 3),)).scale(hbar * Fraction(1, 12))
+    return _verdict(u_xt - u_yy - inner.derivative(((1, 1),)))

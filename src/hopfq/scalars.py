@@ -206,11 +206,6 @@ class ExactScalar(SparseSum):
             raise ValueError("zero has no eps order")
         return min(e for e, _ in self.terms)
 
-    def eps_component(self, power):
-        """The u0-polynomial multiplying eps^power."""
-        return ExactScalar({(e, u): v for (e, u), v in self.terms.items()
-                            if e == power})
-
     def eps_powers(self):
         return sorted({e for e, _ in self.terms})
 

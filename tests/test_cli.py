@@ -104,6 +104,23 @@ def test_verify_reports_the_bounds_it_ran(capsys):
     assert bounds == {"weight": 6, "K": 1}
 
 
+def test_verify_hirota_reports_vacuous_checks_as_skipped(capsys):
+    code, out = run(["verify", "hirota", "--weight", "4", "--no-cache"],
+                    capsys)
+    assert code == 0
+    hirota = json.loads(out)["hirota"]
+    assert hirota["passed"] is True
+    for label in ("none", "t0", "t0t1"):
+        assert hirota["detail"][label] == {
+            "bilinear1": True, "bilinear2": "skipped",
+            "hierarchy_y1": True, "kp_equation": "skipped"}
+    code, out = run(["verify", "hirota", "--weight", "0", "--no-cache"],
+                    capsys)
+    assert code == 0
+    hirota = json.loads(out)["hirota"]
+    assert hirota["skipped"] is True and "passed" not in hirota
+
+
 def test_operator_cache_roundtrip(tmp_path, capsys):
     args = ["hamiltonian", "--n", "1", "--weight", "4",
             "--cache-dir", str(tmp_path)]
@@ -157,6 +174,8 @@ DEGENERATE_BOUNDS = [
     ["verify", "hurwitz", "--n", "0"],
     ["verify", "hurwitz", "--m", "-1"],
     ["hamiltonian", "--n", "2", "--weight", "-1"],
+    ["verify", "disk", "--K", "-1"],
+    ["tables", "hurwitz", "--n", "3", "--m", "-1"],
 ]
 
 

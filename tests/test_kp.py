@@ -1,17 +1,51 @@
 """Hirota operators and KP verification on exact truncations."""
 
+import itertools
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfq.disk import disk_potential
-from hopfq.fock import FockPolynomial
-from hopfq.kp import (TruncatedTau, hirota_apply, kp_bilinear_check,
-                      kp_equation_check, kp_hierarchy_check, log_series,
-                      printed_bilinear, tau_from_disk, vl_constant)
+from hopfq.fock import FockPolynomial, mono_weight
+from hopfq.kp import (TruncatedTau, generating_identity_coefficients,
+                      hirota_apply, kp_bilinear_check, kp_equation_check,
+                      kp_hierarchy_check, log_series, printed_bilinear,
+                      tau_from_disk, vl_constant)
 from hopfq.scalars import ExactScalar
+
+
+def repeated_derivative_hirota(P, f, g):
+    """Reference for `hirota_apply`: every D-monomial and every Leibniz split
+    takes its derivatives again, as chains of single d/dp_k, and the result
+    is summed one TruncatedTau at a time."""
+    valid = min(f.valid_weight, g.valid_weight)
+    if P.terms:
+        valid -= max(mono_weight(m) for m in P.terms)
+    acc = TruncatedTau({}, valid, f.eps)
+    for dmono, coeff in P.terms.items():
+        for choice in itertools.product(*(range(a + 1) for _, a in dmono)):
+            fac = Fraction(1)
+            df, dg = f, g
+            flips = 0
+            for (k, a), b in zip(dmono, choice):
+                fac *= comb(a, b)
+                flips += a - b
+                for _ in range(b):
+                    df = df.derivative(((k, 1),))
+                for _ in range(a - b):
+                    dg = dg.derivative(((k, 1),))
+            term = (df * dg).scale(coeff * (fac if flips % 2 == 0 else -fac))
+            acc = acc + term.copy_meta(term.terms, valid)
+    return acc.truncate()
+
+
+def assert_same_tau(got, want):
+    assert got.valid_weight == want.valid_weight
+    assert got.eps == want.eps
+    assert got.terms == want.terms
 
 
 def exp_series(a, W):
@@ -44,7 +78,7 @@ def test_exponent_substitution_values():
     # active {0}: amplitude carries v0^{24 (|lambda| - 1/24)}
     pot = disk_potential(3, 1)
     tau = tau_from_disk(pot, {0}, 0, Fraction(1))
-    exps = {e for c in tau.terms.values() for e in c}
+    exps = {e for c in tau.terms.values() for e in c.terms}
     assert (24 * 1 - 1,) in exps  # |lambda| = 1
     assert (-1,) in exps          # vacuum
 
@@ -133,3 +167,57 @@ def test_printed_bilinear_contents():
     P = printed_bilinear(1)
     assert P.coefficient(((1, 4),)) == ExactScalar.hbar()
     assert P.coefficient(((2, 2),)) == ExactScalar.from_rational(12)
+
+
+def test_hirota_engine_agrees_with_repeated_derivatives_on_diagonal():
+    tau = tau_from_disk(disk_potential(6, 1), {0, 1}, 0, Fraction(1))
+    polys = [printed_bilinear(1, tau.eps), printed_bilinear(2, tau.eps)]
+    polys += generating_identity_coefficients(2, 4, tau.eps).values()
+    assert len(polys) == 2 + 15
+    for P in polys:
+        assert_same_tau(hirota_apply(P, tau, tau),
+                        repeated_derivative_hirota(P, tau, tau))
+
+
+def test_hirota_engine_agrees_with_repeated_derivatives_off_diagonal():
+    pot = disk_potential(6, 1)
+    f = tau_from_disk(pot, {0, 1}, 0, Fraction(1))
+    g = tau_from_disk(pot, {0}, 0, Fraction(1))
+    for P in [FockPolynomial.monomial(((1, 2), (2, 1))),
+              printed_bilinear(1, f.eps)]:
+        for left, right in [(f, g), (g, f)]:
+            got = hirota_apply(P, left, right)
+            assert not got.is_zero_to_valid()
+            assert_same_tau(got, repeated_derivative_hirota(P, left, right))
+
+
+def test_multi_index_derivative_is_the_chain_of_single_ones():
+    tau = tau_from_disk(disk_potential(6, 1), {0, 1}, 0, Fraction(1))
+    for mono in [(), ((1, 3),), ((2, 2),), ((1, 1), (3, 1)),
+                 ((1, 2), (2, 1), (3, 1))]:
+        chain = tau
+        for k, a in mono:
+            for _ in range(a):
+                chain = chain.derivative(((k, 1),))
+        assert_same_tau(tau.derivative(mono), chain)
+
+
+@pytest.mark.parametrize("W, b1, b2, kp", [
+    (3, None, None, None), (4, True, None, None), (5, True, True, None),
+    (6, True, True, True)])
+def test_checks_complete_to_no_weight_are_skipped(W, b1, b2, kp):
+    tau = tau_from_disk(disk_potential(W, 1), {0}, 0, Fraction(1))
+    assert kp_bilinear_check(1, tau) is b1
+    assert kp_bilinear_check(2, tau) is b2
+    assert kp_equation_check(tau) is kp
+
+
+@pytest.mark.parametrize("W, y_order, checked, skipped", [
+    (4, 1, 4, 1), (6, 2, 11, 4), (8, 2, 14, 1), (9, 2, 15, 0)])
+def test_hierarchy_counts_skipped_coefficients(W, y_order, checked, skipped):
+    # the y-coefficient of y-weight w is a Hirota polynomial of D-weight
+    # w + 1, so its residual is complete to weight W - w - 1
+    tau = tau_from_disk(disk_potential(W, 1), set(), 0, Fraction(1))
+    report = kp_hierarchy_check(tau, y_order=y_order)
+    assert report["failures"] == []
+    assert (report["checked"], report["skipped"]) == (checked, skipped)
