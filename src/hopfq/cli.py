@@ -185,11 +185,14 @@ def _suite_tasks(args):
         # a check returns None when the tau is too short for it to test
         # anything; it is reported as "skipped"
         pot = disk_potential(min(W, 8), 4)
-        report = {"effective_bounds": {"weight": min(W, 8)}}
+        report = {"effective_bounds": {"weight": min(W, 8)},
+                  "hierarchy_y1_counts": {}}
         verdicts = []
         for label, active in [("none", set()), ("t0", {0}), ("t0t1", {0, 1})]:
             tau = tau_from_disk(pot, active, 0, Fraction(1))
             hier = kp_hierarchy_check(tau, y_order=1)
+            report["hierarchy_y1_counts"][label] = {
+                key: hier[key] for key in ("checked", "skipped")}
             hier_ok = not hier["failures"]
             if hier_ok and not hier["checked"]:
                 hier_ok = None
@@ -215,10 +218,10 @@ def _suite_tasks(args):
         ok = all(
             boson_fermion_map(FermionVector.basis(state_for_partition_label(lam)))
             == schur(lam)
-            for lam in partitions_upto(min(W, 6)))
+            for lam in partitions_upto(W))
         ok = ok and all(dressed_fermion_check(Fraction(j, 2), 3)
                         for j in (-3, -1, 1, 3))
-        return ok, {"effective_bounds": {"weight": min(W, 6)}}
+        return ok, {"effective_bounds": {"weight": W}}
 
     def hurwitz():
         n = min(args.n if args.n is not None else 5, 5)

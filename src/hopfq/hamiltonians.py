@@ -31,6 +31,7 @@ from .fock import (EMPTY, FockPolynomial, NormalOrderedOperator, mono_degree,
 from .partitions import frobenius, partitions_of, partitions_upto
 from .scalars import (ExactScalar, UnivariateSeries, add_into, bernoulli,
                       inv_s_series, lift, s_series)
+from .schur import centralizer_size, character
 
 
 def _mode_series(modes, order, memo):
@@ -384,10 +385,13 @@ def verify_eigenvectors(K, W, operators=None):
     identity holds exactly when
     R_k s_lambda(q) = e_k(lambda) s_lambda(q), with R_k H_k's matrix at
     u0 = 0, eps = 1 and e_k(lambda) the eps^(k+2) coefficient of
-    E_k(lambda).  An eigenvector failure gives R_k s - e_k s at u0 = 0,
-    eps = 1 as "difference".
+    E_k(lambda).  With n = |lambda|, n! s_lambda(q) is the integer vector
+    chi^lambda(mu) n! / z_mu read off the character table.  An eigenvector
+    failure gives R_k s - e_k s at u0 = 0, eps = 1 as "difference".
     """
-    from .schur import schur
+    if K < 0:
+        raise ValueError("the eigen check needs K >= 0: H_{-1} = u0 Id "
+                         "fixes every vector")
     if operators is None:
         operators = hamiltonian_generating_coefficients(K, W)
     failures = _premise_failures(operators)
@@ -396,15 +400,14 @@ def verify_eigenvectors(K, W, operators=None):
     for lam in partitions_upto(W):
         values = [eigenvalue_closed_form(k, lam) for k in range(-1, K + 1)]
         failures += _eigenvalue_premise_failures(lam, values)
-        basis = bases[sum(lam)]
-        poly = schur(lam)
-        coeffs = [poly.coefficient(m).as_fraction() for m in basis]
-        den = lcm(*(c.denominator for c in coeffs))
-        vec = [c.numerator * (den // c.denominator) for c in coeffs]
+        n = sum(lam)
+        basis = bases[n]
+        vec = [character(lam, mu) * (factorial(n) // centralizer_size(mu))
+               for mu in partitions_of(n)]
         for k, value in enumerate(values, start=-1):
             checked += 1
             scale, mats = blocks[k + 1]
-            image = [sum(map(mul, row, vec)) for row in mats[sum(lam)]]
+            image = [sum(map(mul, row, vec)) for row in mats[n]]
             e_k = value.terms.get((k + 2, 0), Fraction(0)) * scale
             diff = [x * e_k.denominator - e_k.numerator * y
                     for x, y in zip(image, vec)]
@@ -412,7 +415,7 @@ def verify_eigenvectors(K, W, operators=None):
                 failures.append({
                     "k": k, "partition": list(lam),
                     "difference": _render_at_unit(
-                        basis, diff, scale * den * e_k.denominator)})
+                        basis, diff, scale * factorial(n) * e_k.denominator)})
     return {"pairs_checked": checked, "weight_bound": W, "failures": failures,
             "operator_terms": sum(len(op.terms) for op in operators),
             "basis_dims": [len(basis) for basis in bases]}

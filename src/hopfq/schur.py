@@ -1,17 +1,22 @@
 """Schur polynomials in the power-sum normalization q_k = k * x_k.
 
-h_k is defined by sum_k h_k(q) z^k = exp(sum_k q_k z^k / k) and s_lambda by
-the Jacobi-Trudi determinant det(h_{lambda_i - i + j}).  The eps-scaled
-s_lambda(q/eps) (uniform substitution q_k -> q_k / eps) is the eigenvector
-family of the quantum Hamiltonians.
+The q_k are power sums, so s_lambda = sum_mu chi^lambda(mu) q^mu / z_mu and
+q^mu = sum_lambda chi^lambda(mu) s_lambda, with chi^lambda(mu) the integer
+character table of S_n (Murnaghan-Nakayama rule) and z_mu the centralizer
+order (Macdonald, Symmetric Functions and Hall Polynomials, I.7).  That one
+table gives both the Schur polynomials and the Schur coefficients of any
+polynomial.  h_k, with sum_k h_k(q) z^k = exp(sum_k q_k z^k / k), serves the
+KP and fermion layers.  The eps-scaled s_lambda(q/eps) (uniform substitution
+q_k -> q_k / eps) is the eigenvector family of the quantum Hamiltonians.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial, prod
 
-from .fock import FockPolynomial, mono_degree, weight_basis
+from .fock import FockPolynomial, mono_degree, mono_from_partition
 from .partitions import dim, partitions_of, size, transpose
 from .scalars import ExactScalar
 
@@ -35,28 +40,43 @@ def complete_homogeneous(k, num_vars=None):
 
 
 @lru_cache(maxsize=None)
+def character(partition, cycle_type):
+    """chi^lambda(mu) by the Murnaghan-Nakayama rule: strip rim hooks of
+    lengths mu_1, mu_2, ... off lambda, each with sign (-1)^height.
+
+    On the beta-set {lambda_i + l - i} (l = l(lambda)), stripping a rim hook
+    of length r moves one bead b to a free place b - r >= 0; its height is
+    the number of beads strictly between."""
+    if not cycle_type:
+        return int(not partition)
+    r, rest = cycle_type[0], cycle_type[1:]
+    l = len(partition)
+    beta = {p + l - 1 - i for i, p in enumerate(partition)}
+    total = 0
+    for b in beta:
+        if b >= r and b - r not in beta:
+            height = sum(b - r < c < b for c in beta)
+            moved = sorted(beta - {b} | {b - r}, reverse=True)
+            smaller = (c - (l - 1 - i) for i, c in enumerate(moved))
+            total += (-1) ** height * character(
+                tuple(p for p in smaller if p), rest)
+    return total
+
+
+def centralizer_size(cycle_type):
+    """z_mu = prod_k k^m_k m_k!, m_k the number of parts of mu equal to k."""
+    return prod(k ** m * factorial(m) for k, m in mono_from_partition(cycle_type))
+
+
+@lru_cache(maxsize=None)
 def schur(partition):
-    """Jacobi-Trudi determinant s_lambda = det(h_{lambda_i - i + j})."""
-    rows = len(partition)
-    if rows == 0:
-        return FockPolynomial.one()
-    entries = [[complete_homogeneous(partition[i] - i + j)
-                for j in range(rows)] for i in range(rows)]
-
-    @lru_cache(maxsize=None)
-    def det(cols):
-        """Minor on the last len(cols) rows and the columns cols, expanded
-        along its first row; each minor is computed once."""
-        row = rows - len(cols)
-        if len(cols) == 1:
-            return entries[row][cols[0]]
-        acc = FockPolynomial.zero()
-        for i, c in enumerate(cols):
-            term = entries[row][c] * det(cols[:i] + cols[i + 1:])
-            acc = acc + (term if i % 2 == 0 else -term)
-        return acc
-
-    return det(tuple(range(rows)))
+    """s_lambda = sum_mu chi^lambda(mu) q^mu / z_mu over the mu with
+    |mu| = |lambda| and chi^lambda(mu) != 0."""
+    return FockPolynomial({
+        mono_from_partition(mu): ExactScalar.from_rational(
+            Fraction(chi, centralizer_size(mu)))
+        for mu in partitions_of(size(partition))
+        if (chi := character(partition, mu))})
 
 
 @lru_cache(maxsize=None)
@@ -76,33 +96,19 @@ def verify_transpose_sign(partition):
 
 
 # ---------------------------------------------------------------------------
-# expansion in the Schur basis (rational linear algebra on V_n)
+# expansion in the Schur basis: q^mu = sum_lambda chi^lambda(mu) s_lambda
 
 
-def _invert_rational(matrix):
-    n = len(matrix)
-    aug = [[Fraction(matrix[i][j]) for j in range(n)] +
-           [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col])
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
-@lru_cache(maxsize=None)
-def _schur_basis_inverse(n):
-    """Inverse of the (monomial x schur) coefficient matrix on V_n."""
-    labels = partitions_of(n)
-    monos = weight_basis(n)
-    matrix = [[schur(lam).coefficient(mono).as_fraction() for lam in labels]
-              for mono in monos]
-    return _invert_rational(matrix)
+def _schur_coefficients(poly, n, coefficient, zero):
+    """{lambda: sum_mu chi^lambda(mu) c_mu} over the partitions lambda of n,
+    for poly = sum_mu c_mu q^mu homogeneous of weight n; c_mu is
+    coefficient(q^mu, its coefficient in poly)."""
+    if not poly.is_homogeneous(n):
+        raise ValueError("polynomial is not homogeneous of the stated weight")
+    values = [(tuple(k for k, m in reversed(mono) for _ in range(m)),
+               coefficient(mono, c)) for mono, c in poly.terms.items()]
+    return {lam: sum((c * character(lam, mu) for mu, c in values), zero)
+            for lam in partitions_of(n)}
 
 
 def expand_in_schur_basis(poly, n):
@@ -111,56 +117,30 @@ def expand_in_schur_basis(poly, n):
     The polynomial must have rational coefficients; returns a map
     partition -> Fraction.
     """
-    if not poly.is_homogeneous(n):
-        raise ValueError("polynomial is not homogeneous of the stated weight")
-    labels = partitions_of(n)
-    monos = weight_basis(n)
-    inv = _schur_basis_inverse(n)
-    vec = [poly.coefficient(m).as_fraction() for m in monos]
-    return {lam: sum(inv[i][j] * vec[j] for j in range(len(monos)))
-            for i, lam in enumerate(labels)}
+    return _schur_coefficients(poly, n, lambda mono, c: c.as_fraction(),
+                               Fraction(0))
 
 
 def expand_in_scaled_schur(poly, n):
-    """Coefficients (ExactScalar) of a weight-n polynomial in {s_lambda(q/eps)}."""
-    if not poly.is_homogeneous(n):
-        raise ValueError("polynomial is not homogeneous of the stated weight")
-    labels = partitions_of(n)
-    monos = weight_basis(n)
-    inv = _schur_basis_inverse(n)
-    # undo the eps scaling monomial-wise, then expand rationally
-    vec = [poly.coefficient(m).shift_eps(mono_degree(m)) for m in monos]
-    out = {}
-    for i, lam in enumerate(labels):
-        acc = ExactScalar.zero()
-        for j in range(len(monos)):
-            if inv[i][j]:
-                acc = acc + vec[j] * inv[i][j]
-        out[lam] = acc
-    return out
+    """Coefficients (ExactScalar) of a weight-n polynomial in {s_lambda(q/eps)}:
+    q^mu = eps^l(mu) (q/eps)^mu."""
+    return _schur_coefficients(
+        poly, n, lambda mono, c: c.shift_eps(mono_degree(mono)),
+        ExactScalar.zero())
 
 
 def power_of_q1_expansion(n):
     """Schur coefficients of q_1^n; equals dim(lambda) for every |lambda| = n."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    if n == 0:
-        return {(): 1}
-    poly = FockPolynomial.monomial(((1, n),))
-    coeffs = expand_in_schur_basis(poly, n)
-    out = {}
-    for lam, c in coeffs.items():
-        if c:
-            if c.denominator != 1:
-                raise AssertionError(f"non-integer Schur coefficient at {lam}")
-            out[lam] = int(c)
-    return out
+    poly = FockPolynomial.monomial(((1, n),) if n else ())
+    return {lam: int(c) for lam, c in expand_in_schur_basis(poly, n).items()
+            if c}
 
 
 def plane_wave_expansion(max_weight):
     """Truncation of e^{q1/hbar} = sum_lambda eps^(-|lambda|) dim/|lambda|! *
     s_lambda(q/eps) over |lambda| <= max_weight."""
-    from math import factorial
     acc = FockPolynomial.zero()
     for n in range(max_weight + 1):
         for lam in partitions_of(n):

@@ -102,6 +102,12 @@ def test_verify_reports_the_bounds_it_ran(capsys):
     assert code == 0
     bounds = json.loads(out)["disk"]["detail"]["effective_bounds"]
     assert bounds == {"weight": 6, "K": 1}
+    code, out = run(["verify", "fermion", "--weight", "8", "--no-cache"],
+                    capsys)
+    assert code == 0
+    fermion = json.loads(out)["fermion"]
+    assert fermion["passed"] is True
+    assert fermion["detail"]["effective_bounds"] == {"weight": 8}
 
 
 def test_verify_hirota_reports_vacuous_checks_as_skipped(capsys):
@@ -119,6 +125,15 @@ def test_verify_hirota_reports_vacuous_checks_as_skipped(capsys):
     assert code == 0
     hirota = json.loads(out)["hirota"]
     assert hirota["skipped"] is True and "passed" not in hirota
+
+
+def test_verify_hirota_counts_hierarchy_coefficients(capsys):
+    code, out = run(["verify", "hirota", "--weight", "4", "--no-cache"],
+                    capsys)
+    assert code == 0
+    counts = json.loads(out)["hirota"]["detail"]["hierarchy_y1_counts"]
+    assert counts == {label: {"checked": 4, "skipped": 1}
+                      for label in ("none", "t0", "t0t1")}
 
 
 def test_operator_cache_roundtrip(tmp_path, capsys):
@@ -170,6 +185,7 @@ DEGENERATE_BOUNDS = [
     ["verify", "commute", "--weight", "-1"],
     ["verify", "commute", "--N", "-1"],
     ["verify", "eigen", "--weight", "-1"],
+    ["verify", "eigen", "--K", "-1"],
     ["verify", "fermion", "--weight", "-3"],
     ["verify", "hurwitz", "--n", "0"],
     ["verify", "hurwitz", "--m", "-1"],

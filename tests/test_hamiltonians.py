@@ -18,7 +18,7 @@ from hopfq.hamiltonians import (cut_and_join, eigenvalue_closed_form,
                                 verify_eigenvectors)
 from hopfq.partitions import partitions_of, partitions_upto
 from hopfq.scalars import ExactScalar, inv_s_series, s_series
-from hopfq.schur import scaled_schur
+from hopfq.schur import scaled_schur, schur
 
 
 def test_bottom_hamiltonians():
@@ -350,6 +350,28 @@ def test_eigenvalue_perturbations_fail_in_both_engines(name, monkeypatch):
     report = verify_eigenvectors(3, 5, ops)
     assert _kinds(report) == {name}
     assert [(f["k"], f["partition"]) for f in report["failures"]] == [(3, [2, 1])]
+
+
+def test_wrong_character_fails_as_an_eigenvector(monkeypatch):
+    # chi^(2,1)(1^3) = 2 changed to 3: the vector read off the table is then
+    # 3! (s_(2,1) + q1^3 / 6), an eigenvector of H_{-1} and H_0 only
+    table = hamiltonians.character
+
+    def perturbed(lam, mu):
+        return table(lam, mu) + ((lam, mu) == ((2, 1), (1, 1, 1)))
+
+    monkeypatch.setattr(hamiltonians, "character", perturbed)
+    ops = hamiltonian_generating_coefficients(3, 5)
+    report = verify_eigenvectors(3, 5, ops)
+    assert [(f.get("premise"), f["k"], f["partition"])
+            for f in report["failures"]] == [(None, k, [2, 1])
+                                             for k in (1, 2, 3)]
+    vec = schur((2, 1)) + FockPolynomial.monomial(((1, 3),), Fraction(1, 6))
+    for f in report["failures"]:
+        k = f["k"]
+        e_k = eigenvalue_closed_form(k, (2, 1)).substitute(eps=1, u0=0)
+        diff = ops[k + 1].apply(vec) - vec * e_k
+        assert f["difference"] == diff.substitute_scalars(eps=1, u0=0).render()
 
 
 def test_commutativity_at_weight_12():

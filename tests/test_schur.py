@@ -1,15 +1,59 @@
-"""Schur polynomials, basis expansion, and the plane-wave decomposition."""
+"""Schur polynomials, the character table, basis expansion, and the
+plane-wave decomposition."""
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from hopfq.fock import FockPolynomial
-from hopfq.partitions import dim, partitions_of, partitions_upto, transpose
+from hopfq.partitions import dim, partitions_of, partitions_upto
 from hopfq.scalars import ExactScalar
-from hopfq.schur import (complete_homogeneous, expand_in_scaled_schur,
-                         expand_in_schur_basis, plane_wave_expansion,
-                         power_of_q1_expansion, scaled_schur, schur,
-                         verify_transpose_sign)
+from hopfq.schur import (centralizer_size, character, complete_homogeneous,
+                         expand_in_scaled_schur, expand_in_schur_basis,
+                         plane_wave_expansion, power_of_q1_expansion,
+                         scaled_schur, schur, verify_transpose_sign)
+
+
+def jacobi_trudi(partition):
+    """Reference oracle: s_lambda = det(h_{lambda_i - i + j}), expanded along
+    the first row, each minor computed once."""
+    rows = len(partition)
+    if rows == 0:
+        return FockPolynomial.one()
+    entries = [[complete_homogeneous(partition[i] - i + j)
+                for j in range(rows)] for i in range(rows)]
+
+    @lru_cache(maxsize=None)
+    def det(cols):
+        """Minor on the last len(cols) rows and the columns cols."""
+        row = rows - len(cols)
+        if len(cols) == 1:
+            return entries[row][cols[0]]
+        acc = FockPolynomial.zero()
+        for i, c in enumerate(cols):
+            term = entries[row][c] * det(cols[:i] + cols[i + 1:])
+            acc = acc + (term if i % 2 == 0 else -term)
+        return acc
+
+    return det(tuple(range(rows)))
+
+
+def test_schur_equals_jacobi_trudi():
+    # equality compares the term dicts, so a stored zero coefficient fails
+    for lam in partitions_upto(9):
+        assert schur(lam) == jacobi_trudi(lam), lam
+
+
+def test_character_table_is_orthogonal():
+    # X diag(n!/z_mu) X^T = n! Id in plain ints
+    for n in range(13):
+        labels = partitions_of(n)
+        weights = [factorial(n) // centralizer_size(mu) for mu in labels]
+        table = [[character(lam, mu) for mu in labels] for lam in labels]
+        for i, row in enumerate(table):
+            for j, other in enumerate(table):
+                assert sum(a * w * b for a, w, b in zip(row, weights, other)) \
+                    == (factorial(n) if i == j else 0), (n, labels[i], labels[j])
 
 
 def test_complete_homogeneous_small():
