@@ -176,10 +176,10 @@ def _suite_tasks(args):
             raise ValueError("--K must be >= 0")
         issues = []
         ok = verify_printed_expansion(issues)
-        ok = ok and integer_hbar_check(min(W, 6))
-        ok = ok and all(schroedinger_check(k, min(W, 6)) for k in range(K + 1))
+        ok = ok and integer_hbar_check(W)
+        ok = ok and all(schroedinger_check(k, W) for k in range(K + 1))
         return ok, {"printed_expansion_issues": [str(i) for i in issues],
-                    "effective_bounds": {"weight": min(W, 6), "K": K}}
+                    "effective_bounds": {"weight": W, "K": K}}
 
     def hirota():
         # a check returns None when the tau is too short for it to test

@@ -13,21 +13,21 @@ generating function of transposition-factorization counts.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from typing import NamedTuple
 
 from .fock import FockPolynomial
-from .hamiltonians import (eigenvalue_closed_form, hamiltonian,
-                           vacuum_constant)
+from .hamiltonians import (eigenvalue_closed_form,
+                           hamiltonian_generating_coefficients,
+                           vacuum_constant, verify_eigenvectors)
 from .partitions import check_partition, dim, partitions_of, partitions_upto, size
 from .scalars import ExactScalar, add_into
 from .schur import scaled_schur, schur
 
 
-@dataclass(frozen=True)
-class DiskAmplitude:
+class DiskAmplitude(NamedTuple):
     """One partition's contribution: prefactor eps^{-n} dim/n! and the
     exponent vector (E_0/hbar, ..., E_K/hbar)."""
 
@@ -47,8 +47,7 @@ class DiskAmplitude:
         return self.schur_factor() * self.prefactor
 
 
-@dataclass(frozen=True)
-class DiskPotential:
+class DiskPotential(NamedTuple):
     max_weight: int
     K: int
     amplitudes: dict  # partition -> DiskAmplitude
@@ -198,21 +197,19 @@ def schroedinger_check(k, W):
     transposed operator -- coefficients (alpha, beta) swapped, acting on the
     p-variables -- has the same Schur eigenvectors with the same eigenvalues.
 
-    (b) is the substantive check; it relies on the coefficient symmetry of
-    the generated operators, which is asserted separately.
+    (b) is the substantive check.  The generated H_k equals its transpose
+    (asserted), so (b) is the eigenvector check of H_k itself, which
+    `verify_eigenvectors` decides on H_{-1} .. H_k.
     """
     pot = disk_potential(W, k)
-    op = hamiltonian(k, W)
+    operators = hamiltonian_generating_coefficients(k, W)
+    op = operators[k + 1]
     if op != op.transpose():
         return False
-    for lam, amp in pot.amplitudes.items():
-        energy = eigenvalue_closed_form(k, lam)
-        if amp.exponents[k].shift_eps(2) != energy:
-            return False
-        vec = scaled_schur(lam)
-        if op.transpose().apply(vec) != vec * energy:
-            return False
-    return True
+    if any(amp.exponents[k].shift_eps(2) != eigenvalue_closed_form(k, lam)
+           for lam, amp in pot.amplitudes.items()):
+        return False
+    return not verify_eigenvectors(k, W, operators)["failures"]
 
 
 def fock_pairing(bra, ket):

@@ -20,7 +20,6 @@ agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm, prod
@@ -28,7 +27,7 @@ from operator import mul
 
 from .fock import (EMPTY, FockPolynomial, NormalOrderedOperator, mono_degree,
                    mono_from_partition, mono_mul, mono_weight, weight_basis)
-from .partitions import frobenius, partitions_of, partitions_upto
+from .partitions import frobenius, partitions_of
 from .scalars import (ExactScalar, UnivariateSeries, add_into, bernoulli,
                       inv_s_series, lift, s_series)
 from .schur import centralizer_size, character
@@ -70,8 +69,9 @@ def hamiltonian_generating_coefficients(K, max_weight):
                 beta = mono_from_partition(bp)
                 g = _mode_series(tuple(sorted(ap + bp)), order - length, memo)
                 scale = Fraction(1, prod(factorial(m) for _, m in alpha + beta))
+                g = [c * scale for c in g.coeffs]  # g / (alpha! beta!)
                 for n in range(-1, K + 1):
-                    coeff = lift(g, length, n) * scale
+                    coeff = lift(g, length, n)
                     if coeff:
                         ops[n + 1][(alpha, beta)] = coeff
     return [NormalOrderedOperator(terms) for terms in ops]
@@ -100,13 +100,21 @@ def cut_and_join(max_weight):
 # eigenvalues
 
 
-@dataclass(frozen=True)
 class EigenvalueSeries:
     """Taylor coefficients E_n for n = -1 .. K of the eigenvalue series
     E(z) = 1 + sum_{n >= -1} E_n z^{n+2}."""
 
-    partition: tuple
-    coefficients: tuple  # index n + 1 -> ExactScalar
+    __slots__ = ("partition", "coefficients")
+
+    def __init__(self, partition, coefficients):
+        self.partition = partition
+        self.coefficients = coefficients  # index n + 1 -> ExactScalar
+
+    def __eq__(self, other):
+        if not isinstance(other, EigenvalueSeries):
+            return NotImplemented
+        return (self.partition == other.partition
+                and self.coefficients == other.coefficients)
 
     def __getitem__(self, n):
         return self.coefficients[n + 1]
@@ -139,8 +147,11 @@ def eigenvalue_series(partition, K):
                             tuple(lift(g, 0, n) for n in range(-1, K + 1)))
 
 
+@lru_cache(maxsize=None)
 def vacuum_constant(k):
-    """c_k(u0, hbar) = -(1/(k+2)!) sum_j C(k+2, j) (1 - 2^(1-j)) B_j eps^j u0^(k+2-j)."""
+    """c_k(u0, hbar) = -(1/(k+2)!) sum_j C(k+2, j) (1 - 2^(1-j)) B_j eps^j u0^(k+2-j).
+
+    Shared by every E_k(lambda); callers never mutate it."""
     if k < -1:
         raise ValueError("k must be >= -1")
     acc = ExactScalar.zero()
@@ -227,7 +238,7 @@ def _u0_expansion(at_zero, n):
     terms = {}
     for j in range(n + 3):
         for e, v in at_zero[n + 2 - j].items():
-            terms[(e, j)] = v / factorial(j)
+            terms[(e, j)] = v if j < 2 else v / factorial(j)
     return terms
 
 
@@ -267,15 +278,21 @@ def _lowering_factor(rest, beta):
     return factor
 
 
-def _weight_blocks(operators, W):
-    """(bases, blocks): bases[w] is the monomial basis of V_w, and
-    blocks[i] = (L, mats) with mats[w] the integer matrix L * R on V_w of
-    operators[i] (column mu holds the image of q^mu), R its matrix at
-    u0 = 0, eps = 1 and L the lcm of R's denominators."""
+def _sparse_rows(operators, W):
+    """(scales, bases, rows): bases[w] is the monomial basis of V_w, and
+    rows[w][i] lists the sparse rows (columns, values) of L_i R_i on V_w,
+    with R_i the matrix of operators[i] at u0 = 0, eps = 1 (column mu holds
+    the image of q^mu) and L_i = scales[i] the lcm of R_i's denominators."""
     bases = [weight_basis(w) for w in range(W + 1)]
-    index = [{m: i for i, m in enumerate(basis)} for basis in bases]
-    blocks = []
-    for op in operators:
+    index = [{m: r for r, m in enumerate(basis)} for basis in bases]
+    # products[w][wt][i][j]: the index in V_w of q^rest q^gamma, for rest
+    # the i-th monomial of V_(w - wt) and gamma the j-th of V_wt
+    products = [[[[index[w][mono_mul(rest, gamma)] for gamma in bases[wt]]
+                  for rest in bases[w - wt]] for wt in range(w + 1)]
+                for w in range(W + 1)]
+    scales = []
+    mats = [[[{} for _ in basis] for _ in operators] for basis in bases]
+    for i, op in enumerate(operators):
         values = []
         for (alpha, beta), c in op.terms.items():
             v = sum(val for (_, u), val in c.terms.items() if not u)
@@ -283,21 +300,60 @@ def _weight_blocks(operators, W):
             # a term that changes the weight breaks (a) and is reported there
             if v and wt == mono_weight(alpha) and wt <= W:
                 values.append((alpha, beta, wt, v))
-        scale = lcm(*(v.denominator for *_, v in values))
-        mats = [[[0] * len(basis) for _ in basis] for basis in bases]
+        scales.append(lcm(*(v.denominator for *_, v in values)))
         for alpha, beta, wt, v in values:
-            v = v.numerator * (scale // v.denominator)
+            v = v.numerator * (scales[i] // v.denominator)
+            a, b = index[wt][alpha], index[wt][beta]
             for w in range(wt, W + 1):
-                mat, idx = mats[w], index[w]
-                for rest in bases[w - wt]:
-                    mat[idx[mono_mul(rest, alpha)]][idx[mono_mul(rest, beta)]] \
-                        += v * _lowering_factor(rest, beta)
-        blocks.append((scale, mats))
-    return bases, blocks
+                mat = mats[w][i]
+                for rest, places in zip(bases[w - wt], products[w][wt]):
+                    row = mat[places[a]]
+                    row[places[b]] = (row.get(places[b], 0)
+                                      + v * _lowering_factor(rest, beta))
+    rows = [[[(tuple(row), tuple(row.values())) for row in op_mat]
+             for op_mat in mat] for mat in mats]
+    return scales, bases, rows
 
 
-def _matmul(rows, cols):
-    return [[sum(map(mul, row, col)) for col in cols] for row in rows]
+def _schur_vectors(w):
+    """(parts, chi, vecs) over the partitions of w: chi[a][b] is the
+    character chi^lambda(mu) of lambda = parts[a] at mu = parts[b], and
+    vecs[a] is w! s_lambda(q) on the basis of V_w, the integer vector
+    chi^lambda(mu) w!/z_mu."""
+    parts = partitions_of(w)
+    chi = [[character(lam, mu) for mu in parts] for lam in parts]
+    weights = [factorial(w) // centralizer_size(mu) for mu in parts]
+    return parts, chi, [list(map(mul, row, weights)) for row in chi]
+
+
+def _basis_failures(w, parts, chi, vecs):
+    """Entries for every pair lambda <= nu of partitions of w that breaks
+    sum_mu chi^lambda(mu) (w!/z_mu) chi^nu(mu) = w! delta; these
+    orthogonality relations make the vectors w! s_lambda a basis of V_w."""
+    failures = []
+    for a, vec in enumerate(vecs):
+        for b in range(a, len(vecs)):
+            product = sum(map(mul, vec, chi[b]))
+            expected = factorial(w) if a == b else 0
+            if product != expected:
+                failures.append({"premise": "basis", "weight": w,
+                                 "partitions": [list(parts[a]),
+                                                list(parts[b])],
+                                 "product": product, "expected": expected})
+    return failures
+
+
+def _image(rows, vec):
+    """The sparse matrix `rows` applied to the dense vector `vec`."""
+    return [sum(map(mul, vals, map(vec.__getitem__, cols)))
+            for cols, vals in rows]
+
+
+def _cross(image, vec, p):
+    """image[r] vec[p] - image[p] vec[r] over r: zero exactly when image is
+    a multiple of vec, for a pivot p with vec[p] != 0."""
+    up, vp = image[p], vec[p]
+    return [x * vp - up * y for x, y in zip(image, vec)]
 
 
 def _render_at_unit(basis, values, scale):
@@ -311,42 +367,40 @@ def verify_commutativity(N, W, operators=None):
     """Check [H_n, H_m] = 0 exactly on every monomial of weight <= W for
     -1 <= n < m <= N, with symbolic u0 and eps.
 
-    Two premises are asserted on every term of `operators`; a term that
-    breaks one is a failure entry with a "premise" key:
+    Three premises are asserted on every run; a break is a failure entry
+    with a "premise" key:
       (a) grading: every term c u0^a eps^b q^alpha p^beta of H_n has
           wt(alpha) = wt(beta) and a + b + l(alpha) + l(beta) = n + 2;
       (b) u0 expansion: H_n(u0) = sum_j u0^j / j! H_{n-j}(0), with
-          H_{-2}(0) = Id.
+          H_{-2}(0) = Id;
+      (c) basis: the integer vectors w! s_lambda(q) = chi^lambda(mu) w!/z_mu
+          span V_w, w <= W, by the orthogonality of the character table.
     By (a), H_n(0) acts on V_w as eps^(n+2) D^-1 R_n D, with
     D = diag(eps^l(mu)) and R_n H_n's matrix at u0 = 0, eps = 1; by (b), the
-    H_n(u0) commute exactly when the H_n(0) do.  So the check multiplies the
-    integer matrices L_n R_n (L_n the lcm of R_n's denominators) on every
-    V_w, w <= W.  A commutator failure gives the nonzero column at u0 = 0,
-    eps = 1 as "difference".
+    H_n(u0) commute exactly when the H_n(0) do; by (c), the R_n commute on
+    V_w when every w! s_lambda is an eigenvector of every R_n.  Each image
+    R_n v is cross-multiplied with v on a pivot entry of v; a failure gives
+    R_n s_lambda - e s_lambda at u0 = 0, eps = 1 as "difference", with e
+    read off the pivot.
     """
     if N < 0:
         raise ValueError("commutativity needs N >= 0 (at least one pair)")
     if operators is None:
         operators = hamiltonian_generating_coefficients(N, W)
     failures = _premise_failures(operators)
-    bases, blocks = _weight_blocks(operators, W)
+    scales, bases, rows = _sparse_rows(operators, W)
     for w, basis in enumerate(bases):
-        mats = [mats[w] for _, mats in blocks]
-        cols = [list(zip(*mat)) for mat in mats]
-        nonzero = [i for i, mat in enumerate(mats) if any(map(any, mat))]
-        for a, i in enumerate(nonzero):
-            for j in nonzero[a + 1:]:
-                ab = _matmul(mats[i], cols[j])
-                ba = _matmul(mats[j], cols[i])
-                if ab == ba:
-                    continue
-                scale = blocks[i][0] * blocks[j][0]
-                for c, mono in enumerate(basis):
-                    diff = [x[c] - y[c] for x, y in zip(ab, ba)]
-                    if any(diff):
-                        failures.append({
-                            "n": i - 1, "m": j - 1, "monomial": list(mono),
-                            "difference": _render_at_unit(basis, diff, scale)})
+        parts, chi, vecs = _schur_vectors(w)
+        failures += _basis_failures(w, parts, chi, vecs)
+        for lam, vec in zip(parts, vecs):
+            p = next((r for r, x in enumerate(vec) if x), 0)
+            for i, op_rows in enumerate(rows[w]):
+                cross = _cross(_image(op_rows, vec), vec, p)
+                if any(cross):
+                    failures.append({
+                        "n": i - 1, "weight": w, "partition": list(lam),
+                        "difference": _render_at_unit(
+                            basis, cross, scales[i] * vec[p] * factorial(w))})
     return {"pairs_checked": len(operators) * (len(operators) - 1) // 2,
             "weight_bound": W, "failures": failures,
             "operator_terms": sum(len(op.terms) for op in operators),
@@ -382,12 +436,12 @@ def verify_eigenvectors(K, W, operators=None):
     as in `verify_commutativity`, and their analogues on each E_k(lambda):
     it is homogeneous of degree k + 2 in (u0, eps), and
     E_k = sum_j u0^j / j! E_{k-j}(0) with E_{-2} = 1.  Under them the
-    identity holds exactly when
-    R_k s_lambda(q) = e_k(lambda) s_lambda(q), with R_k H_k's matrix at
-    u0 = 0, eps = 1 and e_k(lambda) the eps^(k+2) coefficient of
-    E_k(lambda).  With n = |lambda|, n! s_lambda(q) is the integer vector
-    chi^lambda(mu) n! / z_mu read off the character table.  An eigenvector
-    failure gives R_k s - e_k s at u0 = 0, eps = 1 as "difference".
+    identity holds exactly when R_k s_lambda(q) = e_k(lambda) s_lambda(q),
+    with R_k H_k's matrix at u0 = 0, eps = 1 and e_k(lambda) the eps^(k+2)
+    coefficient of E_k(lambda).  The images R_k w! s_lambda are those of
+    `verify_commutativity`: each must be parallel to w! s_lambda, and the
+    eigenvalue read off the pivot must be e_k(lambda).  A failure gives
+    R_k s - e_k s at u0 = 0, eps = 1 as "difference".
     """
     if K < 0:
         raise ValueError("the eigen check needs K >= 0: H_{-1} = u0 Id "
@@ -395,27 +449,30 @@ def verify_eigenvectors(K, W, operators=None):
     if operators is None:
         operators = hamiltonian_generating_coefficients(K, W)
     failures = _premise_failures(operators)
-    bases, blocks = _weight_blocks(operators[:K + 2], W)
+    scales, bases, rows = _sparse_rows(operators[:K + 2], W)
     checked = 0
-    for lam in partitions_upto(W):
-        values = [eigenvalue_closed_form(k, lam) for k in range(-1, K + 1)]
-        failures += _eigenvalue_premise_failures(lam, values)
-        n = sum(lam)
-        basis = bases[n]
-        vec = [character(lam, mu) * (factorial(n) // centralizer_size(mu))
-               for mu in partitions_of(n)]
-        for k, value in enumerate(values, start=-1):
-            checked += 1
-            scale, mats = blocks[k + 1]
-            image = [sum(map(mul, row, vec)) for row in mats[n]]
-            e_k = value.terms.get((k + 2, 0), Fraction(0)) * scale
-            diff = [x * e_k.denominator - e_k.numerator * y
-                    for x, y in zip(image, vec)]
-            if any(diff):
+    for w, basis in enumerate(bases):
+        parts, _, vecs = _schur_vectors(w)
+        for lam, vec in zip(parts, vecs):
+            values = [eigenvalue_closed_form(k, lam) for k in range(-1, K + 1)]
+            failures += _eigenvalue_premise_failures(lam, values)
+            p = next((r for r, x in enumerate(vec) if x), 0)
+            for k, value in enumerate(values, start=-1):
+                checked += 1
+                scale = scales[k + 1]
+                image = _image(rows[w][k + 1], vec)
+                e_k = value.terms.get((k + 2, 0), Fraction(0)) * scale
+                # e_k(lambda) read off the pivot, against the closed form
+                if (not any(_cross(image, vec, p))
+                        and image[p] * e_k.denominator
+                        == e_k.numerator * vec[p]):
+                    continue
+                diff = [x * e_k.denominator - e_k.numerator * y
+                        for x, y in zip(image, vec)]
                 failures.append({
                     "k": k, "partition": list(lam),
                     "difference": _render_at_unit(
-                        basis, diff, scale * factorial(n) * e_k.denominator)})
+                        basis, diff, scale * factorial(w) * e_k.denominator)})
     return {"pairs_checked": checked, "weight_bound": W, "failures": failures,
             "operator_terms": sum(len(op.terms) for op in operators),
             "basis_dims": [len(basis) for basis in bases]}

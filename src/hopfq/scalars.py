@@ -337,8 +337,8 @@ def inv_s_series(order):
 
 def lift(g, length, n):
     """Coefficient of z^(n+2) in e^{z u0} z^length g(eps z), for g a
-    UnivariateSeries over Q: sum_i g_i eps^i u0^(d-i) / (d-i)! with
-    d = n + 2 - length.
+    UnivariateSeries over Q or the list of its coefficients:
+    sum_i g_i eps^i u0^(d-i) / (d-i)! with d = n + 2 - length.
 
     Every generated series of the package (the operators H_n, the
     eigenvalues E_k) has this shape, so this is the one place where u0 and

@@ -40,27 +40,34 @@ def complete_homogeneous(k, num_vars=None):
 
 
 @lru_cache(maxsize=None)
-def character(partition, cycle_type):
-    """chi^lambda(mu) by the Murnaghan-Nakayama rule: strip rim hooks of
-    lengths mu_1, mu_2, ... off lambda, each with sign (-1)^height.
+def _rim_hooks(partition, r):
+    """(sign, smaller) for every rim hook of length r of the partition:
+    smaller is what is left once it is stripped, sign is (-1)^height.
 
     On the beta-set {lambda_i + l - i} (l = l(lambda)), stripping a rim hook
     of length r moves one bead b to a free place b - r >= 0; its height is
     the number of beads strictly between."""
-    if not cycle_type:
-        return int(not partition)
-    r, rest = cycle_type[0], cycle_type[1:]
     l = len(partition)
     beta = {p + l - 1 - i for i, p in enumerate(partition)}
-    total = 0
+    hooks = []
     for b in beta:
         if b >= r and b - r not in beta:
             height = sum(b - r < c < b for c in beta)
             moved = sorted(beta - {b} | {b - r}, reverse=True)
             smaller = (c - (l - 1 - i) for i, c in enumerate(moved))
-            total += (-1) ** height * character(
-                tuple(p for p in smaller if p), rest)
-    return total
+            hooks.append(((-1) ** height, tuple(p for p in smaller if p)))
+    return tuple(hooks)
+
+
+@lru_cache(maxsize=None)
+def character(partition, cycle_type):
+    """chi^lambda(mu) by the Murnaghan-Nakayama rule: strip rim hooks of
+    lengths mu_1, mu_2, ... off lambda, each with sign (-1)^height."""
+    if not cycle_type:
+        return int(not partition)
+    rest = cycle_type[1:]
+    return sum(sign * character(smaller, rest)
+               for sign, smaller in _rim_hooks(partition, cycle_type[0]))
 
 
 def centralizer_size(cycle_type):

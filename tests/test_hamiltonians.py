@@ -1,14 +1,15 @@
 """Quantum Hamiltonians, eigenvalues, and verification sweeps."""
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
+from operator import mul
 
 import pytest
 
 from hopfq import hamiltonians
 from hopfq.fock import (FockPolynomial, NormalOrderedOperator,
-                        degree_operator, mono_from_partition,
-                        naive_hamiltonian, weight_basis)
+                        degree_operator, mono_from_partition, mono_mul,
+                        mono_weight, naive_hamiltonian, weight_basis)
 from hopfq.hamiltonians import (cut_and_join, eigenvalue_closed_form,
                                 eigenvalue_frobenius_form, eigenvalue_series,
                                 exponential_frobenius_form,
@@ -258,6 +259,56 @@ def symbolic_eigenvectors(K, W, operators=None):
     return {"pairs_checked": checked, "weight_bound": W, "failures": failures}
 
 
+# ---------------------------------------------------------------------------
+# integer-matrix oracle: the matrices L_n R_n of the H_n at u0 = 0, eps = 1,
+# built dense on every V_w, with both products formed for every pair
+
+
+def integer_matrices(operators, W):
+    """mats[i][w]: the integer matrix L_i R_i of operators[i] on V_w (column
+    mu holds the image of q^mu), L_i the lcm of R_i's denominators."""
+    bases = [weight_basis(w) for w in range(W + 1)]
+    index = [{m: i for i, m in enumerate(basis)} for basis in bases]
+    out = []
+    for op in operators:
+        values = []
+        for (alpha, beta), c in op.terms.items():
+            v = sum(val for (_, u), val in c.terms.items() if not u)
+            wt = mono_weight(beta)
+            if v and wt == mono_weight(alpha) and wt <= W:
+                values.append((alpha, beta, wt, v))
+        scale = lcm(*(v.denominator for *_, v in values))
+        mats = [[[0] * len(basis) for _ in basis] for basis in bases]
+        for alpha, beta, wt, v in values:
+            v = v.numerator * (scale // v.denominator)
+            for w in range(wt, W + 1):
+                mat, idx = mats[w], index[w]
+                for rest in bases[w - wt]:
+                    mat[idx[mono_mul(rest, alpha)]][idx[mono_mul(rest, beta)]] \
+                        += v * hamiltonians._lowering_factor(rest, beta)
+        out.append(mats)
+    return out
+
+
+def _matmul(rows, cols):
+    return [[sum(map(mul, row, col)) for col in cols] for row in rows]
+
+
+def pairwise_commutativity(W, operators):
+    """(n, m, w) for every pair n < m whose matrices R_n, R_m do not commute
+    on V_w, w <= W."""
+    mats = integer_matrices(operators, W)
+    failures = []
+    for w in range(W + 1):
+        for i, a in enumerate(mats):
+            for j in range(i + 1, len(mats)):
+                b = mats[j]
+                cols_a, cols_b = list(zip(*a[w])), list(zip(*b[w]))
+                if _matmul(a[w], cols_b) != _matmul(b[w], cols_a):
+                    failures.append((i - 1, j - 1, w))
+    return failures
+
+
 def _kinds(report):
     """The set of failure kinds: a premise name, or "matrix"."""
     return {f.get("premise", "matrix") for f in report["failures"]}
@@ -309,6 +360,63 @@ def test_commutativity_perturbations_fail_in_both_engines(name):
     assert _kinds(verify_commutativity(3, 6, ops)) == kinds
 
 
+def test_eigenbasis_engine_agrees_with_pairwise_oracle():
+    ops = hamiltonian_generating_coefficients(5, 8)
+    for W in range(9):
+        report = verify_commutativity(5, W, ops)
+        assert report["failures"] == pairwise_commutativity(W, ops) == []
+        assert report["pairs_checked"] == 21
+    # the q1 p1 perturbations that reach the matrices: the operators stop
+    # commuting on the same weights on which the Schur vectors stop being
+    # eigenvectors
+    for name in ("matrix", "u0_expansion_via_h2"):
+        n, coeff, _ = PERTURBATIONS[name]
+        ops = _perturbed(hamiltonian_generating_coefficients(5, 8), n, coeff)
+        report = verify_commutativity(5, 8, ops)
+        pairs = pairwise_commutativity(8, ops)
+        assert pairs
+        assert {w for *_, w in pairs} == {
+            f["weight"] for f in report["failures"] if "premise" not in f}
+
+
+def test_off_diagonal_perturbation_fails_only_as_matrix():
+    # eps^2 q6 p3^2 added to the top operator H_3: graded (l = 3), free of
+    # u0, so both premises hold; it acts only on V_6, off the diagonal
+    ops = hamiltonian_generating_coefficients(3, 6)
+    ops[4] = ops[4] + NormalOrderedOperator.term(((6, 1),), ((3, 2),),
+                                                 ExactScalar.monomial(1, 2))
+    assert symbolic_commutativity(3, 6, ops)["failures"]
+    assert {w for *_, w in pairwise_commutativity(6, ops)} == {6}
+    report = verify_commutativity(3, 6, ops)
+    assert _kinds(report) == {"matrix"}
+    assert {(f["n"], f["weight"]) for f in report["failures"]} == {(3, 6)}
+    # the residual is R_3 s - e s at u0 = 0, eps = 1, e read off the first
+    # monomial of s = s_lambda(q)
+    for f in report["failures"]:
+        s = schur(tuple(f["partition"]))
+        image = ops[4].apply(s).substitute_scalars(eps=1, u0=0)
+        pivot = next(m for m in weight_basis(6) if s.coefficient(m))
+        e = (image.coefficient(pivot).as_fraction()
+             / s.coefficient(pivot).as_fraction())
+        diff = image - s * ExactScalar.from_rational(e)
+        assert f["difference"] == diff.render()
+
+
+def test_singular_character_table_fails_only_as_basis(monkeypatch):
+    # the row of (1, 1) replaced by that of (2): both vectors of V_2 are
+    # then s_(2), an eigenvector of every H_n, but they span a line
+    table = hamiltonians.character
+
+    def singular(lam, mu):
+        return table((2,) if lam == (1, 1) else lam, mu)
+
+    monkeypatch.setattr(hamiltonians, "character", singular)
+    report = verify_commutativity(3, 6)
+    assert _kinds(report) == {"basis"}
+    assert [(f["weight"], f["partitions"], f["product"], f["expected"])
+            for f in report["failures"]] == [(2, [[2], [1, 1]], 2, 0)]
+
+
 def test_eigen_engine_agrees_with_symbolic_oracle():
     ops = hamiltonian_generating_coefficients(3, 5)
     fast = verify_eigenvectors(3, 5, ops)
@@ -324,6 +432,20 @@ def test_eigen_perturbations_fail_in_both_engines(name):
     ops = _perturbed(hamiltonian_generating_coefficients(3, 5), n, coeff)
     assert symbolic_eigenvectors(3, 5, ops)["failures"]
     assert _kinds(verify_eigenvectors(3, 5, ops)) == kinds
+
+
+def test_eigenvalue_shift_fails_only_in_the_eigen_check():
+    # eps^5 Id added to the top operator H_3: both premises hold, and every
+    # s_lambda stays an eigenvector, of eigenvalue e_3(lambda) + 1
+    ops = hamiltonian_generating_coefficients(3, 5)
+    ops[4] = ops[4] + NormalOrderedOperator.identity(ExactScalar.monomial(1, 5))
+    assert verify_commutativity(3, 5, ops)["failures"] == []
+    assert symbolic_eigenvectors(3, 5, ops)["failures"]
+    report = verify_eigenvectors(3, 5, ops)
+    assert _kinds(report) == {"matrix"}
+    assert [(f["k"], f["partition"]) for f in report["failures"]] == [
+        (3, list(lam)) for lam in partitions_upto(5)]
+    assert report["failures"][-1]["difference"] == schur((1,) * 5).render()
 
 
 # A change to E_3((2, 1)) that keeps its eps^5 u0^0 coefficient, so the
@@ -380,3 +502,11 @@ def test_commutativity_at_weight_12():
     assert report["pairs_checked"] == 21
     assert report["weight_bound"] == 12
     assert report["basis_dims"][12] == 77
+
+
+def test_commutativity_at_weight_14():
+    report = verify_commutativity(5, 14)
+    assert report["failures"] == []
+    assert report["pairs_checked"] == 21
+    assert report["weight_bound"] == 14
+    assert report["basis_dims"][14] == 135
