@@ -176,8 +176,8 @@ def _suite_tasks(args):
             raise ValueError("--K must be >= 0")
         issues = []
         ok = verify_printed_expansion(issues)
-        ok = ok and integer_hbar_check(W)
-        ok = ok and all(schroedinger_check(k, W) for k in range(K + 1))
+        ok = ok and integer_hbar_check(W, K)
+        ok = ok and schroedinger_check(K, W)
         return ok, {"printed_expansion_issues": [str(i) for i in issues],
                     "effective_bounds": {"weight": W, "K": K}}
 
@@ -224,16 +224,15 @@ def _suite_tasks(args):
         return ok, {"effective_bounds": {"weight": W}}
 
     def hurwitz():
-        n = min(args.n if args.n is not None else 5, 5)
-        m = min(args.m, 6)
+        n, m = args.n if args.n is not None else 5, args.m
         rep = hurwitz_match_report(n, m)
         return not rep["mismatches"], {**rep,
                                        "effective_bounds": {"n": n, "m": m}}
 
     def p1():
-        bounds = {"effective_bounds": {"weight": min(W, 4), "K": K}}
+        bounds = {"effective_bounds": {"weight": W, "K": K}}
         try:
-            p1_partition_function(min(W, 4), K)
+            p1_partition_function(W, K)
             return True, bounds
         except AssertionError as ex:
             return False, {"error": str(ex), **bounds}
@@ -309,18 +308,16 @@ def cmd_tables(args):
         _emit_rows(["partition", "prefactor"]
                    + [f"t{k}_exponent" for k in range(args.K + 1)], rows, fmt)
     elif args.what == "p1":
-        D = args.degree if args.degree is not None else min(args.weight, 4)
+        D = args.degree if args.degree is not None else args.weight
         slices = p1_partition_function(D, args.K)
         rows = []
         eps_val = _eps_value(args)
         for d in sorted(slices):
             for lam, coeff, exponents in slices[d]:
-                c = coeff.substitute(eps=eps_val) if eps_val is not None else coeff
-                exps = tuple(e.substitute(eps=eps_val, u0=args.u0)
-                             if (eps_val is not None or args.u0 is not None)
-                             else e for e in exponents)
+                c = coeff.substitute(eps=eps_val)
                 rows.append([d, render_partition(lam), c.render()]
-                            + [e.render() for e in exps])
+                            + [e.substitute(eps=eps_val, u0=args.u0).render()
+                               for e in exponents])
         _emit_rows(["degree", "partition", "coefficient"]
                    + [f"t{k}_exponent" for k in range(args.K + 1)], rows, fmt)
     elif args.what == "hurwitz":
@@ -354,13 +351,6 @@ def build_parser():
                        help="largest Hamiltonian index for sweeps")
         p.add_argument("--K", type=int, default=3,
                        help="number of t-slots / eigenvalue index bound")
-        p.add_argument("--u0", type=_parse_rational, default=None,
-                       help="rational value for u0 ('symbolic' to keep)")
-        group = p.add_mutually_exclusive_group()
-        group.add_argument("--hbar", type=_parse_rational, default=None,
-                           help="rational value for hbar")
-        group.add_argument("--eps", type=_parse_rational, default=None,
-                           help="rational value for eps")
         p.add_argument("--format", choices=["text", "json", "csv", "latex"],
                        default="text")
         p.add_argument("--cache-dir", type=Path, default=default_cache_dir())
@@ -390,6 +380,13 @@ def build_parser():
                     help="maximal stable-map degree (p1)")
     pt.add_argument("--n", type=int, default=None)
     pt.add_argument("--m", type=int, default=4)
+    pt.add_argument("--u0", type=_parse_rational, default=None,
+                    help="rational value for u0 ('symbolic' to keep)")
+    group = pt.add_mutually_exclusive_group()
+    group.add_argument("--hbar", type=_parse_rational, default=None,
+                       help="rational value for hbar")
+    group.add_argument("--eps", type=_parse_rational, default=None,
+                       help="rational value for eps")
     common(pt)
     pt.set_defaults(func=cmd_tables)
     return parser

@@ -4,7 +4,7 @@ The potential is a partition-indexed sum: each partition contributes
 eps^{-|lambda|} dim(lambda)/|lambda|! times an exponential whose t_k-slot
 carries the eigenvalue combination E_k/hbar, times the eps-scaled Schur
 polynomial in the p-variables.  Amplitudes are stored unexpanded (prefactor
-plus exponent vector); Taylor expansion in t is a separate view.  The same
+plus exponent vector); no check here expands them in t.  The same
 table yields the degree-graded partition sum over stable-map degrees (by
 squaring the dimension factor) and, specialized to a single t-variable, the
 generating function of transposition-factorization counts.
@@ -22,8 +22,9 @@ from .fock import FockPolynomial
 from .hamiltonians import (eigenvalue_closed_form,
                            hamiltonian_generating_coefficients,
                            vacuum_constant, verify_eigenvectors)
-from .partitions import check_partition, dim, partitions_of, partitions_upto, size
-from .scalars import ExactScalar, add_into
+from .partitions import (check_partition, dim, partitions_of, partitions_upto,
+                         size, transpose)
+from .scalars import ExactScalar
 from .schur import scaled_schur, schur
 
 
@@ -35,16 +36,10 @@ class DiskAmplitude(NamedTuple):
     prefactor: ExactScalar
     exponents: tuple  # ExactScalar, indexed by k = 0..K
 
-    @property
-    def weight(self):
-        return size(self.partition)
-
-    def schur_factor(self):
-        """The eps-scaled Schur polynomial in the p-variables."""
-        return scaled_schur(self.partition)
-
     def polynomial_part(self):
-        return self.schur_factor() * self.prefactor
+        """The prefactor times the eps-scaled Schur polynomial in the
+        p-variables."""
+        return scaled_schur(self.partition) * self.prefactor
 
 
 class DiskPotential(NamedTuple):
@@ -68,36 +63,27 @@ def disk_potential(W, K):
     return DiskPotential(W, K, amplitudes)
 
 
-def expand_in_t(pot, t_orders):
-    """Taylor-expand the exponentials: map from a t-exponent tuple
-    (m_0, ..., m_K) to the corresponding p-polynomial.
-
-    t_orders gives the per-k order bound (list of K+1 integers).
-    """
-    if len(t_orders) != pot.K + 1:
-        raise ValueError("need one order bound per t-variable")
-    result = {}
-    for amp in pot.amplitudes.values():
-        base = amp.polynomial_part()
-        for powers in itertools.product(*(range(b + 1) for b in t_orders)):
-            coeff = ExactScalar.one()
-            for k, m in enumerate(powers):
-                if m:
-                    coeff = coeff * amp.exponents[k] ** m * Fraction(1, factorial(m))
-            add_into(result, powers, base * coeff)
-    return result
+def _flip_eps(c):
+    """The scalar c with eps -> -eps."""
+    return ExactScalar({(e, u): -v if e % 2 else v
+                        for (e, u), v in c.terms.items()})
 
 
-def integer_hbar_check(W, K=2, t_orders=None):
-    """Every coefficient of the t-expanded potential has only even eps
-    powers, i.e. the series lives in integer powers of hbar (odd parts
-    cancel between a partition and its transpose)."""
+def integer_hbar_check(W, K=2):
+    """The potential lives in integer powers of hbar to every t-order.
+
+    Transposition pairs the amplitudes: amp(lambda') = amp(lambda) at
+    eps -> -eps, in the polynomial part (omega maps s_lambda to s_lambda')
+    and in the exponents.  So eps -> -eps permutes the terms of the sum over
+    lambda, and odd eps powers cancel in every t-coefficient."""
     pot = disk_potential(W, K)
-    t_orders = t_orders if t_orders is not None else [1] * (K + 1)
-    for poly in expand_in_t(pot, t_orders).values():
-        for _, c in poly.terms.items():
-            if any(e % 2 for e in c.eps_powers()):
-                return False
+    for lam, amp in pot.amplitudes.items():
+        twin = pot.amplitudes[transpose(lam)]
+        flipped = FockPolynomial({m: _flip_eps(c) for m, c in
+                                  amp.polynomial_part().terms.items()})
+        if (flipped != twin.polynomial_part()
+                or tuple(map(_flip_eps, amp.exponents)) != twin.exponents):
+            return False
     return True
 
 
@@ -191,25 +177,25 @@ def verify_printed_expansion(report=None):
 # Schroedinger-equation check and the pairing
 
 
-def schroedinger_check(k, W):
-    """(a) The stored t_k-exponent of every amplitude times hbar is the
-    eigenvalue E_k (holds by construction, asserted anyway); (b) the
-    transposed operator -- coefficients (alpha, beta) swapped, acting on the
-    p-variables -- has the same Schur eigenvectors with the same eigenvalues.
+def schroedinger_check(K, W):
+    """For every k <= K: (a) the stored t_k-exponent of every amplitude
+    times hbar is the eigenvalue E_k (holds by construction, asserted
+    anyway); (b) the transposed operator -- coefficients (alpha, beta)
+    swapped, acting on the p-variables -- has the same Schur eigenvectors
+    with the same eigenvalues.
 
-    (b) is the substantive check.  The generated H_k equals its transpose
-    (asserted), so (b) is the eigenvector check of H_k itself, which
-    `verify_eigenvectors` decides on H_{-1} .. H_k.
+    (b) is the substantive check.  Each generated H_k equals its transpose
+    (asserted), so (b) is the eigenvector check of H_k itself, which one
+    `verify_eigenvectors` run decides on H_{-1} .. H_K.
     """
-    pot = disk_potential(W, k)
-    operators = hamiltonian_generating_coefficients(k, W)
-    op = operators[k + 1]
-    if op != op.transpose():
+    pot = disk_potential(W, K)
+    operators = hamiltonian_generating_coefficients(K, W)
+    if any(op != op.transpose() for op in operators[1:]):
         return False
     if any(amp.exponents[k].shift_eps(2) != eigenvalue_closed_form(k, lam)
-           for lam, amp in pot.amplitudes.items()):
+           for lam, amp in pot.amplitudes.items() for k in range(K + 1)):
         return False
-    return not verify_eigenvectors(k, W, operators)["failures"]
+    return not verify_eigenvectors(K, W, operators)["failures"]
 
 
 def fock_pairing(bra, ket):
@@ -284,43 +270,39 @@ def hurwitz_series(W, M):
     return result
 
 
+def _cycle_type(perm):
+    """The cycle type of a permutation of 0 .. n-1, as a partition."""
+    seen = [False] * len(perm)
+    parts = []
+    for i in range(len(perm)):
+        length = 0
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length:
+            parts.append(length)
+    return tuple(sorted(parts, reverse=True))
+
+
 @lru_cache(maxsize=None)
 def _transposition_transfer(n):
     """M[type][type']: for a fixed permutation of the first type, the number
     of transpositions whose product with it has the second type."""
-    types = partitions_of(n)
-    reps = {}
-    for t in types:
-        perm = []
-        start = 0
-        for part in t:
-            perm.extend(list(range(start + 1, start + part)) + [start])
-            start += part
-        reps[t] = tuple(perm)
-
-    def cycle_type(perm):
-        seen = [False] * n
-        parts = []
-        for i in range(n):
-            if not seen[i]:
-                length = 0
-                j = i
-                while not seen[j]:
-                    seen[j] = True
-                    j = perm[j]
-                    length += 1
-                parts.append(length)
-        return tuple(sorted(parts, reverse=True))
-
     transfer = {}
-    for t, perm in reps.items():
+    for t in partitions_of(n):
+        perm = []  # a representative of the class t
+        for part in t:
+            start = len(perm)
+            perm.extend(list(range(start + 1, start + part)) + [start])
         row = {}
         for i in range(n):
             for j in range(i + 1, n):
                 # right-multiply by the transposition (i j)
                 product = list(perm)
                 product[i], product[j] = product[j], product[i]
-                new = cycle_type(tuple(product))
+                new = _cycle_type(product)
                 row[new] = row.get(new, 0) + 1
         transfer[t] = row
     return transfer
@@ -335,8 +317,6 @@ def hurwitz_oracle(n, m, mu):
     per-step transition counts enumerate every transposition against a class
     representative, which is equivalent to iterating over all tuples).
     """
-    if n > 6 or m > 7:
-        raise ValueError("oracle bounds exceeded (n <= 6, m <= 7)")
     if n < 1:
         raise ValueError("n must be positive")
     mu = check_partition(tuple(mu))
@@ -365,18 +345,7 @@ def hurwitz_oracle_direct(n, m, mu):
         perm = list(range(n))
         for i, j in tup:
             perm[i], perm[j] = perm[j], perm[i]
-        seen = [False] * n
-        parts = []
-        for s in range(n):
-            if not seen[s]:
-                length = 0
-                j = s
-                while not seen[j]:
-                    seen[j] = True
-                    j = perm[j]
-                    length += 1
-                parts.append(length)
-        if tuple(sorted(parts, reverse=True)) == mu:
+        if _cycle_type(perm) == mu:
             hits += 1
     return Fraction(hits, factorial(n))
 

@@ -119,10 +119,6 @@ class EigenvalueSeries:
     def __getitem__(self, n):
         return self.coefficients[n + 1]
 
-    @property
-    def K(self):
-        return len(self.coefficients) - 2
-
 
 def _content_shifts(partition):
     """Pairs (a_i, b_i) = (lambda_i - i + 1/2, -i + 1/2) over the rows."""
@@ -162,58 +158,58 @@ def vacuum_constant(k):
     return acc
 
 
-def eigenvalue_closed_form(k, partition):
-    """E_k = c_k + eps sum_i ([u0 + eps a_i]^{k+1} - [u0 + eps b_i]^{k+1}) / (k+1)!."""
-    if k < -1:
-        raise ValueError("k must be >= -1")
-    acc = vacuum_constant(k)
+def _frobenius_shifts(partition):
+    """Pairs (alpha_i + 1/2, -(beta_i + 1/2)) over the Frobenius coordinates."""
+    coords = frobenius(tuple(partition))
+    return [(Fraction(2 * alpha_i + 1, 2), -Fraction(2 * beta_i + 1, 2))
+            for alpha_i, beta_i in zip(coords.alpha, coords.beta)]
+
+
+def _eigenvalue(k, shifts):
+    """c_k + eps sum ([u0 + eps a]^{k+1} - [u0 + eps b]^{k+1}) / (k+1)! over
+    the pairs (a, b) in `shifts`."""
+    acc = vacuum_constant(k)  # raises for k < -1
     inv_fact = Fraction(1, factorial(k + 1))
-    for a, b in _content_shifts(partition):
+    for a, b in shifts:
         for j in range(k + 2):
             c = comb(k + 1, j) * (a ** j - b ** j) * inv_fact
             if c:
                 acc = acc + ExactScalar.monomial(c, j + 1, k + 1 - j)
     return acc
+
+
+def eigenvalue_closed_form(k, partition):
+    """E_k = c_k + eps sum_i ([u0 + eps a_i]^{k+1} - [u0 + eps b_i]^{k+1}) / (k+1)!,
+    with (a_i, b_i) the content shifts of the rows."""
+    return _eigenvalue(k, _content_shifts(partition))
 
 
 def eigenvalue_frobenius_form(k, partition):
     """Same eigenvalue from Frobenius coordinates:
     E_k = c_k + eps sum_i ([u0 + eps(alpha_i + 1/2)]^{k+1}
                            - [u0 - eps(beta_i + 1/2)]^{k+1}) / (k+1)!."""
-    acc = vacuum_constant(k)
-    coords = frobenius(tuple(partition))
-    inv_fact = Fraction(1, factorial(k + 1))
-    for alpha_i, beta_i in zip(coords.alpha, coords.beta):
-        a = Fraction(2 * alpha_i + 1, 2)
-        b = -Fraction(2 * beta_i + 1, 2)
-        for j in range(k + 2):
-            c = comb(k + 1, j) * (a ** j - b ** j) * inv_fact
-            if c:
-                acc = acc + ExactScalar.monomial(c, j + 1, k + 1 - j)
-    return acc
+    return _eigenvalue(k, _frobenius_shifts(partition))
+
+
+def _exponentials(shifts):
+    """Multiset {exponent: sign} of sum (e^{z a} - e^{z b}) over `shifts`."""
+    counts = {}
+    for a, b in shifts:
+        add_into(counts, a, 1)
+        add_into(counts, b, -1)
+    return counts
 
 
 def exponential_row_form(partition):
     """Multiset of (sign, exponent) for sum_i [e^{z(lambda_i - i + 1/2)} -
     e^{z(-i + 1/2)}], canonicalized."""
-    counts = {}
-    for a, b in _content_shifts(partition):
-        add_into(counts, a, 1)
-        add_into(counts, b, -1)
-    return counts
+    return _exponentials(_content_shifts(partition))
 
 
 def exponential_frobenius_form(partition):
     """Multiset of (sign, exponent) for sum_i [e^{z(alpha_i + 1/2)} -
     e^{-z(beta_i + 1/2)}]."""
-    counts = {}
-    coords = frobenius(tuple(partition))
-    for alpha_i, beta_i in zip(coords.alpha, coords.beta):
-        a = Fraction(2 * alpha_i + 1, 2)
-        b = -Fraction(2 * beta_i + 1, 2)
-        add_into(counts, a, 1)
-        add_into(counts, b, -1)
-    return counts
+    return _exponentials(_frobenius_shifts(partition))
 
 
 # ---------------------------------------------------------------------------
@@ -343,24 +339,51 @@ def _basis_failures(w, parts, chi, vecs):
     return failures
 
 
-def _image(rows, vec):
-    """The sparse matrix `rows` applied to the dense vector `vec`."""
-    return [sum(map(mul, vals, map(vec.__getitem__, cols)))
-            for cols, vals in rows]
-
-
-def _cross(image, vec, p):
-    """image[r] vec[p] - image[p] vec[r] over r: zero exactly when image is
-    a multiple of vec, for a pivot p with vec[p] != 0."""
-    up, vp = image[p], vec[p]
-    return [x * vp - up * y for x, y in zip(image, vec)]
-
-
 def _render_at_unit(basis, values, scale):
     """The vector `values` / `scale` on `basis` as a rendered polynomial."""
     return FockPolynomial({
         m: ExactScalar.from_rational(Fraction(x, scale))
         for m, x in zip(basis, values) if x}).render()
+
+
+def _schur_sweep(operators, W, eigenvalues=None):
+    """(failures, basis_dims, checked): test R_i v = e v as the integer
+    vector x den - num y, e = num / den, for R_i the matrix of operators[i]
+    at u0 = 0, eps = 1 and v = w! s_lambda(q), w <= W.  With `eigenvalues`
+    None, e is read off the pivot (first nonzero entry) of v and premise (c)
+    is asserted; else eigenvalues(lambda) gives (entries for lambda's broken
+    eigenvalue premises, the eigenvalue of each R_i).  A failure gives
+    R_i s - e s at u0 = 0, eps = 1 as "difference"."""
+    scales, bases, rows = _sparse_rows(operators, W)
+    failures = []
+    checked = 0
+    for w, basis in enumerate(bases):
+        parts, chi, vecs = _schur_vectors(w)
+        if eigenvalues is None:
+            failures += _basis_failures(w, parts, chi, vecs)
+        for lam, vec in zip(parts, vecs):
+            if eigenvalues is not None:
+                entries, values = eigenvalues(lam)
+                failures += entries
+            p = next((r for r, x in enumerate(vec) if x), 0)
+            for i, op_rows in enumerate(rows[w]):
+                checked += 1
+                image = [sum(map(mul, vals, map(vec.__getitem__, cols)))
+                         for cols, vals in op_rows]
+                if eigenvalues is None:
+                    num, den = image[p], vec[p]
+                else:
+                    e = values[i] * scales[i]
+                    num, den = e.numerator, e.denominator
+                diff = [x * den - num * y for x, y in zip(image, vec)]
+                if any(diff):
+                    where = ({"n": i - 1, "weight": w} if eigenvalues is None
+                             else {"k": i - 1})
+                    failures.append({**where, "partition": list(lam),
+                                     "difference": _render_at_unit(
+                                         basis, diff,
+                                         scales[i] * den * factorial(w))})
+    return failures, [len(basis) for basis in bases], checked
 
 
 def verify_commutativity(N, W, operators=None):
@@ -378,33 +401,19 @@ def verify_commutativity(N, W, operators=None):
     By (a), H_n(0) acts on V_w as eps^(n+2) D^-1 R_n D, with
     D = diag(eps^l(mu)) and R_n H_n's matrix at u0 = 0, eps = 1; by (b), the
     H_n(u0) commute exactly when the H_n(0) do; by (c), the R_n commute on
-    V_w when every w! s_lambda is an eigenvector of every R_n.  Each image
-    R_n v is cross-multiplied with v on a pivot entry of v; a failure gives
-    R_n s_lambda - e s_lambda at u0 = 0, eps = 1 as "difference", with e
-    read off the pivot.
+    V_w when every w! s_lambda is an eigenvector of every R_n, with the
+    eigenvalue read off a pivot entry of the vector.
     """
     if N < 0:
         raise ValueError("commutativity needs N >= 0 (at least one pair)")
     if operators is None:
         operators = hamiltonian_generating_coefficients(N, W)
-    failures = _premise_failures(operators)
-    scales, bases, rows = _sparse_rows(operators, W)
-    for w, basis in enumerate(bases):
-        parts, chi, vecs = _schur_vectors(w)
-        failures += _basis_failures(w, parts, chi, vecs)
-        for lam, vec in zip(parts, vecs):
-            p = next((r for r, x in enumerate(vec) if x), 0)
-            for i, op_rows in enumerate(rows[w]):
-                cross = _cross(_image(op_rows, vec), vec, p)
-                if any(cross):
-                    failures.append({
-                        "n": i - 1, "weight": w, "partition": list(lam),
-                        "difference": _render_at_unit(
-                            basis, cross, scales[i] * vec[p] * factorial(w))})
+    premises = _premise_failures(operators)  # first: a lower peak RSS
+    failures, basis_dims, _ = _schur_sweep(operators, W)
     return {"pairs_checked": len(operators) * (len(operators) - 1) // 2,
-            "weight_bound": W, "failures": failures,
+            "weight_bound": W, "failures": premises + failures,
             "operator_terms": sum(len(op.terms) for op in operators),
-            "basis_dims": [len(basis) for basis in bases]}
+            "basis_dims": basis_dims}
 
 
 def _eigenvalue_premise_failures(partition, values):
@@ -438,41 +447,25 @@ def verify_eigenvectors(K, W, operators=None):
     E_k = sum_j u0^j / j! E_{k-j}(0) with E_{-2} = 1.  Under them the
     identity holds exactly when R_k s_lambda(q) = e_k(lambda) s_lambda(q),
     with R_k H_k's matrix at u0 = 0, eps = 1 and e_k(lambda) the eps^(k+2)
-    coefficient of E_k(lambda).  The images R_k w! s_lambda are those of
-    `verify_commutativity`: each must be parallel to w! s_lambda, and the
-    eigenvalue read off the pivot must be e_k(lambda).  A failure gives
-    R_k s - e_k s at u0 = 0, eps = 1 as "difference".
+    coefficient of E_k(lambda).  The sweep is that of
+    `verify_commutativity`, with e_k(lambda) in place of the pivot's ratio.
     """
     if K < 0:
         raise ValueError("the eigen check needs K >= 0: H_{-1} = u0 Id "
                          "fixes every vector")
     if operators is None:
         operators = hamiltonian_generating_coefficients(K, W)
-    failures = _premise_failures(operators)
-    scales, bases, rows = _sparse_rows(operators[:K + 2], W)
-    checked = 0
-    for w, basis in enumerate(bases):
-        parts, _, vecs = _schur_vectors(w)
-        for lam, vec in zip(parts, vecs):
-            values = [eigenvalue_closed_form(k, lam) for k in range(-1, K + 1)]
-            failures += _eigenvalue_premise_failures(lam, values)
-            p = next((r for r, x in enumerate(vec) if x), 0)
-            for k, value in enumerate(values, start=-1):
-                checked += 1
-                scale = scales[k + 1]
-                image = _image(rows[w][k + 1], vec)
-                e_k = value.terms.get((k + 2, 0), Fraction(0)) * scale
-                # e_k(lambda) read off the pivot, against the closed form
-                if (not any(_cross(image, vec, p))
-                        and image[p] * e_k.denominator
-                        == e_k.numerator * vec[p]):
-                    continue
-                diff = [x * e_k.denominator - e_k.numerator * y
-                        for x, y in zip(image, vec)]
-                failures.append({
-                    "k": k, "partition": list(lam),
-                    "difference": _render_at_unit(
-                        basis, diff, scale * factorial(w) * e_k.denominator)})
-    return {"pairs_checked": checked, "weight_bound": W, "failures": failures,
+
+    def eigenvalues(lam):
+        values = [eigenvalue_closed_form(k, lam) for k in range(-1, K + 1)]
+        return (_eigenvalue_premise_failures(lam, values),
+                [value.terms.get((k + 2, 0), Fraction(0))
+                 for k, value in enumerate(values, start=-1)])
+
+    premises = _premise_failures(operators)
+    failures, basis_dims, checked = _schur_sweep(operators[:K + 2], W,
+                                                 eigenvalues)
+    return {"pairs_checked": checked, "weight_bound": W,
+            "failures": premises + failures,
             "operator_terms": sum(len(op.terms) for op in operators),
-            "basis_dims": [len(basis) for basis in bases]}
+            "basis_dims": basis_dims}

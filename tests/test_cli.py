@@ -7,6 +7,7 @@ import pytest
 
 from hopfq import __version__
 from hopfq.cli import main
+from hopfq.partitions import partitions_of
 
 # sha256 of the stdout of fixed commands; any change to the rendered
 # operators or tables shows here byte for byte.
@@ -18,6 +19,12 @@ PINNED_STDOUT = {
         "6c8ef5aa2c06f6472700e28dbb74d389ab57ca9cfbd3fc637c426e0bab4250e4",
     ("hamiltonian", "--n", "5", "--weight", "12", "--no-cache"):
         "02cc225862b8c102095c75824040f7e4f2d36a678717ebacbd25ca0071a397b1",
+    ("verify", "commute", "--N", "5", "--weight", "8", "--no-cache"):
+        "99692a31ee8a1a441726ba5c9e627bb64e6f4539cf2608dcbd423eca219b5dcd",
+    ("verify", "eigen", "--K", "5", "--weight", "8", "--no-cache"):
+        "2d253d43b6babab20f76e3c9756cd716336d7b27eb4fa14ca67cb1939d8623af",
+    ("verify", "disk", "--K", "3", "--weight", "6", "--no-cache"):
+        "ac2a47be0cd7176ed9029bdbdfea25677e4d1943dc22c2484c214c69a7c1cfee",
 }
 
 
@@ -112,6 +119,41 @@ def test_verify_disk_honours_weight(capsys):
     disk = json.loads(out)["disk"]
     assert disk["passed"] is True
     assert disk["detail"]["effective_bounds"] == {"weight": 8, "K": 1}
+
+
+@pytest.mark.parametrize("argv, suite, bounds", [
+    (["verify", "p1", "--K", "2", "--weight", "6"], "p1",
+     {"weight": 6, "K": 2}),
+    (["verify", "hurwitz", "--n", "7", "--m", "7"], "hurwitz",
+     {"n": 7, "m": 7}),
+], ids=["p1", "hurwitz"])
+def test_verify_runs_at_the_bounds_it_is_given(argv, suite, bounds, capsys):
+    code, out = run(argv + ["--no-cache"], capsys)
+    assert code == 0
+    report = json.loads(out)[suite]
+    assert report["passed"] is True
+    assert report["detail"]["effective_bounds"] == bounds
+
+
+def test_tables_p1_defaults_to_the_weight(capsys):
+    code, out = run(["tables", "p1", "--weight", "5", "--K", "0",
+                     "--format", "csv"], capsys)
+    assert code == 0
+    degrees = [line.split(",")[0] for line in out.strip().splitlines()[1:]]
+    assert degrees == [str(d) for d in range(6) for _ in partitions_of(d)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["hamiltonian", "--n", "1", "--weight", "2", "--eps", "1"],
+    ["hamiltonian", "--n", "1", "--weight", "2", "--u0", "0"],
+    ["verify", "commute", "--N", "1", "--weight", "2", "--hbar", "1"],
+    ["verify", "eigen", "--K", "1", "--weight", "2", "--u0", "1/2"],
+], ids=" ".join)
+def test_specialisation_flags_only_on_tables(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--no-cache"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_verify_hirota_reports_vacuous_checks_as_skipped(capsys):

@@ -1,17 +1,50 @@
 """Disk potential, pairing, degree slices, and factorization counts."""
 
+import itertools
 from fractions import Fraction
 from math import factorial
 
-from hopfq.disk import (disk_potential, expand_in_t, fock_pairing,
-                        hurwitz_match_report, hurwitz_oracle,
-                        hurwitz_oracle_direct, integer_hbar_check,
-                        p1_partition_function, schroedinger_check,
-                        verify_printed_expansion)
-from hopfq.fock import FockPolynomial
+import pytest
+
+from hopfq import disk
+from hopfq.disk import (disk_potential, fock_pairing, hurwitz_match_report,
+                        hurwitz_oracle, hurwitz_oracle_direct,
+                        integer_hbar_check, p1_partition_function,
+                        schroedinger_check, verify_printed_expansion)
+from hopfq.fock import FockPolynomial, NormalOrderedOperator
 from hopfq.partitions import dim, partitions_of, partitions_upto, size
-from hopfq.scalars import ExactScalar
+from hopfq.scalars import ExactScalar, add_into
 from hopfq.schur import schur
+
+
+# ---------------------------------------------------------------------------
+# oracle: the potential Taylor-expanded in t, with symbolic u0 and eps
+
+
+def expand_in_t(pot, t_orders):
+    """Map from a t-exponent tuple (m_0, ..., m_K), m_k <= t_orders[k], to
+    the coefficient p-polynomial of t^m in the potential."""
+    if len(t_orders) != pot.K + 1:
+        raise ValueError("need one order bound per t-variable")
+    result = {}
+    for amp in pot.amplitudes.values():
+        base = amp.polynomial_part()
+        for powers in itertools.product(*(range(b + 1) for b in t_orders)):
+            coeff = ExactScalar.one()
+            for k, m in enumerate(powers):
+                if m:
+                    coeff = coeff * amp.exponents[k] ** m * Fraction(1, factorial(m))
+            add_into(result, powers, base * coeff)
+    return result
+
+
+def integer_hbar_oracle(W, K=2, t_orders=None):
+    """Every coefficient of the t-expanded potential (each t_k to order
+    t_orders[k], default 1) has only even eps powers."""
+    pot = disk.disk_potential(W, K)
+    t_orders = t_orders if t_orders is not None else [1] * (K + 1)
+    return not any(e % 2 for poly in expand_in_t(pot, t_orders).values()
+                   for c in poly.terms.values() for e in c.eps_powers())
 
 
 def test_amplitude_table_shape():
@@ -53,9 +86,61 @@ def test_integer_hbar_property():
     assert integer_hbar_check(6)
 
 
+def test_integer_hbar_check_agrees_with_expansion_oracle():
+    for W in range(7):
+        assert integer_hbar_check(W) and integer_hbar_oracle(W)
+    assert integer_hbar_check(4, 3) and integer_hbar_oracle(4, 3, [2, 2, 1, 1])
+
+
+@pytest.mark.parametrize("part", ["exponent", "prefactor"])
+def test_odd_eps_term_on_one_amplitude_fails_both(part, monkeypatch):
+    # eps added to the t_0 exponent of (2) but not of (1, 1), or its
+    # prefactor times (1 + eps): the pair no longer cancels, and the
+    # coefficient of p_1^2 gains eps^-3 / 4 at t_0, or at t^0
+    build = disk.disk_potential
+
+    def perturbed(W, K):
+        pot = build(W, K)
+        amp = pot.amplitudes[(2,)]
+        if part == "exponent":
+            amp = amp._replace(exponents=(amp.exponents[0] + ExactScalar.eps(),)
+                               + amp.exponents[1:])
+        else:
+            amp = amp._replace(prefactor=amp.prefactor * (1 + ExactScalar.eps()))
+        pot.amplitudes[(2,)] = amp
+        return pot
+
+    monkeypatch.setattr(disk, "disk_potential", perturbed)
+    assert not integer_hbar_check(4)
+    assert not integer_hbar_oracle(4)
+
+
 def test_schroedinger_checks():
     for k in range(4):
         assert schroedinger_check(k, 6)
+
+
+@pytest.mark.parametrize("j", range(4))
+def test_transpose_break_fails_schroedinger_check(j, monkeypatch):
+    # q2 p1^2 added to H_j alone: H_j is no longer its own transpose.  The
+    # lone term also breaks the u0 expansion that the eigen sweep asserts,
+    # so the sweep is then stubbed out and the transpose check must fail
+    # on its own, for every j <= K in one call.
+    generate = disk.hamiltonian_generating_coefficients
+
+    def perturbed(K, W):
+        ops = generate(K, W)
+        ops[j + 1] = ops[j + 1] + NormalOrderedOperator.term(
+            ((2, 1),), ((1, 2),), ExactScalar.one())
+        return ops
+
+    monkeypatch.setattr(disk, "hamiltonian_generating_coefficients", perturbed)
+    assert not schroedinger_check(3, 6)
+    monkeypatch.setattr(disk, "verify_eigenvectors",
+                        lambda K, W, operators: {"failures": []})
+    assert not schroedinger_check(3, 6)
+    monkeypatch.setattr(disk, "hamiltonian_generating_coefficients", generate)
+    assert schroedinger_check(3, 6)
 
 
 def test_fock_pairing_examples():
@@ -91,11 +176,11 @@ def test_hurwitz_oracle_examples():
 
 
 def test_hurwitz_oracle_bound_refusal():
-    try:
-        hurwitz_oracle(7, 1, (7,))
-        assert False
-    except ValueError:
-        pass
+    for n, mu in [(0, ()), (3, (2,)), (3, (1, 2))]:
+        with pytest.raises(ValueError):
+            hurwitz_oracle(n, 1, mu)
+    # no cap on n or m: the 21 transpositions of S_7
+    assert hurwitz_oracle(7, 1, (2, 1, 1, 1, 1, 1)) == Fraction(21, 5040)
 
 
 def test_hurwitz_oracle_matches_direct_enumeration():
