@@ -175,17 +175,18 @@ def _suite_tasks(args):
         if K < 0:
             raise ValueError("--K must be >= 0")
         issues = []
+        pot = disk_potential(W, K)
         ok = verify_printed_expansion(issues)
-        ok = ok and integer_hbar_check(W, K)
-        ok = ok and schroedinger_check(K, W)
+        ok = ok and integer_hbar_check(pot)
+        ok = ok and schroedinger_check(pot)
         return ok, {"printed_expansion_issues": [str(i) for i in issues],
                     "effective_bounds": {"weight": W, "K": K}}
 
     def hirota():
         # a check returns None when the tau is too short for it to test
         # anything; it is reported as "skipped"
-        pot = disk_potential(min(W, 8), 4)
-        report = {"effective_bounds": {"weight": min(W, 8)},
+        pot = disk_potential(W, 1)  # only t0 and t1 are ever active
+        report = {"effective_bounds": {"weight": W},
                   "hierarchy_y1_counts": {}}
         verdicts = []
         for label, active in [("none", set()), ("t0", {0}), ("t0t1", {0, 1})]:
@@ -207,7 +208,7 @@ def _suite_tasks(args):
                              for name, ok in checks.items()}
         if all(ok is None for ok in verdicts):
             return None, ("no Hirota check is complete to any weight at "
-                          f"W = {min(W, 8)}")
+                          f"W = {W}")
         return all(ok is not False for ok in verdicts), report
 
     def fermion():

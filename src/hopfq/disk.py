@@ -69,16 +69,20 @@ def _flip_eps(c):
                         for (e, u), v in c.terms.items()})
 
 
-def integer_hbar_check(W, K=2):
+def integer_hbar_check(pot):
     """The potential lives in integer powers of hbar to every t-order.
 
     Transposition pairs the amplitudes: amp(lambda') = amp(lambda) at
     eps -> -eps, in the polynomial part (omega maps s_lambda to s_lambda')
     and in the exponents.  So eps -> -eps permutes the terms of the sum over
-    lambda, and odd eps powers cancel in every t-coefficient."""
-    pot = disk_potential(W, K)
+    lambda, and odd eps powers cancel in every t-coefficient.  The pairing
+    is symmetric (eps -> -eps is an involution), so each pair is compared
+    once, from lambda >= lambda'."""
     for lam, amp in pot.amplitudes.items():
-        twin = pot.amplitudes[transpose(lam)]
+        mate = transpose(lam)
+        if lam < mate:
+            continue
+        twin = pot.amplitudes[mate]
         flipped = FockPolynomial({m: _flip_eps(c) for m, c in
                                   amp.polynomial_part().terms.items()})
         if (flipped != twin.polynomial_part()
@@ -177,18 +181,18 @@ def verify_printed_expansion(report=None):
 # Schroedinger-equation check and the pairing
 
 
-def schroedinger_check(K, W):
-    """For every k <= K: (a) the stored t_k-exponent of every amplitude
-    times hbar is the eigenvalue E_k (holds by construction, asserted
-    anyway); (b) the transposed operator -- coefficients (alpha, beta)
-    swapped, acting on the p-variables -- has the same Schur eigenvectors
-    with the same eigenvalues.
+def schroedinger_check(pot):
+    """For every k <= K of the potential: (a) the stored t_k-exponent of
+    every amplitude times hbar is the eigenvalue E_k (holds by construction,
+    asserted anyway); (b) the transposed operator -- coefficients
+    (alpha, beta) swapped, acting on the p-variables -- has the same Schur
+    eigenvectors with the same eigenvalues.
 
     (b) is the substantive check.  Each generated H_k equals its transpose
     (asserted), so (b) is the eigenvector check of H_k itself, which one
     `verify_eigenvectors` run decides on H_{-1} .. H_K.
     """
-    pot = disk_potential(W, K)
+    K, W = pot.K, pot.max_weight
     operators = hamiltonian_generating_coefficients(K, W)
     if any(op != op.transpose() for op in operators[1:]):
         return False

@@ -8,6 +8,13 @@ is then a weight-graded polynomial in p_1, p_2, ... whose coefficients are
 Laurent polynomials in the v-variables.  Hirota operators, the generating
 bilinear identity expanded in y, and the second-log-derivative PDE are all
 checked identically in the v-variables.
+
+The v-Laurent coefficients are plain `Fraction`s when both u0 and eps are
+numeric, and `ExactScalar`s otherwise; rational `ExactScalar` scalars that
+meet a tau (Hirota coefficients, hbar, 1/c0) are taken to `Fraction` first,
+so a numeric tau stays on the `Fraction` ring.  On f = g, `hirota_apply`
+uses D^a f.f = 0 for odd |a| and takes each pair of equal Leibniz terms
+once.
 """
 
 from __future__ import annotations
@@ -26,10 +33,10 @@ from .schur import complete_homogeneous
 
 
 class Laurent(SparseSum):
-    """Laurent polynomial in v_0, v_1, ... over ExactScalar: a sparse map
-    exponent tuple -> ExactScalar.  The tuples of one tau have one entry per
-    active t-variable; the product reads a shorter tuple as padded with
-    zero exponents.
+    """Laurent polynomial in v_0, v_1, ... over ExactScalar or Fraction: a
+    sparse map exponent tuple -> coefficient.  The tuples of one tau have
+    one entry per active t-variable; the product reads a shorter tuple as
+    padded with zero exponents.
     """
 
     __slots__ = ()
@@ -53,7 +60,8 @@ class Laurent(SparseSum):
             return "0"
         parts = []
         for e, c in sorted(self.terms.items()):
-            factors = [f"({c.render()})"]
+            text = c.render() if isinstance(c, ExactScalar) else str(c)
+            factors = [f"({text})"]
             factors += [f"v{i}^{p}" for i, p in enumerate(e) if p]
             parts.append(" * ".join(factors))
         return " + ".join(parts)
@@ -65,9 +73,12 @@ def vl_constant(scalar):
     return Laurent({(): scalar} if scalar else {})
 
 
-def vl_monomial(exponents, scalar=None):
-    scalar = ExactScalar.one() if scalar is None else scalar
-    return Laurent({tuple(exponents): scalar} if scalar else {})
+def _rational(scalar):
+    """A rational ExactScalar as a Fraction, anything else unchanged, so that
+    a scalar meeting a tau on the Fraction ring keeps it there."""
+    if isinstance(scalar, ExactScalar) and scalar.is_rational():
+        return scalar.as_fraction()
+    return scalar
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +169,8 @@ def tau_from_disk(pot, active_k, u0, eps=None):
 
     active_k lists which t-variables are kept (the rest are set to zero).
     For each active k every exponent E_k/hbar must specialize to a rational;
-    otherwise the run is refused with an explanation.
+    otherwise the run is refused with an explanation.  The coefficients are
+    Fractions when u0 and eps are both numeric, else ExactScalars.
     """
     active = sorted(active_k)
     if any(k > pot.K for k in active):
@@ -177,12 +189,14 @@ def tau_from_disk(pot, active_k, u0, eps=None):
             row.append(q)
             denominators[i] = lcm(denominators[i], q.denominator)
         exponents[lam] = row
+    numeric = u0 is not None and eps is not None
     terms = {}
     for lam, amp in pot.amplitudes.items():
         vexp = tuple(int(q * d) for q, d in zip(exponents[lam], denominators))
         poly = amp.polynomial_part().substitute_scalars(eps=eps, u0=u0)
         for mono, c in poly.terms.items():
-            add_into(terms, mono, vl_monomial(vexp, c))
+            add_into(terms, mono,
+                     Laurent({vexp: c.as_fraction() if numeric else c}))
     return TruncatedTau(terms, pot.max_weight, eps)
 
 
@@ -195,11 +209,15 @@ def hirota_apply(P, f, g):
     (d^b f)(d^{a-b} g); valid to min validity minus the top D-weight.
 
     Each partial d^b f and d^b g is taken once per call, and each product
-    only up to the valid weight of the result.
+    only up to the valid weight of the result.  When f is g, D-monomials of
+    odd degree are skipped (D^a f.f = 0 for odd |a|), and the equal terms of
+    the splits b and a-b are taken once, for b <= a-b, with the coefficient
+    doubled when b != a-b.
     """
     valid = min(f.valid_weight, g.valid_weight)
     if P.terms:
         valid -= max(mono_weight(m) for m in P.terms)
+    diagonal = f is g
     partials = {}
 
     def partial(h, b):
@@ -211,11 +229,21 @@ def hirota_apply(P, f, g):
 
     terms = {}
     for dmono, coeff in P.terms.items():
-        for choice in itertools.product(*(range(a + 1) for _, a in dmono)):
+        if diagonal and mono_degree(dmono) % 2:
+            continue
+        top = tuple(a for _, a in dmono)
+        coeff = _rational(coeff)
+        for choice in itertools.product(*(range(a + 1) for a in top)):
+            fac = prod(map(comb, top, choice))
+            if diagonal:
+                complement = tuple(a - c for a, c in zip(top, choice))
+                if choice > complement:
+                    continue
+                if choice < complement:
+                    fac *= 2
             b = tuple((k, c) for (k, _), c in zip(dmono, choice) if c)
             rest = tuple((k, a - c) for (k, a), c in zip(dmono, choice)
                          if a > c)
-            fac = prod(comb(a, c) for (_, a), c in zip(dmono, choice))
             if mono_degree(rest) % 2:
                 fac = -fac
             df = partial(f, b)
@@ -361,37 +389,49 @@ def kp_hierarchy_check(tau, y_order=2, y_vars=4):
 
 def log_series(tau):
     """log(tau / c0) where c0 is the constant coefficient (required to be a
-    single invertible Laurent monomial)."""
+    single invertible Laurent monomial).
+
+    T = tau / c0 is split by p-weight, T_0 = 1, and the weight-w part of
+    L = log T follows from the Euler relation w T_w = sum_j j L_j T_{w-j}:
+    w L_w = w T_w - sum_{0<j<w} (j L_j) T_{w-j}.
+    """
     c0 = tau.terms.get((), Laurent())
     if len(c0.terms) != 1:
         raise ValueError("constant term is not a single monomial")
     (vexp, coeff), = c0.terms.items()
+    if not isinstance(coeff, ExactScalar):
+        coeff = ExactScalar.from_rational(coeff)
     if len(coeff.terms) != 1:
         raise ValueError("constant coefficient is not invertible")
     (ce, cu), cval = next(iter(coeff.terms.items()))
     if cu != 0:
         raise ValueError("constant coefficient involves u0")
-    zeros = (0,) * len(vexp)
-    inv = vl_monomial(tuple(-x for x in vexp),
-                      ExactScalar.monomial(1 / cval, -ce))
-    r = tau.scale(inv)
-    r = r + TruncatedTau({(): vl_monomial(zeros, ExactScalar.from_rational(-1))},
-                         tau.valid_weight, tau.eps)
-    if any(mono_weight(m) == 0 for m, c in r.terms.items() if c):
-        raise AssertionError("normalized tau does not start at 1")
-    acc = TruncatedTau({}, tau.valid_weight, tau.eps)
-    power = TruncatedTau({(): vl_monomial(zeros)}, tau.valid_weight, tau.eps)
-    for m in range(1, tau.valid_weight + 1):
-        power = (power * r).truncate()
-        acc = acc + power.scale(Fraction((-1) ** (m + 1), m))
-    return acc.truncate()
+    inv = Laurent({tuple(-x for x in vexp):
+                   _rational(ExactScalar.monomial(1 / cval, -ce))})
+    W = tau.valid_weight
+    pieces = [{} for _ in range(W + 1)]  # T_w
+    for m, c in tau.terms.items():
+        w = mono_weight(m)
+        if 0 < w <= W:
+            pieces[w][m] = c * inv
+    euler = [None]  # w L_w
+    log_terms = {}
+    for w in range(1, W + 1):
+        terms = {m: c * w for m, c in pieces[w].items()}
+        for j in range(1, w):
+            for m1, c1 in euler[j].items():
+                for m2, c2 in pieces[w - j].items():
+                    add_into(terms, mono_mul(m1, m2), -(c1 * c2))
+        euler.append(terms)
+        log_terms.update((m, c * Fraction(1, w)) for m, c in terms.items())
+    return TruncatedTau(log_terms, W, tau.eps)
 
 
 def kp_equation_check(tau):
     """Residual of u_xt = u_yy + (u u_x + (hbar/12) u_xxx)_x for
     u = eps^2 d^2/dp_1^2 log tau, with x = p_1, y = p_2, t = p_3; None when
     tau is too short (weight <= 5) for the residual to be complete anywhere."""
-    hbar = _hbar_scalar(tau.eps)  # eps^2 == hbar
+    hbar = _rational(_hbar_scalar(tau.eps))  # eps^2 == hbar
     u = log_series(tau).derivative(((1, 2),)).scale(hbar)
     u_xt = u.derivative(((1, 1), (3, 1)))
     u_yy = u.derivative(((2, 2),))

@@ -109,7 +109,7 @@ def test_criterion_05_printed_disk_expansion(report):
 
 
 def test_criterion_06_integer_hbar(report):
-    assert integer_hbar_check(6)
+    assert integer_hbar_check(disk_potential(6, 2))
     report(6, "expanded potential has integer hbar powers only, "
               "weight <= 6 (transpose pairing)")
 

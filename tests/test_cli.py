@@ -25,6 +25,8 @@ PINNED_STDOUT = {
         "2d253d43b6babab20f76e3c9756cd716336d7b27eb4fa14ca67cb1939d8623af",
     ("verify", "disk", "--K", "3", "--weight", "6", "--no-cache"):
         "ac2a47be0cd7176ed9029bdbdfea25677e4d1943dc22c2484c214c69a7c1cfee",
+    ("verify", "hirota", "--weight", "8", "--no-cache", "--seed", "1"):
+        "6fc9663a582f04f0d6576b96b815edfad5a3b28ae006e527d28f67f03c5c342e",
 }
 
 
@@ -126,7 +128,8 @@ def test_verify_disk_honours_weight(capsys):
      {"weight": 6, "K": 2}),
     (["verify", "hurwitz", "--n", "7", "--m", "7"], "hurwitz",
      {"n": 7, "m": 7}),
-], ids=["p1", "hurwitz"])
+    (["verify", "hirota", "--weight", "9"], "hirota", {"weight": 9}),
+], ids=["p1", "hurwitz", "hirota"])
 def test_verify_runs_at_the_bounds_it_is_given(argv, suite, bounds, capsys):
     code, out = run(argv + ["--no-cache"], capsys)
     assert code == 0

@@ -83,13 +83,15 @@ def test_printed_expansion_matches():
 
 
 def test_integer_hbar_property():
-    assert integer_hbar_check(6)
+    assert integer_hbar_check(disk_potential(6, 2))
 
 
 def test_integer_hbar_check_agrees_with_expansion_oracle():
     for W in range(7):
-        assert integer_hbar_check(W) and integer_hbar_oracle(W)
-    assert integer_hbar_check(4, 3) and integer_hbar_oracle(4, 3, [2, 2, 1, 1])
+        assert (integer_hbar_check(disk_potential(W, 2))
+                and integer_hbar_oracle(W))
+    assert (integer_hbar_check(disk_potential(4, 3))
+            and integer_hbar_oracle(4, 3, [2, 2, 1, 1]))
 
 
 @pytest.mark.parametrize("part", ["exponent", "prefactor"])
@@ -111,13 +113,13 @@ def test_odd_eps_term_on_one_amplitude_fails_both(part, monkeypatch):
         return pot
 
     monkeypatch.setattr(disk, "disk_potential", perturbed)
-    assert not integer_hbar_check(4)
+    assert not integer_hbar_check(disk.disk_potential(4, 2))
     assert not integer_hbar_oracle(4)
 
 
 def test_schroedinger_checks():
     for k in range(4):
-        assert schroedinger_check(k, 6)
+        assert schroedinger_check(disk_potential(6, k))
 
 
 @pytest.mark.parametrize("j", range(4))
@@ -135,12 +137,12 @@ def test_transpose_break_fails_schroedinger_check(j, monkeypatch):
         return ops
 
     monkeypatch.setattr(disk, "hamiltonian_generating_coefficients", perturbed)
-    assert not schroedinger_check(3, 6)
+    assert not schroedinger_check(disk_potential(6, 3))
     monkeypatch.setattr(disk, "verify_eigenvectors",
                         lambda K, W, operators: {"failures": []})
-    assert not schroedinger_check(3, 6)
+    assert not schroedinger_check(disk_potential(6, 3))
     monkeypatch.setattr(disk, "hamiltonian_generating_coefficients", generate)
-    assert schroedinger_check(3, 6)
+    assert schroedinger_check(disk_potential(6, 3))
 
 
 def test_fock_pairing_examples():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from hopfq.disk import disk_potential
 from hopfq.fock import FockPolynomial, mono_weight
-from hopfq.kp import (TruncatedTau, generating_identity_coefficients,
+from hopfq.kp import (Laurent, TruncatedTau, generating_identity_coefficients,
                       hirota_apply, kp_bilinear_check, kp_equation_check,
                       kp_hierarchy_check, log_series, printed_bilinear,
                       tau_from_disk, vl_constant)
@@ -39,6 +39,28 @@ def repeated_derivative_hirota(P, f, g):
                     dg = dg.derivative(((k, 1),))
             term = (df * dg).scale(coeff * (fac if flips % 2 == 0 else -fac))
             acc = acc + term.copy_meta(term.terms, valid)
+    return acc.truncate()
+
+
+def power_sum_log_series(tau):
+    """Reference for `log_series`: log(1 + r) = sum_m (-1)^{m+1} r^m / m
+    with r = tau / c0 - 1, one full truncated product per power."""
+    (vexp, coeff), = tau.terms[()].terms.items()
+    if not isinstance(coeff, ExactScalar):
+        coeff = ExactScalar.from_rational(coeff)
+    (ce, _), cval = next(iter(coeff.terms.items()))
+    zeros = (0,) * len(vexp)
+    inv = Laurent({tuple(-x for x in vexp):
+                   ExactScalar.monomial(1 / cval, -ce)})
+    one = TruncatedTau({(): Laurent({zeros: ExactScalar.one()})},
+                       tau.valid_weight, tau.eps)
+    r = tau.scale(inv) - one
+    assert all(mono_weight(m) > 0 for m in r.terms)
+    acc = TruncatedTau({}, tau.valid_weight, tau.eps)
+    power = one
+    for m in range(1, tau.valid_weight + 1):
+        power = (power * r).truncate()
+        acc = acc + power.scale(Fraction((-1) ** (m + 1), m))
     return acc.truncate()
 
 
@@ -170,13 +192,16 @@ def test_printed_bilinear_contents():
 
 
 def test_hirota_engine_agrees_with_repeated_derivatives_on_diagonal():
-    tau = tau_from_disk(disk_potential(6, 1), {0, 1}, 0, Fraction(1))
-    polys = [printed_bilinear(1, tau.eps), printed_bilinear(2, tau.eps)]
-    polys += generating_identity_coefficients(2, 4, tau.eps).values()
-    assert len(polys) == 2 + 15
-    for P in polys:
-        assert_same_tau(hirota_apply(P, tau, tau),
-                        repeated_derivative_hirota(P, tau, tau))
+    # y-order 2 at W = 6; at W = 8 the polynomials `verify hirota` applies
+    # (the y-order 2 slice would take the reference about 11 s there)
+    for W, y_order, count in [(6, 2, 15), (8, 1, 5)]:
+        tau = tau_from_disk(disk_potential(W, 1), {0, 1}, 0, Fraction(1))
+        polys = [printed_bilinear(1, tau.eps), printed_bilinear(2, tau.eps)]
+        polys += generating_identity_coefficients(y_order, 4, tau.eps).values()
+        assert len(polys) == 2 + count
+        for P in polys:
+            assert_same_tau(hirota_apply(P, tau, tau),
+                            repeated_derivative_hirota(P, tau, tau))
 
 
 def test_hirota_engine_agrees_with_repeated_derivatives_off_diagonal():
@@ -221,3 +246,86 @@ def test_hierarchy_counts_skipped_coefficients(W, y_order, checked, skipped):
     report = kp_hierarchy_check(tau, y_order=y_order)
     assert report["failures"] == []
     assert (report["checked"], report["skipped"]) == (checked, skipped)
+
+
+def test_log_series_agrees_with_power_sums():
+    pot = disk_potential(8, 1)
+    taus = [tau_from_disk(pot, active, 0, Fraction(1))
+            for active in [set(), {0}, {0, 1}]]
+    taus.append(tau_from_disk(disk_potential(6, 1), {0}, 0, None))
+    for tau in taus:
+        assert_same_tau(log_series(tau), power_sum_log_series(tau))
+
+
+def ring(tau):
+    return {type(v) for c in tau.terms.values() for v in c.terms.values()}
+
+
+def specialise(tau, u0, eps):
+    """Every ExactScalar coefficient of tau at the given u0 and eps."""
+    terms = {}
+    for m, c in tau.terms.items():
+        lc = {e: v.substitute(eps=eps, u0=u0).as_fraction()
+              for e, v in c.terms.items()}
+        lc = {e: v for e, v in lc.items() if v}
+        if lc:
+            terms[m] = Laurent(lc)
+    return TruncatedTau(terms, tau.valid_weight, eps)
+
+
+def test_numeric_tau_is_the_symbolic_tau_specialised():
+    # numeric u0 and eps give Fraction coefficients, symbolic eps (or u0)
+    # ExactScalars with the same values; u0 enters no coefficient of the
+    # tau with no active t, so it can stay symbolic there
+    eps = Fraction(1, 2)
+    pot = disk_potential(6, 1)
+    taus = []
+    for active, u0 in [(set(), Fraction(1, 3)), ({0}, 0)]:
+        symbolic = tau_from_disk(pot, active, u0 if active else None, None)
+        numeric = tau_from_disk(pot, active, u0, eps)
+        assert ring(symbolic) == {ExactScalar} and ring(numeric) == {Fraction}
+        assert numeric.terms == specialise(symbolic, u0, eps).terms
+        taus.append((symbolic, numeric))
+    # both taus are plane waves in p_1: only hbar D_1^4 of the first
+    # equation, on the pair of different waves, leaves a non-zero product
+    (f, f_num), (g, g_num) = taus
+    for which in (1, 2):
+        for left, right, left_num, right_num in [(f, g, f_num, g_num),
+                                                 (g, g, g_num, g_num)]:
+            got = hirota_apply(printed_bilinear(which, eps), left_num,
+                               right_num)
+            want = hirota_apply(printed_bilinear(which), left, right)
+            assert bool(got.terms) == (which == 1 and left is not right)
+            assert_same_tau(got, specialise(want, 0, eps))
+
+
+def test_fraction_and_exact_scalar_rings_agree():
+    numeric = tau_from_disk(disk_potential(7, 1), {0, 1}, 0, Fraction(1))
+    lifted = numeric.copy_meta({
+        m: Laurent({e: ExactScalar.from_rational(v)
+                    for e, v in c.terms.items()})
+        for m, c in numeric.terms.items()})
+    for which in (1, 2):
+        for dmono, c in printed_bilinear(which, numeric.eps).terms.items():
+            P = FockPolynomial.monomial(dmono, c)
+            got = hirota_apply(P, numeric, numeric)
+            assert got.terms and ring(got) == {Fraction}
+            assert_same_tau(got, hirota_apply(P, lifted, lifted))
+    log = log_series(numeric)
+    assert ring(log) == {Fraction}
+    assert_same_tau(log, log_series(lifted))
+    assert kp_equation_check(numeric) is kp_equation_check(lifted) is True
+
+
+def test_perturbed_numeric_tau_fails_with_a_rendered_residual():
+    # C_(2,1) doubled: the tau is no longer a KP tau, and the failure is
+    # rendered from Fraction coefficients
+    pot = disk_potential(6, 1)
+    amp = pot.amplitudes[(2, 1)]
+    pot.amplitudes[(2, 1)] = amp._replace(prefactor=amp.prefactor * 2)
+    tau = tau_from_disk(pot, {0}, 0, Fraction(1))
+    assert kp_bilinear_check(1, tau) is False
+    residual = hirota_apply(printed_bilinear(1, tau.eps), tau, tau)
+    assert residual.max_residual_term() == "1: (-8) * v0^94"
+    failures = kp_hierarchy_check(tau, y_order=1)["failures"]
+    assert failures and all(isinstance(t, str) and t for _, t in failures)
