@@ -159,8 +159,8 @@ def cmd_hamiltonian(args):
 
 def _suite_tasks(args):
     """(name, callable) pairs for the requested verification suite."""
-    N, K, W = args.N, args.K, args.weight
-    if W < 0:
+    N, K, W = (getattr(args, name, None) for name in ("N", "K", "weight"))
+    if W is not None and W < 0:
         raise ValueError("--weight must be >= 0")
 
     def commute():
@@ -220,9 +220,11 @@ def _suite_tasks(args):
             boson_fermion_map(FermionVector.basis(state_for_partition_label(lam)))
             == schur(lam)
             for lam in partitions_upto(W))
-        ok = ok and all(dressed_fermion_check(Fraction(j, 2), 3)
-                        for j in (-3, -1, 1, 3))
-        return ok, {"effective_bounds": {"weight": W}}
+        # the dressed-fermion identities run at fixed bounds, whatever W is
+        energy, modes = 3, [Fraction(j, 2) for j in (-3, -1, 1, 3)]
+        ok = ok and all(dressed_fermion_check(k, energy) for k in modes)
+        return ok, {"effective_bounds": {"weight": W},
+                    "dressed_fermion_bounds": {"energy": energy, "k": modes}}
 
     def hurwitz():
         n, m = args.n if args.n is not None else 5, args.m
@@ -309,8 +311,7 @@ def cmd_tables(args):
         _emit_rows(["partition", "prefactor"]
                    + [f"t{k}_exponent" for k in range(args.K + 1)], rows, fmt)
     elif args.what == "p1":
-        D = args.degree if args.degree is not None else args.weight
-        slices = p1_partition_function(D, args.K)
+        slices = p1_partition_function(args.degree, args.K)
         rows = []
         eps_val = _eps_value(args)
         for d in sorted(slices):
@@ -337,6 +338,16 @@ def cmd_tables(args):
 # ---------------------------------------------------------------------------
 
 
+# the bounds each verify suite and each table reads; any other option is
+# refused with exit 2
+SUITE_BOUNDS = {"commute": ("N", "weight"), "eigen": ("K", "weight"),
+                "disk": ("K", "weight"), "hirota": ("weight",),
+                "fermion": ("weight",), "hurwitz": ("n", "m"),
+                "p1": ("K", "weight"), "all": ("N", "K", "weight", "n", "m")}
+TABLE_BOUNDS = {"disk": ("weight", "K"), "p1": ("degree", "K", "u0"),
+                "hurwitz": ("n", "m")}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="hopfq",
@@ -345,51 +356,65 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--weight", type=int, default=8,
-                       help="truncation weight W (default 8)")
-        p.add_argument("--N", type=int, default=5,
-                       help="largest Hamiltonian index for sweeps")
-        p.add_argument("--K", type=int, default=3,
-                       help="number of t-slots / eigenvalue index bound")
-        p.add_argument("--format", choices=["text", "json", "csv", "latex"],
-                       default="text")
-        p.add_argument("--cache-dir", type=Path, default=default_cache_dir())
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--no-cache", action="store_true")
+    # flags and add_argument keywords of every option a command may read
+    options = {
+        "weight": (["--weight"], dict(type=int, default=8,
+                                      help="truncation weight W (default 8)")),
+        "N": (["--N"], dict(type=int, default=5,
+                            help="largest Hamiltonian index for sweeps")),
+        "K": (["--K"], dict(type=int, default=3,
+                            help="number of t-slots / eigenvalue index bound")),
+        "n": (["--n"], dict(type=int, default=None,
+                            help="symmetric-group degree")),
+        "m": (["--m"], dict(type=int, default=6,
+                            help="transposition-count bound")),
+        "degree": (["--degree", "--weight"],
+                   dict(dest="degree", type=int, default=8,
+                        help="maximal stable-map degree (default 8)")),
+        "u0": (["--u0"], dict(type=_parse_rational, default=None,
+                              help="rational value for u0 ('symbolic' to "
+                                   "keep)")),
+        "format": (["--format"], dict(choices=["text", "json", "csv", "latex"],
+                                      default="text")),
+        "cache-dir": (["--cache-dir"], dict(type=Path,
+                                            default=default_cache_dir())),
+        "no-cache": (["--no-cache"], dict(action="store_true")),
+        "seed": (["--seed"], dict(type=int, default=0,
+                                  help="seed of the cache spot-check")),
+    }
+
+    def add(p, names, **changes):
+        for name in names:
+            flags, kwargs = options[name]
+            p.add_argument(*flags, **{**kwargs, **changes.get(name, {})})
 
     ph = sub.add_parser("hamiltonian", help="render a Hamiltonian operator")
     ph.add_argument("--n", type=int, required=True)
     ph.add_argument("--naive", action="store_true",
                     help="naive symbol ordering (no corrections)")
-    common(ph)
+    add(ph, ["weight", "format", "cache-dir", "no-cache"],
+        format={"choices": ["text", "json"]})
     ph.set_defaults(func=cmd_hamiltonian)
 
     pv = sub.add_parser("verify", help="run a verification suite")
-    pv.add_argument("suite", choices=["commute", "eigen", "disk", "hirota",
-                                      "fermion", "hurwitz", "p1", "all"])
-    pv.add_argument("--n", type=int, default=None,
-                    help="symmetric-group degree bound (hurwitz)")
-    pv.add_argument("--m", type=int, default=6,
-                    help="transposition-count bound (hurwitz)")
-    common(pv)
-    pv.set_defaults(func=cmd_verify)
+    suites = pv.add_subparsers(dest="suite", required=True)
+    for suite, bounds in SUITE_BOUNDS.items():
+        ps = suites.add_parser(suite)
+        add(ps, bounds + ("cache-dir", "seed", "no-cache"))
+        ps.set_defaults(func=cmd_verify)
 
     pt = sub.add_parser("tables", help="emit a table")
-    pt.add_argument("what", choices=["disk", "p1", "hurwitz"])
-    pt.add_argument("--degree", type=int, default=None,
-                    help="maximal stable-map degree (p1)")
-    pt.add_argument("--n", type=int, default=None)
-    pt.add_argument("--m", type=int, default=4)
-    pt.add_argument("--u0", type=_parse_rational, default=None,
-                    help="rational value for u0 ('symbolic' to keep)")
-    group = pt.add_mutually_exclusive_group()
-    group.add_argument("--hbar", type=_parse_rational, default=None,
-                       help="rational value for hbar")
-    group.add_argument("--eps", type=_parse_rational, default=None,
-                       help="rational value for eps")
-    common(pt)
-    pt.set_defaults(func=cmd_tables)
+    kinds = pt.add_subparsers(dest="what", required=True)
+    for what, bounds in TABLE_BOUNDS.items():
+        pk = kinds.add_parser(what)
+        add(pk, bounds + ("format",), m={"default": 4})
+        if what == "p1":
+            group = pk.add_mutually_exclusive_group()
+            group.add_argument("--hbar", type=_parse_rational, default=None,
+                               help="rational value for hbar")
+            group.add_argument("--eps", type=_parse_rational, default=None,
+                               help="rational value for eps")
+        pk.set_defaults(func=cmd_tables)
     return parser
 
 

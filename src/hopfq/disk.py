@@ -18,7 +18,7 @@ from functools import lru_cache
 from math import factorial
 from typing import NamedTuple
 
-from .fock import FockPolynomial
+from .fock import FockPolynomial, mono_from_partition
 from .hamiltonians import (eigenvalue_closed_form,
                            hamiltonian_generating_coefficients,
                            vacuum_constant, verify_eigenvectors)
@@ -65,8 +65,7 @@ def disk_potential(W, K):
 
 def _flip_eps(c):
     """The scalar c with eps -> -eps."""
-    return ExactScalar({(e, u): -v if e % 2 else v
-                        for (e, u), v in c.terms.items()})
+    return c.remap(lambda key, v: (key, -v if key[0] % 2 else v))
 
 
 def integer_hbar_check(pot):
@@ -83,8 +82,7 @@ def integer_hbar_check(pot):
         if lam < mate:
             continue
         twin = pot.amplitudes[mate]
-        flipped = FockPolynomial({m: _flip_eps(c) for m, c in
-                                  amp.polynomial_part().terms.items()})
+        flipped = amp.polynomial_part().remap(lambda m, c: (m, _flip_eps(c)))
         if (flipped != twin.polynomial_part()
                 or tuple(map(_flip_eps, amp.exponents)) != twin.exponents):
             return False
@@ -366,9 +364,7 @@ def hurwitz_match_report(W, M):
         if n == 0:
             continue
         for mu in partitions_of(n):
-            mono = tuple((k, sum(1 for x in mu if x == k))
-                         for k in sorted(set(mu)))
-            got = poly.coefficient(mono)
+            got = poly.coefficient(mono_from_partition(mu))
             want = hurwitz_oracle(n, m, mu)
             checked += 1
             if got != ExactScalar.from_rational(want):

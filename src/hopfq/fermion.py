@@ -121,13 +121,7 @@ class FermionVector(SparseSum):
         return cls({state: coeff})
 
     def __mul__(self, coeff):
-        coeff = _as_poly(coeff)
-        result = {}
-        for s, c in self.terms.items():
-            prod = c * coeff
-            if not prod.is_zero():
-                result[s] = prod
-        return FermionVector(result)
+        return self.scaled(_as_poly(coeff))
 
     __rmul__ = __mul__
 
@@ -148,57 +142,36 @@ class FermionVector(SparseSum):
 # generator actions
 
 
-def _psi_state(state, m):
-    """Insert slot m; returns (sign, state) or None."""
-    if state.occupied(m):
-        return None
-    sign = -1 if state.position(m) % 2 else 1
-    if m >= 1:
-        new = WedgeState(tuple(sorted(state.added + (m,), reverse=True)),
-                         state.removed)
-    else:
-        removed = tuple(r for r in state.removed if r != m)
-        if len(removed) == len(state.removed):
-            raise AssertionError("slot bookkeeping broken")
-        new = WedgeState(state.added, removed)
-    return sign, new
+def _toggle(slots, m):
+    """The decreasing tuple slots with m removed if present, else inserted."""
+    if m in slots:
+        return tuple(s for s in slots if s != m)
+    return tuple(sorted(slots + (m,), reverse=True))
 
 
-def _psi_star_state(state, m):
-    """Remove slot m; returns (sign, state) or None."""
-    if not state.occupied(m):
-        return None
-    sign = -1 if state.position(m) % 2 else 1
+def _flip(state, coeff, m):
+    """The term coeff |state> with slot m toggled: (new state, coefficient),
+    the sign (-1)^(number of occupied slots above m) carried by the
+    coefficient."""
+    if state.position(m) % 2:
+        coeff = -coeff
     if m >= 1:
-        new = WedgeState(tuple(a for a in state.added if a != m), state.removed)
-    else:
-        new = WedgeState(state.added,
-                         tuple(sorted(state.removed + (m,), reverse=True)))
-    return sign, new
+        return WedgeState(_toggle(state.added, m), state.removed), coeff
+    return WedgeState(state.added, _toggle(state.removed, m)), coeff
 
 
 def psi(k, vector):
     """Wedge insertion psi_k = e_k wedge (exterior multiplication)."""
     m = _to_m(k)
-    result = {}
-    for state, c in vector.terms.items():
-        hit = _psi_state(state, m)
-        if hit:
-            sign, new = hit
-            add_into(result, new, c * sign)
-    return FermionVector(result)
+    return vector.remap(
+        lambda state, c: None if state.occupied(m) else _flip(state, c, m))
 
 
 def psi_star(k, vector):
     """Interior derivative psi_k* = d/de_k."""
     m = _to_m(k)
-    result = {}
-    for state, c in vector.terms.items():
-        hit = _psi_star_state(state, m)
-        if hit:
-            sign, new = hit
-            add_into(result, new, c * sign)
-    return FermionVector(result)
+    return vector.remap(
+        lambda state, c: _flip(state, c, m) if state.occupied(m) else None)
 
 
 def state_of_partition(partition):
@@ -227,11 +200,8 @@ def shift_operator(n, vector):
                     if m not in state.removed]
         for src in sources:
             dst = src - n
-            if state.occupied(dst):
-                continue
-            s1, mid = _psi_star_state(state, src)
-            s2, new = _psi_state(mid, dst)
-            add_into(result, new, c * (s1 * s2))
+            if not state.occupied(dst):
+                add_into(result, *_flip(*_flip(state, c, src), dst))
     return FermionVector(result)
 
 
@@ -310,29 +280,23 @@ def dressed_fermion_check(k, max_energy):
     for lam in partitions_upto(max_energy):
         state = state_for_partition_label(lam)
         base = FermionVector.basis(state)
-
-        # insertion: psi_{k-m} is nonzero only while the target slot can be
-        # unoccupied, i.e. down to the lowest vacated Dirac-sea slot
-        lhs = exp_K(psi(k, exp_K(base, inverse=True)))
-        rhs = FermionVector.zero()
+        conjugated = exp_K(base, inverse=True)
+        # psi_{k-m} is nonzero only while its slot can be unoccupied, down to
+        # the lowest vacated Dirac-sea slot; psi*_{k+m} only up to the
+        # highest occupied slot
         floor = min(state.removed, default=1)
-        for shift in range(max(0, m_slot - floor) + 1):
-            lowered = psi(k - shift, base)
-            if lowered:
-                rhs = rhs + lowered * complete_homogeneous(shift)
-        if lhs != rhs:
-            return False
-
-        # removal: psi*_{k+m} is nonzero only up to the highest occupied slot
-        lhs = exp_K(psi_star(k, exp_K(base, inverse=True)))
-        rhs = FermionVector.zero()
         top = max(state.added, default=0)
-        for shift in range(max(-1, max(top, 0) - m_slot) + 1):
-            raised = psi_star(k + shift, base)
-            if raised:
-                rhs = rhs + raised * complete_homogeneous(shift).map_variables(-1)
-        if lhs != rhs:
-            return False
+        for op, step, shifts, sign in (
+                (psi, -1, max(0, m_slot - floor) + 1, 1),
+                (psi_star, 1, max(-1, max(top, 0) - m_slot) + 1, -1)):
+            rhs = FermionVector.zero()
+            for shift in range(shifts):
+                moved = op(k + step * shift, base)
+                if moved:
+                    h = complete_homogeneous(shift).map_variables(sign)
+                    rhs = rhs + moved * h
+            if exp_K(op(k, conjugated)) != rhs:
+                return False
     return True
 
 

@@ -103,17 +103,10 @@ class FockPolynomial(SparseSum):
         return self.terms.get(tuple(mono), ExactScalar.zero())
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = ExactScalar.from_rational(other)
-        if isinstance(other, ExactScalar):
-            if other.is_zero():
-                return FockPolynomial()
-            return FockPolynomial({m: c * other for m, c in self.terms.items()})
-        result = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                add_into(result, mono_mul(m1, m2), c1 * c2)
-        return FockPolynomial(result)
+        """Ring product, or scaling by an ExactScalar or a rational."""
+        if isinstance(other, FockPolynomial):
+            return self.product(other, mono_mul)
+        return self.scaled(other)
 
     __rmul__ = __mul__
 
@@ -122,20 +115,11 @@ class FockPolynomial(SparseSum):
         uniform substitutions q_k -> s * q_k (e.g. s = -1 or s = 1/eps)."""
         if isinstance(scalar_per_factor, (int, Fraction)):
             scalar_per_factor = ExactScalar.from_rational(scalar_per_factor)
-        result = {}
-        for m, c in self.terms.items():
-            scaled = c * scalar_per_factor ** mono_degree(m)
-            if not scaled.is_zero():
-                result[m] = scaled
-        return FockPolynomial(result)
+        return self.remap(
+            lambda m, c: (m, c * scalar_per_factor ** mono_degree(m)))
 
     def substitute_scalars(self, eps=None, u0=None):
-        result = {}
-        for m, c in self.terms.items():
-            c = c.substitute(eps=eps, u0=u0)
-            if not c.is_zero():
-                result[m] = c
-        return FockPolynomial(result)
+        return self.remap(lambda m, c: (m, c.substitute(eps=eps, u0=u0)))
 
     def weights(self):
         return sorted({mono_weight(m) for m in self.terms})
@@ -205,21 +189,11 @@ class NormalOrderedOperator(SparseSum):
     def coefficient(self, alpha, beta):
         return self.terms.get((tuple(alpha), tuple(beta)), ExactScalar.zero())
 
-    def __mul__(self, scalar):
-        if isinstance(scalar, (int, Fraction)):
-            scalar = ExactScalar.from_rational(scalar)
-        if scalar.is_zero():
-            return NormalOrderedOperator()
-        return NormalOrderedOperator({k: c * scalar for k, c in self.terms.items()})
-
-    __rmul__ = __mul__
+    __mul__ = __rmul__ = SparseSum.scaled
 
     def transpose(self):
         """Swap creation and annihilation multi-indices in every term."""
-        result = {}
-        for (alpha, beta), c in self.terms.items():
-            add_into(result, (beta, alpha), c)
-        return NormalOrderedOperator(result)
+        return self.remap(lambda key, c: (key[::-1], c))
 
     def is_weight_preserving(self):
         return all(mono_weight(a) == mono_weight(b) for a, b in self.terms)

@@ -44,16 +44,9 @@ class Laurent(SparseSum):
     def __mul__(self, other):
         """Ring product with another Laurent, or scaling by an ExactScalar
         or a rational."""
-        if not isinstance(other, Laurent):
-            if not other:
-                return Laurent()
-            return Laurent({e: c * other for e, c in self.terms.items()})
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(sum, itertools.zip_longest(e1, e2, fillvalue=0)))
-                add_into(terms, e, c1 * c2)
-        return Laurent(terms)
+        if isinstance(other, Laurent):
+            return self.product(other, _add_exponents)
+        return self.scaled(other)
 
     def render(self):
         if not self.terms:
@@ -65,6 +58,11 @@ class Laurent(SparseSum):
             factors += [f"v{i}^{p}" for i, p in enumerate(e) if p]
             parts.append(" * ".join(factors))
         return " + ".join(parts)
+
+
+def _add_exponents(e1, e2):
+    """The exponent tuple of a product of two v-monomials."""
+    return tuple(map(sum, itertools.zip_longest(e1, e2, fillvalue=0)))
 
 
 def vl_constant(scalar):
@@ -295,11 +293,8 @@ def kp_bilinear_check(which, tau):
 def _d_tilde_substitution(j, eps=None):
     """h_j with q_k -> eps * k * D_k (as a FockPolynomial in D-symbols)."""
     e = ExactScalar.eps() if eps is None else ExactScalar.from_rational(eps)
-    terms = {}
-    for mono, c in complete_homogeneous(j).terms.items():
-        add_into(terms, mono,
-                 c * prod(k ** a for k, a in mono) * e ** mono_degree(mono))
-    return FockPolynomial(terms)
+    return complete_homogeneous(j).remap(lambda mono, c: (
+        mono, c * prod(k ** a for k, a in mono) * e ** mono_degree(mono)))
 
 
 def generating_identity_coefficients(y_order, y_vars=4, eps=None):
@@ -343,8 +338,7 @@ def _y_tuples(n, max_total):
 
 def _drop_odd(P):
     """Remove odd-total-degree D-monomials (they annihilate any f.f)."""
-    return FockPolynomial({m: c for m, c in P.terms.items()
-                           if mono_degree(m) % 2 == 0})
+    return P.remap(lambda m, c: None if mono_degree(m) % 2 else (m, c))
 
 
 def kp_hierarchy_check(tau, y_order=2, y_vars=4):

@@ -5,9 +5,11 @@ parameter hbar represented as eps^2 throughout (half-integer hbar powers occur
 in the disk amplitudes, so eps is the primitive variable).  `SparseSum` and
 `add_into` hold the sum-of-terms rule shared by every coefficient map in the
 package: scalars, Fock polynomials, operators, wedge vectors and tau
-coefficients.  Also provides Bernoulli numbers, truncated power series over
-Q, the two series s(t) = sinh(t/2)/(t/2) and 1/s(t) that govern the quantum
-corrections, and `lift`, which attaches u0 and eps to a series in t = eps z.
+coefficients; `SparseSum.remap`, `scaled` and `product` are its one
+term-by-term map, scaling and ring product.  Also provides Bernoulli
+numbers, truncated power series over Q, the two series s(t) =
+sinh(t/2)/(t/2) and 1/s(t) that govern the quantum corrections, and `lift`,
+which attaches u0 and eps to a series in t = eps z.
 """
 
 from __future__ import annotations
@@ -72,6 +74,37 @@ class SparseSum:
 
     def __sub__(self, other):
         return self + (-other)
+
+    def remap(self, fn):
+        """The sum of fn(key, coefficient) over the terms, where fn returns a
+        (key, coefficient) pair, or None to drop the term.  Terms that land
+        on one key are summed through `add_into`."""
+        terms = {}
+        for key, value in self.terms.items():
+            term = fn(key, value)
+            if term is not None:
+                add_into(terms, *term)
+        return type(self)(terms)
+
+    def scaled(self, c):
+        """Every coefficient times c; the coefficient rings have no zero
+        divisors, so only c = 0 makes a term vanish."""
+        if not c:
+            return type(self)()
+        return type(self)({k: v * c for k, v in self.terms.items()})
+
+    def product(self, other, key_mul):
+        """Ring product, the keys of two terms combined by key_mul."""
+        terms = {}
+        for k1, v1 in self.terms.items():
+            for k2, v2 in other.terms.items():
+                add_into(terms, key_mul(k1, k2), v1 * v2)
+        return type(self)(terms)
+
+
+def _add_pairs(a, b):
+    """The (eps power, u0 power) key of a product of two monomials."""
+    return a[0] + b[0], a[1] + b[1]
 
 
 class ExactScalar(SparseSum):
@@ -144,16 +177,10 @@ class ExactScalar(SparseSum):
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return ExactScalar()
-            return ExactScalar({k: v * other for k, v in self.terms.items()})
+            return self.scaled(other)
         if not isinstance(other, ExactScalar):
             return NotImplemented
-        result = {}
-        for (e1, u1), v1 in self.terms.items():
-            for (e2, u2), v2 in other.terms.items():
-                add_into(result, (e1 + e2, u1 + u2), v1 * v2)
-        return ExactScalar(result)
+        return self.product(other, _add_pairs)
 
     __rmul__ = __mul__
 
@@ -173,12 +200,12 @@ class ExactScalar(SparseSum):
 
     def shift_eps(self, power):
         """Multiply by eps^power (power may be negative)."""
-        return ExactScalar({(e + power, u): v for (e, u), v in self.terms.items()})
+        return self.remap(lambda key, v: ((key[0] + power, key[1]), v))
 
     def substitute(self, eps=None, u0=None):
         """Substitution homomorphism eps -> rational and/or u0 -> rational."""
-        result = {}
-        for (e, u), v in self.terms.items():
+        def point(key, v):
+            e, u = key
             if eps is not None:
                 if eps == 0 and e < 0:
                     raise ZeroDivisionError("negative eps power at eps=0")
@@ -187,8 +214,8 @@ class ExactScalar(SparseSum):
             if u0 is not None:
                 v = v * Fraction(u0) ** u
                 u = 0
-            add_into(result, (e, u), v)
-        return ExactScalar(result)
+            return (e, u), v
+        return self.remap(point)
 
     def as_fraction(self):
         """Value as a rational; raises if eps or u0 survive."""

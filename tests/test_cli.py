@@ -159,6 +159,32 @@ def test_specialisation_flags_only_on_tables(argv, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["hamiltonian", "--n", "1", "--weight", "2", "--K", "2"],
+    ["hamiltonian", "--n", "1", "--weight", "2", "--format", "csv"],
+    ["verify", "hirota", "--weight", "2", "--N", "9"],
+    ["verify", "hurwitz", "--n", "2", "--m", "1", "--weight", "4"],
+    ["verify", "commute", "--N", "1", "--weight", "2", "--format", "json"],
+    ["tables", "hurwitz", "--n", "2", "--m", "1", "--u0", "1"],
+    ["tables", "disk", "--weight", "1", "--K", "1", "--no-cache"],
+], ids=" ".join)
+def test_options_a_command_does_not_read_are_refused(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_verify_fermion_reports_the_dressed_bounds(capsys):
+    code, out = run(["verify", "fermion", "--weight", "2", "--no-cache"],
+                    capsys)
+    assert code == 0
+    detail = json.loads(out)["fermion"]["detail"]
+    assert detail["effective_bounds"] == {"weight": 2}
+    assert detail["dressed_fermion_bounds"] == {
+        "energy": 3, "k": ["-3/2", "-1/2", "1/2", "3/2"]}
+
+
 def test_verify_hirota_reports_vacuous_checks_as_skipped(capsys):
     code, out = run(["verify", "hirota", "--weight", "4", "--no-cache"],
                     capsys)
@@ -203,8 +229,7 @@ def test_operator_cache_roundtrip(tmp_path, capsys):
 
 
 def test_tables_disk_text(capsys):
-    code, out = run(["tables", "disk", "--weight", "1", "--K", "1",
-                     "--no-cache"], capsys)
+    code, out = run(["tables", "disk", "--weight", "1", "--K", "1"], capsys)
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0].startswith("partition")
@@ -213,7 +238,7 @@ def test_tables_disk_text(capsys):
 
 def test_tables_hurwitz_csv(capsys):
     code, out = run(["tables", "hurwitz", "--n", "3", "--m", "2",
-                     "--format", "csv", "--no-cache"], capsys)
+                     "--format", "csv"], capsys)
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "n,m,cycle_type,count_over_nfact"
@@ -222,7 +247,7 @@ def test_tables_hurwitz_csv(capsys):
 
 def test_tables_p1_json(capsys):
     code, out = run(["tables", "p1", "--degree", "2", "--K", "1", "--u0", "0",
-                     "--hbar", "1", "--format", "json", "--no-cache"], capsys)
+                     "--hbar", "1", "--format", "json"], capsys)
     assert code == 0
     rows = json.loads(out)
     degree2 = [r for r in rows if r["degree"] == 2]
@@ -246,7 +271,8 @@ DEGENERATE_BOUNDS = [
 
 @pytest.mark.parametrize("argv", DEGENERATE_BOUNDS, ids=" ".join)
 def test_degenerate_bounds_are_refused(argv, capsys):
-    code = main(argv + ["--no-cache"])
+    # tables never reads the operator cache, so it refuses --no-cache
+    code = main(argv + ([] if argv[0] == "tables" else ["--no-cache"]))
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
@@ -255,7 +281,7 @@ def test_degenerate_bounds_are_refused(argv, capsys):
 
 def test_hbar_square_root_refusal(capsys):
     code, _ = run(["tables", "p1", "--degree", "1", "--K", "1",
-                   "--hbar", "2", "--no-cache"], capsys)
+                   "--hbar", "2"], capsys)
     assert code == 2
 
 

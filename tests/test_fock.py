@@ -69,6 +69,12 @@ def test_transpose_involution(op):
     assert op.transpose().transpose() == op
 
 
+def test_substitute_scalars_drops_vanishing_monomials():
+    u0 = ExactScalar.u0()
+    p = FockPolynomial({((1, 1),): u0 - 1, ((2, 1),): u0})
+    assert p.substitute_scalars(u0=1).terms == {((2, 1),): ExactScalar.one()}
+
+
 def test_degree_operator():
     op = degree_operator(6)
     f = FockPolynomial.monomial(((1, 1), (2, 2)))

@@ -56,6 +56,21 @@ def test_monomial_and_accessors():
     assert ExactScalar.hbar(Fraction(1, 2)) == ExactScalar.eps(1)
 
 
+def test_substitute_sums_terms_that_meet_and_stores_no_zero():
+    u0 = ExactScalar.u0()
+    assert (u0 + 1).substitute(u0=2) == 3
+    assert (u0 - 1).substitute(u0=1).terms == {}
+    assert (ExactScalar.eps() + ExactScalar.eps(2)).substitute(eps=-1).terms \
+        == {}
+
+
+def test_scaling_by_zero_leaves_no_term():
+    a = ExactScalar.eps() + 2
+    for zero in (0, Fraction(0), ExactScalar.zero()):
+        assert (a * zero).terms == {}
+        assert (zero * a).terms == {}
+
+
 def test_as_fraction_guards():
     assert ExactScalar.from_rational(5).as_fraction() == 5
     try:
