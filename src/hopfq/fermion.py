@@ -286,14 +286,14 @@ def dressed_fermion_check(k, max_energy):
         # highest occupied slot
         floor = min(state.removed, default=1)
         top = max(state.added, default=0)
-        for op, step, shifts, sign in (
+        for op, step, shifts, q_sign in (
                 (psi, -1, max(0, m_slot - floor) + 1, 1),
                 (psi_star, 1, max(-1, max(top, 0) - m_slot) + 1, -1)):
             rhs = FermionVector.zero()
             for shift in range(shifts):
                 moved = op(k + step * shift, base)
                 if moved:
-                    h = complete_homogeneous(shift).map_variables(sign)
+                    h = complete_homogeneous(shift).map_variables(q_sign)
                     rhs = rhs + moved * h
             if exp_K(op(k, conjugated)) != rhs:
                 return False
