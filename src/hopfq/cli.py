@@ -212,14 +212,17 @@ def _suite_tasks(args):
         return all(ok is not False for ok in verdicts), report
 
     def fermion():
-        from .fermion import (FermionVector, boson_fermion_map,
-                              dressed_fermion_check, state_for_partition_label)
+        from .fermion import (dressed_fermion_check,
+                              state_for_partition_label, vacuum_amplitude)
         from .partitions import partitions_upto
-        from .schur import schur
-        ok = all(
-            boson_fermion_map(FermionVector.basis(state_for_partition_label(lam)))
-            == schur(lam)
-            for lam in partitions_upto(W))
+        from .schur import character
+        # the boson-fermion map sends |lambda> to s_lambda exactly when
+        # <0| alpha_mu |lambda> = chi^lambda(mu) for every mu of |lambda|
+        memo = {}
+        ok = all(vacuum_amplitude(mu, state_for_partition_label(lam), memo)
+                 == character(lam, mu)
+                 for lam in partitions_upto(W)
+                 for mu in partitions_of(sum(lam)))
         # the dressed-fermion identities run at fixed bounds, whatever W is
         energy, modes = 3, [Fraction(j, 2) for j in (-3, -1, 1, 3)]
         ok = ok and all(dressed_fermion_check(k, energy) for k in modes)
@@ -394,14 +397,14 @@ def build_parser():
                     help="naive symbol ordering (no corrections)")
     add(ph, ["weight", "format", "cache-dir", "no-cache"],
         format={"choices": ["text", "json"]})
-    ph.set_defaults(func=cmd_hamiltonian)
+    ph.set_defaults(func=cmd_hamiltonian, subparser=ph)
 
     pv = sub.add_parser("verify", help="run a verification suite")
     suites = pv.add_subparsers(dest="suite", required=True)
     for suite, bounds in SUITE_BOUNDS.items():
         ps = suites.add_parser(suite)
         add(ps, bounds + ("cache-dir", "seed", "no-cache"))
-        ps.set_defaults(func=cmd_verify)
+        ps.set_defaults(func=cmd_verify, subparser=ps)
 
     pt = sub.add_parser("tables", help="emit a table")
     kinds = pt.add_subparsers(dest="what", required=True)
@@ -414,13 +417,15 @@ def build_parser():
                                help="rational value for hbar")
             group.add_argument("--eps", type=_parse_rational, default=None,
                                help="rational value for eps")
-        pk.set_defaults(func=cmd_tables)
+        pk.set_defaults(func=cmd_tables, subparser=pk)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unread = build_parser().parse_known_args(argv)
+    if unread:
+        # refused through the chosen command, so its usage shows its options
+        args.subparser.error(f"unrecognized arguments: {' '.join(unread)}")
     try:
         return args.func(args)
     except ValueError as ex:

@@ -6,9 +6,21 @@ vacuum occupies every m <= 0.  A wedge state is the pair of finite deviations
 strictly decreasing wedge order so every insertion or removal counts its
 transpositions exactly.  Charge-zero states are in bijection with partitions
 (Maya diagrams), and the whole module serves as an independent oracle for the
-Schur eigenbasis: the boson-fermion map, the diagonal operator
-O(z) = sum_k e^{kz} :psi_k psi_k*:, and the dressed-fermion conjugation
-identities are all evaluated exactly.
+Schur eigenbasis.  Every coefficient is an integer or a rational, and every
+sign comes from `_flip`:
+
+- the bosonic modes alpha_n = sum_j psi_j psi*_{j+n} (n >= 1) commute, so the
+  boson-fermion map <0| e^{K(q)} |lambda> has q^mu-coefficient
+  <0| alpha_mu |lambda> / z_mu; it sends |lambda> to s_lambda exactly when
+  the integer <0| alpha_mu |lambda> equals chi^lambda(mu);
+- the dressed-fermion identities follow from e^{ad K} and the commutators
+  [alpha_n, psi_k] = psi_{k-n}, [alpha_n, psi*_k] = -psi*_{k+n}, checked on
+  the states swept together with [alpha_n, alpha_m] = 0;
+- the diagonal operator O(z) = sum_k e^{kz} :psi_k psi_k*: is read off the
+  Maya diagram.
+
+The expansion of e^{K(q)} with polynomial coefficients, which these
+identities replace, is kept in the tests as their oracle.
 """
 
 from __future__ import annotations
@@ -17,10 +29,11 @@ from fractions import Fraction
 from math import factorial
 from typing import NamedTuple
 
-from .fock import FockPolynomial
-from .partitions import frobenius
-from .scalars import SparseSum, UnivariateSeries, add_into, inv_s_series, lift
-from .schur import complete_homogeneous
+from .fock import FockPolynomial, mono_from_partition
+from .partitions import frobenius, partitions_of, partitions_upto
+from .scalars import (ExactScalar, SparseSum, UnivariateSeries, add_into,
+                      inv_s_series, lift)
+from .schur import centralizer_size
 
 
 def _to_m(k):
@@ -33,12 +46,6 @@ def _to_m(k):
 
 def _to_k(m):
     return Fraction(2 * m - 1, 2)
-
-
-def _as_poly(coeff):
-    if isinstance(coeff, FockPolynomial):
-        return coeff
-    return FockPolynomial.constant(coeff)
 
 
 class WedgeState(NamedTuple):
@@ -82,12 +89,6 @@ class WedgeState(NamedTuple):
             rows.append(lam)
         return tuple(rows)
 
-    def render(self):
-        from .partitions import render
-        if self.charge == 0:
-            return render(self.partition())
-        return f"charge={self.charge}, added={self.added}, removed={self.removed}"
-
 
 VACUUM = WedgeState((), ())
 
@@ -103,9 +104,8 @@ def state_for_partition_label(partition):
 
 
 class FermionVector(SparseSum):
-    """Finite linear combination of wedge states with FockPolynomial
-    coefficients (polynomials in the bosonic q-variables appear while
-    expanding e^{K(q)})."""
+    """Finite linear combination of wedge states; the package's
+    coefficients are integers or rationals."""
 
     __slots__ = ()
 
@@ -114,28 +114,8 @@ class FermionVector(SparseSum):
         return cls.basis(VACUUM)
 
     @classmethod
-    def basis(cls, state, coeff=None):
-        coeff = FockPolynomial.one() if coeff is None else _as_poly(coeff)
-        if coeff.is_zero():
-            return cls()
-        return cls({state: coeff})
-
-    def __mul__(self, coeff):
-        return self.scaled(_as_poly(coeff))
-
-    __rmul__ = __mul__
-
-    def coefficient(self, state):
-        return self.terms.get(state, FockPolynomial.zero())
-
-    def max_energy(self):
-        return max((s.energy() for s in self.terms), default=0)
-
-    def render(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(f"({c.render()}) |{s.render()}>"
-                          for s, c in sorted(self.terms.items()))
+    def basis(cls, state, coeff=1):
+        return cls({state: coeff} if coeff else None)
 
 
 # ---------------------------------------------------------------------------
@@ -191,63 +171,48 @@ def state_of_partition(partition):
 # boson-fermion correspondence
 
 
-def shift_operator(n, vector):
-    """sum_j :psi_j psi*_{j+n}: for n >= 1 (the q_n-component of K)."""
-    result = {}
-    for state, c in vector.terms.items():
-        sources = list(state.added)
-        sources += [m for m in range(0, min(state.removed, default=1) - 1 - n, -1)
-                    if m not in state.removed]
-        for src in sources:
-            dst = src - n
-            if not state.occupied(dst):
-                add_into(result, *_flip(*_flip(state, c, src), dst))
-    return FermionVector(result)
+def alpha(n, state):
+    """alpha_n = sum_j psi_j psi*_{j+n} (n >= 1) on one state, as
+    {state: +-1}: every term moves an occupied slot m to the free slot
+    m - n.  No term needs normal ordering, so this holds at every charge."""
+    floor = min(state.removed, default=1)
+    # a sea slot m can only move to a vacated slot, so m - n >= floor
+    sea = (m for m in range(0, floor + n - 1, -1) if m not in state.removed)
+    return dict(_flip(*_flip(state, 1, m), m - n)
+                for m in state.added + tuple(sea)
+                if not state.occupied(m - n))
 
 
-def apply_K(vector):
-    """K(q) = sum_{n >= 1} (q_n / n) sum_j :psi_j psi*_{j+n}:.
-
-    Strictly lowers the energy grading, so repeated application terminates.
-    """
-    result = FermionVector.zero()
-    for state, c in vector.terms.items():
-        ceiling = state.energy() - _min_energy(state.charge)
-        single = FermionVector.basis(state, c)
-        for n in range(1, ceiling + 1):
-            moved = shift_operator(n, single)
-            if moved:
-                result = result + moved * (FockPolynomial.variable(n) * Fraction(1, n))
-    return result
+def _apply_alpha(n, vector):
+    return sum((FermionVector(alpha(n, state)).scaled(c)
+                for state, c in vector.terms.items()), FermionVector())
 
 
-def _min_energy(charge):
-    # lowest energy in the charge sector: slots packed against the Dirac sea
-    # (charge +c adds slots 1..c, charge -c vacates slots 0, -1, ..., 1-c)
-    if charge >= 0:
-        return charge * (charge + 1) // 2
-    return -charge * (-charge - 1) // 2
-
-
-def exp_K(vector, inverse=False):
-    """e^{K(q)} (or e^{-K(q)}) applied by the finite nilpotent expansion."""
-    total = vector
-    power = vector
-    order = 0
-    while power:
-        order += 1
-        power = apply_K(power)
-        if inverse and order % 2:
-            total = total - power * Fraction(1, factorial(order))
-        else:
-            total = total + power * Fraction(1, factorial(order))
-    return total
+def vacuum_amplitude(mu, state, memo):
+    """The integer <0| alpha_mu |state>, applying alpha_{mu_1} first; memo
+    holds it per (state, suffix of mu) across the calls that share it."""
+    if not mu:
+        return int(state == VACUUM)
+    key = (state, mu)
+    if key not in memo:
+        memo[key] = sum(c * vacuum_amplitude(mu[1:], moved, memo)
+                        for moved, c in alpha(mu[0], state).items())
+    return memo[key]
 
 
 def boson_fermion_map(vector):
-    """Phi(xi |0>) = <0| e^{K(q)} xi |0>: the vacuum coefficient of the
-    exponentiated shift action, a polynomial in q."""
-    return exp_K(vector).coefficient(VACUUM)
+    """Phi(v) = <0| e^{K(q)} v with K = sum_{n >= 1} q_n alpha_n / n.  The
+    alpha_n commute, so Phi(v) = sum_mu (q^mu / z_mu) <0| alpha_mu |v>, a
+    polynomial in q; only charge-zero states of energy |mu| contribute."""
+    memo, terms = {}, {}
+    for state, c in vector.terms.items():
+        if state.charge:
+            continue
+        for mu in partitions_of(state.energy()):
+            add_into(terms, mono_from_partition(mu), Fraction(
+                c * vacuum_amplitude(mu, state, memo), centralizer_size(mu)))
+    return FockPolynomial({mono: ExactScalar.from_rational(value)
+                           for mono, value in terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -268,35 +233,41 @@ def diagonal_operator_eigenvalue(partition):
 
 
 def dressed_fermion_check(k, max_energy):
-    """Verify e^{K} psi_k e^{-K} = sum_{m >= 0} h_m(q) psi_{k-m} (and the
-    psi* version with h_m(-q)) on every charge-zero state of energy <= E.
+    """Decide e^{K} psi_k e^{-K} = sum_{m >= 0} h_m(q) psi_{k-m} and
+    e^{K} psi*_k e^{-K} = sum_{m >= 0} h_m(-q) psi*_{k+m} on the span V of
+    the charge-zero states of energy <= E.
 
-    Both sides are finite: the conjugated side because K is energy-lowering,
-    the h-side because psi_{k-m} hits an occupied Dirac-sea slot for large m.
+    K maps V into itself, so by e^{K} X e^{-K} = sum_j (ad K)^j X / j! and
+    exp(sum_n q_n z^n / n) = sum_m h_m z^m both identities hold on V once
+    [alpha_n, psi_k'] = psi_{k'-n} and [alpha_n, psi*_k'] = -psi*_{k'+n}
+    hold on V at every mode k' = k - s (psi) or k + s (psi*), s >= 0, the
+    expansion reaches.  These are checked for every slot some state of V can
+    toggle (at the others every term vanishes on V) and every
+    n <= E + |slot| (beyond, every term vanishes by energy).  The premise
+    [alpha_n, alpha_m] = 0 behind reading e^{K} monomial by monomial is
+    checked on V too; the check fails if it does not hold.
     """
-    from .partitions import partitions_upto
-    k = Fraction(k)
-    m_slot = _to_m(k)
-    for lam in partitions_upto(max_energy):
-        state = state_for_partition_label(lam)
-        base = FermionVector.basis(state)
-        conjugated = exp_K(base, inverse=True)
-        # psi_{k-m} is nonzero only while its slot can be unoccupied, down to
-        # the lowest vacated Dirac-sea slot; psi*_{k+m} only up to the
-        # highest occupied slot
-        floor = min(state.removed, default=1)
-        top = max(state.added, default=0)
-        for op, step, shifts, q_sign in (
-                (psi, -1, max(0, m_slot - floor) + 1, 1),
-                (psi_star, 1, max(-1, max(top, 0) - m_slot) + 1, -1)):
-            rhs = FermionVector.zero()
-            for shift in range(shifts):
-                moved = op(k + step * shift, base)
-                if moved:
-                    h = complete_homogeneous(shift).map_variables(q_sign)
-                    rhs = rhs + moved * h
-            if exp_K(op(k, conjugated)) != rhs:
+    swept = [state_for_partition_label(lam)
+             for lam in partitions_upto(max_energy)]
+    states = [FermionVector.basis(state) for state in swept]
+    for n in range(1, max_energy + 1):
+        for m in range(n + 1, max_energy + 1):
+            if any(_apply_alpha(n, _apply_alpha(m, v))
+                   != _apply_alpha(m, _apply_alpha(n, v)) for v in states):
                 return False
+    floor = min(min(state.removed, default=1) for state in swept)
+    top = max(max(state.added, default=0) for state in swept)
+    slot = _to_m(k)
+    for op, slots, step, sign in (
+            (psi, range(slot, floor - 1, -1), -1, 1),
+            (psi_star, range(slot, top + 1), 1, -1)):
+        for s in slots:
+            for n in range(1, max_energy + abs(s) + 1):
+                for v in states:
+                    bracket = (_apply_alpha(n, op(_to_k(s), v))
+                               - op(_to_k(s), _apply_alpha(n, v)))
+                    if bracket != op(_to_k(s + step * n), v).scaled(sign):
+                        return False
     return True
 
 

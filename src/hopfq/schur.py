@@ -5,8 +5,9 @@ q^mu = sum_lambda chi^lambda(mu) s_lambda, with chi^lambda(mu) the integer
 character table of S_n (Murnaghan-Nakayama rule) and z_mu the centralizer
 order (Macdonald, Symmetric Functions and Hall Polynomials, I.7).  That one
 table gives both the Schur polynomials and the Schur coefficients of any
-polynomial.  h_k, with sum_k h_k(q) z^k = exp(sum_k q_k z^k / k), serves the
-KP and fermion layers.  The eps-scaled s_lambda(q/eps) (uniform substitution
+polynomial, and `verify fermion` compares it with the wedge integers
+<0| alpha_mu |lambda>.  h_k, with sum_k h_k(q) z^k = exp(sum_k q_k z^k / k),
+serves the KP layer.  The eps-scaled s_lambda(q/eps) (uniform substitution
 q_k -> q_k / eps) is the eigenvector family of the quantum Hamiltonians.
 """
 

@@ -175,6 +175,22 @@ def test_options_a_command_does_not_read_are_refused(argv, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("command, refused", [
+    ("verify hurwitz", "--weight 3"),
+    ("tables disk", "--no-cache"),
+    ("hamiltonian --n 1", "--K 2"),
+])
+def test_a_refused_option_prints_its_command_usage(command, refused, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(command.split() + refused.split())
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage = "usage: hopfq " + command.split(" --")[0] + " ["
+    assert captured.err.startswith(usage)
+    assert f"error: unrecognized arguments: {refused}" in captured.err
+
+
 def test_verify_fermion_reports_the_dressed_bounds(capsys):
     code, out = run(["verify", "fermion", "--weight", "2", "--no-cache"],
                     capsys)

@@ -1,12 +1,14 @@
 """Semi-infinite wedge model and the boson-fermion correspondence."""
 
 from fractions import Fraction
+from math import factorial
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfq.fermion import (FermionVector, WedgeState, boson_fermion_map,
-                           diagonal_operator_eigenvalue,
+import hopfq.fermion
+from hopfq.fermion import (VACUUM, FermionVector, WedgeState, _flip, alpha,
+                           boson_fermion_map, diagonal_operator_eigenvalue,
                            dressed_fermion_check,
                            fermionic_hamiltonian_eigenvalue_series, psi,
                            psi_star, state_for_partition_label,
@@ -14,7 +16,8 @@ from hopfq.fermion import (FermionVector, WedgeState, boson_fermion_map,
 from hopfq.fock import FockPolynomial
 from hopfq.hamiltonians import eigenvalue_series, exponential_row_form
 from hopfq.partitions import b_sign_exponent, partitions_of, partitions_upto
-from hopfq.schur import schur
+from hopfq.scalars import add_into
+from hopfq.schur import complete_homogeneous, schur
 
 half_integers = st.integers(-4, 4).map(lambda n: Fraction(2 * n + 1, 2))
 labels = st.integers(0, 5).flatmap(
@@ -53,7 +56,7 @@ def test_creation_string_reaches_maya_state_with_sign():
         (state, coeff), = vec.terms.items()
         assert state == state_for_partition_label(lam)
         sign = (-1) ** b_sign_exponent(lam)
-        assert coeff == FockPolynomial.constant(sign)
+        assert coeff == sign
 
 
 def test_boson_fermion_map_gives_schur():
@@ -90,3 +93,148 @@ def test_nonzero_charge_states():
     (state, _), = v.terms.items()
     assert state.charge == -1 and state.energy() == 2
     assert isinstance(state, WedgeState)
+
+
+def test_psi_sign_counts_the_occupied_slots_above():
+    # |lambda> occupies the slots lambda_i - i + 1, i >= 1 (lambda_i = 0
+    # past the last row); psi_k puts (-1)^(slots above k + 1/2) in front
+    for lam in partitions_upto(4):
+        v = FermionVector.basis(state_for_partition_label(lam))
+        rows = lam + (0,) * 6
+        slots = [rows[i] - i for i in range(len(rows))]
+        for m in range(-3, 5):
+            (_, coeff), = (psi(Fraction(2 * m - 1, 2), v).terms.items()
+                           or [(None, None)])
+            if m in slots:
+                assert coeff is None
+            else:
+                assert coeff == (-1) ** sum(s > m for s in slots)
+
+
+def test_dressed_check_refuses_noncommuting_modes(monkeypatch):
+    # with alpha_2 sign-twisted by the energy parity, alpha_1 and alpha_2 no
+    # longer commute; the check must say so before reaching the commutators
+    def twisted(n, state):
+        sign = -1 if n == 2 and state.energy() % 2 else 1
+        return {s: sign * c for s, c in alpha(n, state).items()}
+
+    def unreachable(k, vector):
+        raise AssertionError("commutators checked after a failed premise")
+
+    monkeypatch.setattr(hopfq.fermion, "alpha", twisted)
+    monkeypatch.setattr(hopfq.fermion, "psi", unreachable)
+    monkeypatch.setattr(hopfq.fermion, "psi_star", unreachable)
+    assert dressed_fermion_check(Fraction(1, 2), 3) is False
+
+
+# ---------------------------------------------------------------------------
+# oracle: e^{K(q)} expanded on wedge states with FockPolynomial coefficients
+
+
+def shift_operator(n, vector):
+    """sum_j :psi_j psi*_{j+n}: for n >= 1 (the q_n-component of K)."""
+    result = {}
+    for state, c in vector.terms.items():
+        sources = list(state.added)
+        sources += [m for m in range(0, min(state.removed, default=1) - 1 - n,
+                                     -1)
+                    if m not in state.removed]
+        for src in sources:
+            dst = src - n
+            if not state.occupied(dst):
+                add_into(result, *_flip(*_flip(state, c, src), dst))
+    return FermionVector(result)
+
+
+def _min_energy(charge):
+    # lowest energy in the charge sector: slots packed against the Dirac sea
+    # (charge +c adds slots 1..c, charge -c vacates slots 0, -1, ..., 1-c)
+    if charge >= 0:
+        return charge * (charge + 1) // 2
+    return -charge * (-charge - 1) // 2
+
+
+def apply_K(vector):
+    """K(q) = sum_{n >= 1} (q_n / n) sum_j :psi_j psi*_{j+n}:; strictly
+    lowers the energy grading, so repeated application terminates."""
+    result = FermionVector.zero()
+    for state, c in vector.terms.items():
+        single = FermionVector.basis(state, c)
+        for n in range(1, state.energy() - _min_energy(state.charge) + 1):
+            moved = shift_operator(n, single)
+            result = result + moved.scaled(
+                FockPolynomial.variable(n) * Fraction(1, n))
+    return result
+
+
+def exp_K(vector, inverse=False):
+    """e^{K(q)} (or e^{-K(q)}) by the finite nilpotent expansion, on a
+    vector with FockPolynomial coefficients."""
+    total = power = vector
+    order = 0
+    while power:
+        order += 1
+        power = apply_K(power)
+        sign = -1 if inverse and order % 2 else 1
+        total = total + power.scaled(Fraction(sign, factorial(order)))
+    return total
+
+
+def _polynomial(vector):
+    return FermionVector({state: FockPolynomial.constant(c)
+                          for state, c in vector.terms.items()})
+
+
+def oracle_boson_fermion_map(vector):
+    return exp_K(_polynomial(vector)).terms.get(VACUUM, FockPolynomial.zero())
+
+
+def oracle_dressed_fermion_check(k, max_energy):
+    """e^{K} psi_k e^{-K} = sum_m h_m(q) psi_{k-m} (and the psi* form with
+    h_m(-q)) by expanding both sides on each state of energy <= E."""
+    m_slot = hopfq.fermion._to_m(k)
+    for lam in partitions_upto(max_energy):
+        state = state_for_partition_label(lam)
+        base = _polynomial(FermionVector.basis(state))
+        conjugated = exp_K(base, inverse=True)
+        # psi_{k-m} vanishes below the lowest vacated sea slot, psi*_{k+m}
+        # above the highest occupied slot
+        floor = min(state.removed, default=1)
+        top = max(state.added, default=0)
+        for op, step, shifts, q_sign in (
+                (psi, -1, max(0, m_slot - floor) + 1, 1),
+                (psi_star, 1, max(-1, max(top, 0) - m_slot) + 1, -1)):
+            rhs = FermionVector.zero()
+            for shift in range(shifts):
+                h = complete_homogeneous(shift).map_variables(q_sign)
+                rhs = rhs + op(k + step * shift, base).scaled(h)
+            if exp_K(op(k, conjugated)) != rhs:
+                return False
+    return True
+
+
+def test_alpha_matches_the_oracle_shift_operator_at_every_charge():
+    for lam in partitions_upto(5):
+        maya = FermionVector.basis(state_for_partition_label(lam))
+        # slot 6 is empty and slot -5 occupied in every |lambda| <= 5
+        for v in (maya, psi(Fraction(11, 2), maya),
+                  psi_star(Fraction(-11, 2), maya)):
+            (state, _), = v.terms.items()
+            for n in range(1, 8):
+                assert FermionVector(alpha(n, state)) == shift_operator(
+                    n, FermionVector.basis(state))
+
+
+def test_boson_fermion_map_agrees_with_the_oracle():
+    for lam in partitions_upto(8):
+        maya = FermionVector.basis(state_for_partition_label(lam))
+        string = state_of_partition(lam)
+        for v in (maya, string):
+            assert boson_fermion_map(v) == oracle_boson_fermion_map(v)
+
+
+def test_dressed_check_agrees_with_the_oracle():
+    for j in (-5, -3, -1, 1, 3, 5):
+        k = Fraction(j, 2)
+        assert dressed_fermion_check(k, 3) is oracle_dressed_fermion_check(k, 3)
+        assert dressed_fermion_check(k, 3)
