@@ -40,12 +40,16 @@ def _parse_rational(text):
 
 
 def _eps_value(args):
-    """Rational eps from --eps, or the exact square root of --hbar."""
+    """Nonzero rational eps from --eps, or the exact square root of a
+    positive --hbar."""
     if args.eps is not None:
+        if not args.eps:
+            raise ValueError("--eps must be nonzero")
         return args.eps
     if args.hbar is not None:
-        h = Fraction(args.hbar)
-        num, den = h.numerator, h.denominator
+        if args.hbar <= 0:
+            raise ValueError("--hbar must be positive")
+        num, den = args.hbar.numerator, args.hbar.denominator
         rn, rd = math.isqrt(num), math.isqrt(den)
         if rn * rn != num or rd * rd != den:
             raise ValueError("--hbar must be the square of a rational; "
@@ -100,7 +104,8 @@ def _current_payload(path):
 def cached_hamiltonian(n, W, cache_dir, use_cache=True):
     """Generate (or reload) the Hamiltonian for (n, W).  A cache file is
     served only if a digest of the current sources wrote it; any other file
-    is regenerated and replaced atomically."""
+    is regenerated and replaced atomically.  An unwritable --cache-dir is a
+    usage error."""
     if not use_cache or cache_dir is None:
         return hamiltonian(n, W)
     path = Path(cache_dir) / f"hamiltonian_{n}_{W}.json"
@@ -111,12 +116,16 @@ def cached_hamiltonian(n, W, cache_dir, use_cache=True):
         except (ValueError, KeyError, TypeError):
             pass
     op = hamiltonian(n, W)
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    tmp.write_text(json.dumps(
-        {"n": n, "W": W, "code_version": __version__,
-         "source_sha256": _source_digest(), "terms": op.to_json()}))
-    os.replace(tmp, path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp.write_text(json.dumps(
+            {"n": n, "W": W, "code_version": __version__,
+             "source_sha256": _source_digest(), "terms": op.to_json()}))
+        os.replace(tmp, path)
+    except OSError as ex:
+        raise ValueError(f"--cache-dir {cache_dir} cannot hold the cache "
+                         f"({ex.strerror or ex})") from None
     return op
 
 
@@ -314,9 +323,9 @@ def cmd_tables(args):
         _emit_rows(["partition", "prefactor"]
                    + [f"t{k}_exponent" for k in range(args.K + 1)], rows, fmt)
     elif args.what == "p1":
+        eps_val = _eps_value(args)
         slices = p1_partition_function(args.degree, args.K)
         rows = []
-        eps_val = _eps_value(args)
         for d in sorted(slices):
             for lam, coeff, exponents in slices[d]:
                 c = coeff.substitute(eps=eps_val)

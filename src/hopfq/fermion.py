@@ -26,13 +26,12 @@ identities replace, is kept in the tests as their oracle.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 from typing import NamedTuple
 
 from .fock import FockPolynomial, mono_from_partition
 from .partitions import frobenius, partitions_of, partitions_upto
-from .scalars import (ExactScalar, SparseSum, UnivariateSeries, add_into,
-                      inv_s_series, lift)
+from .scalars import (ExactScalar, SparseSum, add_into,
+                      eigenvalue_inner_series, lift)
 from .schur import centralizer_size
 
 
@@ -278,10 +277,6 @@ def fermionic_hamiltonian_eigenvalue_series(partition, order):
     Agreement with the bosonic eigenvalue series at eps = 1 is the
     independent wedge-side check of the eigenbasis theorem.
     """
-    inner = inv_s_series(order).coeffs
-    for e, c in diagonal_operator_eigenvalue(partition).items():
-        # t * e^{t e} contributes c * e^(n-1) t^n / (n-1)!
-        for n in range(1, order + 1):
-            inner[n] += c * Fraction(e) ** (n - 1) / factorial(n - 1)
-    g = UnivariateSeries(inner)
+    g = eigenvalue_inner_series(diagonal_operator_eigenvalue(partition),
+                                order)
     return [lift(g, 0, n - 2).substitute(eps=1) for n in range(order + 1)]

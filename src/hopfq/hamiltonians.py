@@ -29,7 +29,7 @@ from .fock import (EMPTY, FockPolynomial, NormalOrderedOperator, mono_degree,
                    mono_from_partition, mono_mul, mono_weight, weight_basis)
 from .partitions import frobenius, partitions_of
 from .scalars import (ExactScalar, UnivariateSeries, add_into, bernoulli,
-                      inv_s_series, lift, s_series)
+                      eigenvalue_inner_series, inv_s_series, lift, s_series)
 from .schur import centralizer_size, character
 
 
@@ -132,13 +132,7 @@ def eigenvalue_series(partition, K):
     (the infinite geometric tail is absorbed into 1/s)."""
     if K < -1:
         raise ValueError("K must be >= -1")
-    order = K + 2
-    inner = inv_s_series(order).coeffs
-    for a, b in _content_shifts(partition):
-        # t (e^{t a} - e^{t b}) contributes (a^(n-1) - b^(n-1)) t^n / (n-1)!
-        for n in range(1, order + 1):
-            inner[n] += (a ** (n - 1) - b ** (n - 1)) / factorial(n - 1)
-    g = UnivariateSeries(inner)
+    g = eigenvalue_inner_series(exponential_row_form(partition), K + 2)
     return EigenvalueSeries(tuple(partition),
                             tuple(lift(g, 0, n) for n in range(-1, K + 1)))
 

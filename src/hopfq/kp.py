@@ -9,12 +9,13 @@ Laurent polynomials in the v-variables.  Hirota operators, the generating
 bilinear identity expanded in y, and the second-log-derivative PDE are all
 checked identically in the v-variables.
 
-The v-Laurent coefficients are plain `Fraction`s when both u0 and eps are
-numeric, and `ExactScalar`s otherwise; rational `ExactScalar` scalars that
-meet a tau (Hirota coefficients, hbar, 1/c0) are taken to `Fraction` first,
-so a numeric tau stays on the `Fraction` ring.  On f = g, `hirota_apply`
-uses D^a f.f = 0 for odd |a| and takes each pair of equal Leibniz terms
-once.
+The tau is built at rational u0 and nonzero rational eps, on `Fraction`
+coefficients.  At u0 = 0 with at most t0 active, eps enters it only as
+p_k -> p_k eps^{-(k+1)}, and every Hirota polynomial here is homogeneous
+for that grading, so eps = 1 decides every eps.  The D-polynomials keep a
+symbolic eps; their coefficients meet a tau through `as_fraction()`.  On
+f = g, `hirota_apply` uses D^a f.f = 0 for odd |a| and takes each pair of
+equal Leibniz terms once.
 """
 
 from __future__ import annotations
@@ -23,27 +24,27 @@ import itertools
 from fractions import Fraction
 from math import comb, factorial, lcm, perm, prod
 
-from .fock import (FockPolynomial, mono_degree, mono_mul, mono_sub,
-                   mono_weight, render_mono)
+from .fock import (FockPolynomial, mono_degree, mono_from_partition,
+                   mono_mul, mono_sub, mono_weight, render_mono)
+from .partitions import partitions_of
 from .scalars import ExactScalar, SparseSum, add_into
-from .schur import complete_homogeneous
+from .schur import centralizer_size, character, complete_homogeneous
 
 # ---------------------------------------------------------------------------
 # Laurent coefficients in the v-variables
 
 
 class Laurent(SparseSum):
-    """Laurent polynomial in v_0, v_1, ... over ExactScalar or Fraction: a
-    sparse map exponent tuple -> coefficient.  The tuples of one tau have
-    one entry per active t-variable; the product reads a shorter tuple as
-    padded with zero exponents.
+    """Laurent polynomial in v_0, v_1, ... over Fraction: a sparse map
+    exponent tuple -> coefficient.  The tuples of one tau have one entry per
+    active t-variable; the product reads a shorter tuple as padded with zero
+    exponents.
     """
 
     __slots__ = ()
 
     def __mul__(self, other):
-        """Ring product with another Laurent, or scaling by an ExactScalar
-        or a rational."""
+        """Ring product with another Laurent, or scaling by a rational."""
         if isinstance(other, Laurent):
             return self.product(other, _add_exponents)
         return self.scaled(other)
@@ -53,8 +54,7 @@ class Laurent(SparseSum):
             return "0"
         parts = []
         for e, c in sorted(self.terms.items()):
-            text = c.render() if isinstance(c, ExactScalar) else str(c)
-            factors = [f"({text})"]
+            factors = [f"({c})"]
             factors += [f"v{i}^{p}" for i, p in enumerate(e) if p]
             parts.append(" * ".join(factors))
         return " + ".join(parts)
@@ -65,18 +65,8 @@ def _add_exponents(e1, e2):
     return tuple(map(sum, itertools.zip_longest(e1, e2, fillvalue=0)))
 
 
-def vl_constant(scalar):
-    if isinstance(scalar, (int, Fraction)):
-        scalar = ExactScalar.from_rational(scalar)
-    return Laurent({(): scalar} if scalar else {})
-
-
-def _rational(scalar):
-    """A rational ExactScalar as a Fraction, anything else unchanged, so that
-    a scalar meeting a tau on the Fraction ring keeps it there."""
-    if isinstance(scalar, ExactScalar) and scalar.is_rational():
-        return scalar.as_fraction()
-    return scalar
+def vl_constant(value):
+    return Laurent({(): Fraction(value)} if value else {})
 
 
 # ---------------------------------------------------------------------------
@@ -91,10 +81,10 @@ class TruncatedTau:
 
     __slots__ = ("terms", "valid_weight", "eps")
 
-    def __init__(self, terms, valid_weight, eps=None):
+    def __init__(self, terms, valid_weight, eps):
         self.terms = terms          # {p-mono: Laurent}
         self.valid_weight = valid_weight
-        self.eps = eps              # Fraction, or None if symbolic
+        self.eps = eps              # Fraction
 
     def copy_meta(self, terms, valid_weight=None):
         return TruncatedTau(terms,
@@ -120,7 +110,7 @@ class TruncatedTau:
         return self + (-other)
 
     def scale(self, scalar):
-        """Multiply by an ExactScalar, a rational or a Laurent."""
+        """Multiply by a rational or a Laurent."""
         if not scalar:
             return self.copy_meta({})
         return self.copy_meta({m: c * scalar for m, c in self.terms.items()})
@@ -162,39 +152,36 @@ class TruncatedTau:
         return None
 
 
-def tau_from_disk(pot, active_k, u0, eps=None):
-    """Substitute the t-exponentials of the disk potential by v-variables.
+def tau_from_disk(pot, active_k, u0, eps):
+    """Substitute the t-exponentials of the disk potential by v-variables,
+    at rational u0 and nonzero rational eps.
 
     active_k lists which t-variables are kept (the rest are set to zero).
-    For each active k every exponent E_k/hbar must specialize to a rational;
-    otherwise the run is refused with an explanation.  The coefficients are
-    Fractions when u0 and eps are both numeric, else ExactScalars.
+    The term of lambda contributes prefactor(lambda) chi^lambda(mu)
+    eps^{-l(mu)} / z_mu to p^mu, with the prefactor read from the stored
+    amplitude.
     """
+    if u0 is None or eps is None or not eps:
+        raise ValueError("the tau is built at rational u0 and nonzero "
+                         "rational eps")
+    u0, eps = Fraction(u0), Fraction(eps)
     active = sorted(active_k)
     if any(k > pot.K for k in active):
         raise ValueError("active index beyond the potential's K")
-    exponents = {}
-    denominators = [1] * len(active)
-    for lam, amp in pot.amplitudes.items():
-        row = []
-        for i, k in enumerate(active):
-            val = amp.exponents[k].substitute(eps=eps, u0=u0)
-            if not val.is_rational():
-                raise ValueError(
-                    f"exponent for t_{k} at {lam} is not rational "
-                    f"({val.render()}); keep u0 and eps numeric for k >= 1")
-            q = val.as_fraction()
-            row.append(q)
-            denominators[i] = lcm(denominators[i], q.denominator)
-        exponents[lam] = row
-    numeric = u0 is not None and eps is not None
+    exponents = {lam: [amp.exponents[k].substitute(eps=eps, u0=u0)
+                       .as_fraction() for k in active]
+                 for lam, amp in pot.amplitudes.items()}
+    denominators = [lcm(*(row[i].denominator for row in exponents.values()))
+                    for i in range(len(active))]
     terms = {}
     for lam, amp in pot.amplitudes.items():
         vexp = tuple(int(q * d) for q, d in zip(exponents[lam], denominators))
-        poly = amp.polynomial_part().substitute_scalars(eps=eps, u0=u0)
-        for mono, c in poly.terms.items():
-            add_into(terms, mono,
-                     Laurent({vexp: c.as_fraction() if numeric else c}))
+        prefactor = amp.prefactor.substitute(eps=eps, u0=u0).as_fraction()
+        for mu in partitions_of(sum(lam)):
+            chi = character(lam, mu)
+            if chi:
+                c = prefactor * chi / (centralizer_size(mu) * eps ** len(mu))
+                add_into(terms, mono_from_partition(mu), Laurent({vexp: c}))
     return TruncatedTau(terms, pot.max_weight, eps)
 
 
@@ -230,7 +217,7 @@ def hirota_apply(P, f, g):
         if diagonal and mono_degree(dmono) % 2:
             continue
         top = tuple(a for _, a in dmono)
-        coeff = _rational(coeff)
+        coeff = coeff.as_fraction()  # refuses a symbolic eps
         for choice in itertools.product(*(range(a + 1) for a in top)):
             fac = prod(map(comb, top, choice))
             if diagonal:
@@ -252,15 +239,15 @@ def hirota_apply(P, f, g):
     return TruncatedTau(terms, valid, f.eps)
 
 
-def _hbar_scalar(eps):
-    h = ExactScalar.hbar()
-    return h.substitute(eps=eps) if eps is not None else h
+def _eps_scalar(eps):
+    """eps as an ExactScalar: the symbol when eps is None, else its value."""
+    return ExactScalar.eps() if eps is None else ExactScalar.from_rational(eps)
 
 
 def printed_bilinear(which, eps=None):
     """The two displayed bilinear equations:
     1: 12 D2^2 - 12 D1 D3 + hbar D1^4;  2: 6 D2 D3 - 6 D1 D4 + hbar D1^3 D2."""
-    h = _hbar_scalar(eps)
+    h = _eps_scalar(eps) ** 2
     if which == 1:
         return (FockPolynomial.monomial(((2, 2),), 12)
                 + FockPolynomial.monomial(((1, 1), (3, 1)), -12)
@@ -290,9 +277,8 @@ def kp_bilinear_check(which, tau):
 # the generating identity, expanded in y
 
 
-def _d_tilde_substitution(j, eps=None):
-    """h_j with q_k -> eps * k * D_k (as a FockPolynomial in D-symbols)."""
-    e = ExactScalar.eps() if eps is None else ExactScalar.from_rational(eps)
+def _d_tilde_substitution(j, e):
+    """h_j with q_k -> e * k * D_k for the ExactScalar e, in D-symbols."""
     return complete_homogeneous(j).remap(lambda mono, c: (
         mono, c * prod(k ** a for k, a in mono) * e ** mono_degree(mono)))
 
@@ -301,12 +287,12 @@ def generating_identity_coefficients(y_order, y_vars=4, eps=None):
     """y-expansion of sum_j h_j(-2y) h_{j+1}(eps D-tilde) e^{eps sum y_k D_k}:
     map from a y-exponent tuple (length y_vars, total degree <= y_order) to
     the Hirota polynomial multiplying it."""
-    e = ExactScalar.eps() if eps is None else ExactScalar.from_rational(eps)
+    e = _eps_scalar(eps)
     out = {}
     max_y_weight = y_vars * y_order
     for j in range(max_y_weight + 1):
         hj = complete_homogeneous(j, num_vars=y_vars)
-        hd = _d_tilde_substitution(j + 1, eps)
+        hd = _d_tilde_substitution(j + 1, e)
         for ymono, c1 in hj.terms.items():
             ydeg1 = sum(a for _, a in ymono)
             if ydeg1 > y_order:
@@ -360,11 +346,10 @@ def kp_hierarchy_check(tau, y_order=2, y_vars=4):
         if verdict is False:
             report["failures"].append((ymono, residual.max_residual_term()))
     # proportionality to the printed pair
-    e2 = ExactScalar.eps(2) if tau.eps is None else \
-        ExactScalar.from_rational(Fraction(tau.eps) ** 2)
+    hbar = tau.eps ** 2
     expectations = {
-        (0, 0, 1, 0): (printed_bilinear(1, tau.eps), e2 * Fraction(-1, 36)),
-        (0, 0, 0, 1): (printed_bilinear(2, tau.eps), e2 * Fraction(-1, 12)),
+        (0, 0, 1, 0): (printed_bilinear(1, tau.eps), hbar * Fraction(-1, 36)),
+        (0, 0, 0, 1): (printed_bilinear(2, tau.eps), hbar * Fraction(-1, 12)),
     }
     for ymono, (target, factor) in expectations.items():
         if sum(ymono) > y_order or len(ymono) != y_vars:
@@ -373,7 +358,7 @@ def kp_hierarchy_check(tau, y_order=2, y_vars=4):
         if got != target * factor:
             report["failures"].append((ymono, "proportionality mismatch"))
         else:
-            report["factors"][ymono] = factor.render()
+            report["factors"][ymono] = str(factor)
     return report
 
 
@@ -383,7 +368,7 @@ def kp_hierarchy_check(tau, y_order=2, y_vars=4):
 
 def log_series(tau):
     """log(tau / c0) where c0 is the constant coefficient (required to be a
-    single invertible Laurent monomial).
+    single Laurent monomial).
 
     T = tau / c0 is split by p-weight, T_0 = 1, and the weight-w part of
     L = log T follows from the Euler relation w T_w = sum_j j L_j T_{w-j}:
@@ -393,15 +378,7 @@ def log_series(tau):
     if len(c0.terms) != 1:
         raise ValueError("constant term is not a single monomial")
     (vexp, coeff), = c0.terms.items()
-    if not isinstance(coeff, ExactScalar):
-        coeff = ExactScalar.from_rational(coeff)
-    if len(coeff.terms) != 1:
-        raise ValueError("constant coefficient is not invertible")
-    (ce, cu), cval = next(iter(coeff.terms.items()))
-    if cu != 0:
-        raise ValueError("constant coefficient involves u0")
-    inv = Laurent({tuple(-x for x in vexp):
-                   _rational(ExactScalar.monomial(1 / cval, -ce))})
+    inv = Laurent({tuple(-x for x in vexp): 1 / coeff})
     W = tau.valid_weight
     pieces = [{} for _ in range(W + 1)]  # T_w
     for m, c in tau.terms.items():
@@ -425,7 +402,7 @@ def kp_equation_check(tau):
     """Residual of u_xt = u_yy + (u u_x + (hbar/12) u_xxx)_x for
     u = eps^2 d^2/dp_1^2 log tau, with x = p_1, y = p_2, t = p_3; None when
     tau is too short (weight <= 5) for the residual to be complete anywhere."""
-    hbar = _rational(_hbar_scalar(tau.eps))  # eps^2 == hbar
+    hbar = tau.eps ** 2
     u = log_series(tau).derivative(((1, 2),)).scale(hbar)
     u_xt = u.derivative(((1, 1), (3, 1)))
     u_yy = u.derivative(((2, 2),))

@@ -1,15 +1,15 @@
 """Exact coefficient arithmetic.
 
-The universal coefficient ring is Q[u0][eps, eps^-1], with the quantization
+The symbolic coefficient ring is Q[u0][eps, eps^-1], with the quantization
 parameter hbar represented as eps^2 throughout (half-integer hbar powers occur
 in the disk amplitudes, so eps is the primitive variable).  `SparseSum` and
 `add_into` hold the sum-of-terms rule shared by every coefficient map in the
 package: scalars, Fock polynomials, operators, wedge vectors and tau
 coefficients; `SparseSum.remap`, `scaled` and `product` are its one
 term-by-term map, scaling and ring product.  Also provides Bernoulli
-numbers, truncated power series over Q, the two series s(t) =
-sinh(t/2)/(t/2) and 1/s(t) that govern the quantum corrections, and `lift`,
-which attaches u0 and eps to a series in t = eps z.
+numbers, truncated power series over Q, s(t) = sinh(t/2)/(t/2) and 1/s(t),
+which govern the quantum corrections, the eigenvalue series built on 1/s(t),
+and `lift`, which attaches u0 and eps to a series in t = eps z.
 """
 
 from __future__ import annotations
@@ -225,9 +225,6 @@ class ExactScalar(SparseSum):
             raise ValueError(f"not a pure rational: {self.render()}")
         return self.terms[(0, 0)]
 
-    def is_rational(self):
-        return not self.terms or set(self.terms) == {(0, 0)}
-
     def min_eps_order(self):
         if not self.terms:
             raise ValueError("zero has no eps order")
@@ -360,6 +357,18 @@ def inv_s_series(order):
             fact *= n
         coeffs.append((Fraction(2) ** (1 - n) - 1) * bernoulli(n) / fact)
     return UnivariateSeries(coeffs)
+
+
+def eigenvalue_inner_series(exponentials, order):
+    """G(t) = 1/s(t) + t sum_e c_e e^{te} to the given order, for the
+    exponential multiset {e: c}: every eigenvalue series is e^{z u0} G(eps z).
+    """
+    inner = inv_s_series(order).coeffs
+    for e, c in exponentials.items():
+        # t * e^{t e} contributes c * e^(n-1) t^n / (n-1)!
+        for n in range(1, order + 1):
+            inner[n] += c * Fraction(e) ** (n - 1) / factorial(n - 1)
+    return UnivariateSeries(inner)
 
 
 def lift(g, length, n):

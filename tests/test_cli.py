@@ -244,6 +244,19 @@ def test_operator_cache_roundtrip(tmp_path, capsys):
     assert code3 == 0 and out3 == out1
 
 
+def test_unusable_cache_dir_is_a_usage_error(tmp_path, capsys):
+    # a file where the cache directory should be: refused, not bypassed
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = main(["hamiltonian", "--n", "2", "--weight", "3",
+                 "--cache-dir", str(blocker)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: --cache-dir ")
+    assert blocker.read_text() == ""
+
+
 def test_tables_disk_text(capsys):
     code, out = run(["tables", "disk", "--weight", "1", "--K", "1"], capsys)
     assert code == 0
@@ -282,6 +295,9 @@ DEGENERATE_BOUNDS = [
     ["hamiltonian", "--n", "2", "--weight", "-1"],
     ["verify", "disk", "--K", "-1"],
     ["tables", "hurwitz", "--n", "3", "--m", "-1"],
+    ["tables", "p1", "--eps", "0"],
+    ["tables", "p1", "--hbar", "0"],
+    ["tables", "p1", "--hbar", "-1"],
 ]
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfq.disk import disk_potential
-from hopfq.fock import FockPolynomial, mono_weight
+from hopfq.fock import FockPolynomial, mono_degree, mono_weight
 from hopfq.kp import (Laurent, TruncatedTau, generating_identity_coefficients,
                       hirota_apply, kp_bilinear_check, kp_equation_check,
                       kp_hierarchy_check, log_series, printed_bilinear,
@@ -46,13 +46,8 @@ def power_sum_log_series(tau):
     """Reference for `log_series`: log(1 + r) = sum_m (-1)^{m+1} r^m / m
     with r = tau / c0 - 1, one full truncated product per power."""
     (vexp, coeff), = tau.terms[()].terms.items()
-    if not isinstance(coeff, ExactScalar):
-        coeff = ExactScalar.from_rational(coeff)
-    (ce, _), cval = next(iter(coeff.terms.items()))
-    zeros = (0,) * len(vexp)
-    inv = Laurent({tuple(-x for x in vexp):
-                   ExactScalar.monomial(1 / cval, -ce)})
-    one = TruncatedTau({(): Laurent({zeros: ExactScalar.one()})},
+    inv = Laurent({tuple(-x for x in vexp): 1 / coeff})
+    one = TruncatedTau({(): Laurent({(0,) * len(vexp): Fraction(1)})},
                        tau.valid_weight, tau.eps)
     r = tau.scale(inv) - one
     assert all(mono_weight(m) > 0 for m in r.terms)
@@ -106,12 +101,11 @@ def test_exponent_substitution_values():
 
 
 def test_refusal_on_symbolic_exponent():
+    # a symbolic u0 or eps, or eps = 0, leaves no rational tau to build
     pot = disk_potential(3, 1)
-    try:
-        tau_from_disk(pot, {1}, None, Fraction(1))  # symbolic u0, k = 1
-        assert False
-    except ValueError:
-        pass
+    for u0, eps in [(None, Fraction(1)), (0, None), (0, Fraction(0))]:
+        with pytest.raises(ValueError):
+            tau_from_disk(pot, {1}, u0, eps)
 
 
 @given(random_series())
@@ -145,13 +139,6 @@ def test_bilinear_checks_on_disk_tau():
         tau = tau_from_disk(pot, active, 0, Fraction(1))
         assert kp_bilinear_check(1, tau)
         assert kp_bilinear_check(2, tau)
-
-
-def test_bilinear_with_symbolic_eps():
-    pot = disk_potential(6, 1)
-    tau = tau_from_disk(pot, {0}, 0, None)
-    assert kp_bilinear_check(1, tau)
-    assert kp_bilinear_check(2, tau)
 
 
 def test_hierarchy_slice_and_printed_factors():
@@ -252,7 +239,7 @@ def test_log_series_agrees_with_power_sums():
     pot = disk_potential(8, 1)
     taus = [tau_from_disk(pot, active, 0, Fraction(1))
             for active in [set(), {0}, {0, 1}]]
-    taus.append(tau_from_disk(disk_potential(6, 1), {0}, 0, None))
+    taus.append(tau_from_disk(disk_potential(6, 1), {0}, 0, Fraction(1, 2)))
     for tau in taus:
         assert_same_tau(log_series(tau), power_sum_log_series(tau))
 
@@ -261,60 +248,43 @@ def ring(tau):
     return {type(v) for c in tau.terms.values() for v in c.terms.values()}
 
 
-def specialise(tau, u0, eps):
-    """Every ExactScalar coefficient of tau at the given u0 and eps."""
-    terms = {}
-    for m, c in tau.terms.items():
-        lc = {e: v.substitute(eps=eps, u0=u0).as_fraction()
-              for e, v in c.terms.items()}
-        lc = {e: v for e, v in lc.items() if v}
-        if lc:
-            terms[m] = Laurent(lc)
-    return TruncatedTau(terms, tau.valid_weight, eps)
-
-
-def test_numeric_tau_is_the_symbolic_tau_specialised():
-    # numeric u0 and eps give Fraction coefficients, symbolic eps (or u0)
-    # ExactScalars with the same values; u0 enters no coefficient of the
-    # tau with no active t, so it can stay symbolic there
-    eps = Fraction(1, 2)
+def test_hbar_grading_decides_every_eps():
+    # at u0 = 0 with at most t0 active, the tau at eps is the tau at eps = 1
+    # with p_k -> p_k eps^{-(k+1)}: p^mu picks up eps^{-(|mu| + l(mu))}
     pot = disk_potential(6, 1)
-    taus = []
-    for active, u0 in [(set(), Fraction(1, 3)), ({0}, 0)]:
-        symbolic = tau_from_disk(pot, active, u0 if active else None, None)
-        numeric = tau_from_disk(pot, active, u0, eps)
-        assert ring(symbolic) == {ExactScalar} and ring(numeric) == {Fraction}
-        assert numeric.terms == specialise(symbolic, u0, eps).terms
-        taus.append((symbolic, numeric))
-    # both taus are plane waves in p_1: only hbar D_1^4 of the first
-    # equation, on the pair of different waves, leaves a non-zero product
-    (f, f_num), (g, g_num) = taus
-    for which in (1, 2):
-        for left, right, left_num, right_num in [(f, g, f_num, g_num),
-                                                 (g, g, g_num, g_num)]:
-            got = hirota_apply(printed_bilinear(which, eps), left_num,
-                               right_num)
-            want = hirota_apply(printed_bilinear(which), left, right)
-            assert bool(got.terms) == (which == 1 and left is not right)
-            assert_same_tau(got, specialise(want, 0, eps))
+    for active in [set(), {0}]:
+        unit = tau_from_disk(pot, active, 0, Fraction(1))
+        for eps in [Fraction(1, 2), Fraction(2), Fraction(-3)]:
+            tau = tau_from_disk(pot, active, 0, eps)
+            assert tau.terms == {
+                m: c * eps ** -(mono_weight(m) + mono_degree(m))
+                for m, c in unit.terms.items()}
+            assert kp_bilinear_check(1, tau) and kp_bilinear_check(2, tau)
+            assert kp_hierarchy_check(tau, y_order=1)["failures"] == []
+            assert kp_equation_check(tau)
+            # the tau, a Hirota product and the log stay on Fraction
+            P = FockPolynomial.monomial(((1, 1),))
+            for series in [tau, hirota_apply(P, tau, unit), log_series(tau)]:
+                assert series.terms and ring(series) == {Fraction}
 
 
-def test_fraction_and_exact_scalar_rings_agree():
-    numeric = tau_from_disk(disk_potential(7, 1), {0, 1}, 0, Fraction(1))
-    lifted = numeric.copy_meta({
-        m: Laurent({e: ExactScalar.from_rational(v)
-                    for e, v in c.terms.items()})
-        for m, c in numeric.terms.items()})
-    for which in (1, 2):
-        for dmono, c in printed_bilinear(which, numeric.eps).terms.items():
-            P = FockPolynomial.monomial(dmono, c)
-            got = hirota_apply(P, numeric, numeric)
-            assert got.terms and ring(got) == {Fraction}
-            assert_same_tau(got, hirota_apply(P, lifted, lifted))
-    log = log_series(numeric)
-    assert ring(log) == {Fraction}
-    assert_same_tau(log, log_series(lifted))
-    assert kp_equation_check(numeric) is kp_equation_check(lifted) is True
+def test_hirota_polynomials_are_graded():
+    # each coefficient is a single eps^s with s - wt(a) - deg(a) fixed in
+    # its polynomial: with D_k of grade k + 1 and hbar of grade 2, every
+    # polynomial is homogeneous, which is why eps = 1 decides every eps
+    polys = [printed_bilinear(1), printed_bilinear(2)]
+    polys += generating_identity_coefficients(2, 4).values()
+    for P in polys:
+        grades = set()
+        for a, c in P.terms.items():
+            (s, u0_power), = c.terms
+            assert u0_power == 0
+            grades.add(s - mono_weight(a) - mono_degree(a))
+        assert len(grades) == 1
+    # a symbolic eps does not meet a tau
+    tau = tau_from_disk(disk_potential(4, 1), set(), 0, Fraction(1))
+    with pytest.raises(ValueError):
+        hirota_apply(printed_bilinear(1), tau, tau)
 
 
 def test_perturbed_numeric_tau_fails_with_a_rendered_residual():
