@@ -17,6 +17,7 @@ import math
 import os
 import random
 import sys
+from contextlib import suppress
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -117,15 +118,23 @@ def cached_hamiltonian(n, W, cache_dir, use_cache=True):
             pass
     op = hamiltonian(n, W)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    # the bytes of json.dumps of the payload, written one term at a time
+    head = json.dumps({"n": n, "W": W, "code_version": __version__,
+                       "source_sha256": _source_digest(), "terms": []})
+    entries = map(json.dumps, op.json_entries())
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_text(json.dumps(
-            {"n": n, "W": W, "code_version": __version__,
-             "source_sha256": _source_digest(), "terms": op.to_json()}))
+        with open(tmp, "w") as out:
+            out.write(head[:-len("]}")] + next(entries, ""))
+            out.writelines(", " + entry for entry in entries)
+            out.write("]}")
         os.replace(tmp, path)
     except OSError as ex:
         raise ValueError(f"--cache-dir {cache_dir} cannot hold the cache "
                          f"({ex.strerror or ex})") from None
+    finally:
+        with suppress(OSError):
+            tmp.unlink()  # a failed write leaves no partial file behind
     return op
 
 

@@ -305,11 +305,14 @@ class NormalOrderedOperator(SparseSum):
     def __repr__(self):
         return f"NormalOrderedOperator({self.render()})"
 
+    def json_entries(self):
+        """The entries of `to_json`, one at a time and in its order."""
+        for (alpha, beta), c in self.sorted_terms():
+            yield {"alpha": [list(km) for km in alpha],
+                   "beta": [list(km) for km in beta], "coeff": c.to_json()}
+
     def to_json(self):
-        return [{"alpha": [list(km) for km in alpha],
-                 "beta": [list(km) for km in beta],
-                 "coeff": c.to_json()}
-                for (alpha, beta), c in self.sorted_terms()]
+        return list(self.json_entries())
 
     @classmethod
     def from_json(cls, data):

@@ -11,8 +11,9 @@ combinatorially.  H_n is the coefficient of z^(n+2).
 
 The coefficient of q^alpha p^beta is e^{z u0} z^(l(alpha) + l(beta)) g(eps z)
 / (alpha! beta!), with g(t) = (1/s(t)) prod_k s(k t)^(alpha_k + beta_k) a
-rational series depending only on the multiset of modes.  So each g is
-built once over Q, and `scalars.lift` adds u0 and eps back.  The eigenvalues
+rational even series depending only on the multiset of modes.  So each g
+is built once over Q, on its even powers, and `scalars.lift` adds u0 and eps
+back once per multiset and alpha! beta!.  The eigenvalues
 E_k(lambda) on the scaled Schur basis have the same shape, e^{z u0} G(eps z);
 they come with both that series and the Bernoulli-sum expression, which must
 agree.
@@ -28,25 +29,66 @@ from operator import mul
 from .fock import (EMPTY, FockPolynomial, NormalOrderedOperator, mono_degree,
                    mono_from_partition, mono_mul, mono_weight, weight_basis)
 from .partitions import frobenius, partitions_of
-from .scalars import (ExactScalar, UnivariateSeries, add_into, bernoulli,
+from .scalars import (ExactScalar, add_into, bernoulli,
                       eigenvalue_inner_series, inv_s_series, lift, s_series)
 from .schur import centralizer_size, character
 
 
-def _mode_series(modes, order, memo):
-    """g(t) = (1/s(t)) prod_{k in modes} s(k t) over Q up to t^order, for a
-    sorted tuple of modes (one factor s(k t) per occurrence of k).  memo
-    maps each tuple of modes already done to its series; within one
-    generation the order of a tuple is fixed by its length."""
+def _mode_series(modes, top, s_even, memo):
+    """The t^(2m) coefficients of g(t) = (1/s(t)) prod_{k in modes} s(k t)
+    over Q up to t^(top - len(modes)), for a sorted tuple of modes: one
+    factor s(k t), whose t^(2m) coefficient s_even[k][m] is k^(2m) s_2m, per
+    occurrence of k.  g is even, so its odd coefficients are never formed.
+    memo maps each tuple already done to its list, and () to 1/s(t)'s."""
     if modes not in memo:
-        if modes:
-            k = modes[-1]
-            scaled = UnivariateSeries(
-                [c * k ** j for j, c in enumerate(s_series(order).coeffs)])
-            memo[modes] = scaled * _mode_series(modes[:-1], order + 1, memo)
-        else:
-            memo[modes] = inv_s_series(order)
+        prev = _mode_series(modes[:-1], top, s_even, memo)
+        factor = s_even[modes[-1]][:(top - len(modes)) // 2 + 1]
+        memo[modes] = [sum(prev[j] * factor[m - j] for j in range(m + 1))
+                       for m in range(len(factor))]
     return memo[modes]
+
+
+def _operators(ns, max_weight):
+    """H_n for each n in the range `ns`, truncated to terms of creation
+    weight <= max_weight.  The coefficient of q^alpha p^beta depends only
+    on the modes of (alpha, beta) as a multiset and on alpha! beta!, so it
+    is lifted once per such key and shared by every pair that has it; no
+    ExactScalar is mutated in place, so sharing is safe."""
+    if max_weight < 0:
+        raise ValueError("max_weight must be >= 0")
+    top = ns[-1] + 2  # the highest power of z asked for
+    s, inv = s_series(top), inv_s_series(top)
+    if any(s[1::2]) or any(inv[1::2]):  # g is built on even powers only
+        raise AssertionError("s(t) or 1/s(t) has a nonzero odd coefficient")
+    s_even = [[c * k ** (2 * m) for m, c in enumerate(s[::2])]
+              for k in range(max_weight + 1)]
+    memo = {(): inv[::2]}
+    ops = [{} for _ in ns]
+    shared = {}  # (modes, alpha! beta!) -> (offset in ns, coefficients)
+    for w in range(max_weight + 1):
+        monos = []  # (partition, monomial, its factorial) over weight w
+        for part in partitions_of(w):
+            mono = mono_from_partition(part)
+            monos.append((part, mono, prod(factorial(e) for _, e in mono)))
+        for ap, alpha, a_fact in monos:
+            for bp, beta, b_fact in monos:
+                length = len(ap) + len(bp)
+                if length > top:
+                    continue
+                key = tuple(sorted(ap + bp)), a_fact * b_fact
+                if key not in shared:
+                    g = [0] * (top - length + 1)
+                    g[::2] = [c / key[1] for c in
+                              _mode_series(key[0], top, s_even, memo)]
+                    # z^length g(eps z) has no z^(n+2) below n = length - 2
+                    first = max(length - 2 - ns.start, 0)
+                    shared[key] = first, [lift(g, length, n)
+                                          for n in ns[first:]]
+                first, coeffs = shared[key]
+                for terms, coeff in zip(ops[first:], coeffs):
+                    if coeff:
+                        terms[(alpha, beta)] = coeff
+    return [NormalOrderedOperator(terms) for terms in ops]
 
 
 def hamiltonian_generating_coefficients(K, max_weight):
@@ -54,32 +96,15 @@ def hamiltonian_generating_coefficients(K, max_weight):
     weight <= max_weight.  Returned as a list indexed by n + 1."""
     if K < -1:
         raise ValueError("K must be >= -1")
-    if max_weight < 0:
-        raise ValueError("max_weight must be >= 0")
-    order = K + 2
-    ops = [{} for _ in range(K + 2)]  # ops[n + 1] accumulates H_n
-    memo = {}  # g depends only on the multiset of modes of alpha and beta
-    for w in range(max_weight + 1):
-        for ap in partitions_of(w):
-            for bp in partitions_of(w):
-                length = len(ap) + len(bp)
-                if length > order:
-                    continue
-                alpha = mono_from_partition(ap)
-                beta = mono_from_partition(bp)
-                g = _mode_series(tuple(sorted(ap + bp)), order - length, memo)
-                scale = Fraction(1, prod(factorial(m) for _, m in alpha + beta))
-                g = [c * scale for c in g.coeffs]  # g / (alpha! beta!)
-                for n in range(-1, K + 1):
-                    coeff = lift(g, length, n)
-                    if coeff:
-                        ops[n + 1][(alpha, beta)] = coeff
-    return [NormalOrderedOperator(terms) for terms in ops]
+    return _operators(range(-1, K + 1), max_weight)
 
 
 def hamiltonian(n, max_weight):
-    """The single commuting Hamiltonian H_n."""
-    return hamiltonian_generating_coefficients(n, max_weight)[n + 1]
+    """The single commuting Hamiltonian H_n; only its own coefficient of
+    the generating series is lifted."""
+    if n < -1:
+        raise ValueError("n must be >= -1")
+    return _operators(range(n, n + 1), max_weight)[0]
 
 
 def cut_and_join(max_weight):

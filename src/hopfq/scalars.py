@@ -7,8 +7,8 @@ in the disk amplitudes, so eps is the primitive variable).  `SparseSum` and
 package: scalars, Fock polynomials, operators, wedge vectors and tau
 coefficients; `SparseSum.remap`, `scaled` and `product` are its one
 term-by-term map, scaling and ring product.  Also provides Bernoulli
-numbers, truncated power series over Q, s(t) = sinh(t/2)/(t/2) and 1/s(t),
-which govern the quantum corrections, the eigenvalue series built on 1/s(t),
+numbers, the Taylor coefficients of s(t) = sinh(t/2)/(t/2) and 1/s(t), which
+govern the quantum corrections, the eigenvalue series built on 1/s(t),
 and `lift`, which attaches u0 and eps to a series in t = eps z.
 """
 
@@ -281,54 +281,9 @@ def bernoulli(n):
     return -total / (n + 1)
 
 
-class UnivariateSeries:
-    """Truncated power series in one formal variable over Q.
-
-    coeffs[i] is the coefficient of t^i; the order (= len(coeffs) - 1) is
-    explicit and all arithmetic truncates to the shorter order.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        self.coeffs = [Fraction(c) for c in coeffs]
-
-    @property
-    def order(self):
-        return len(self.coeffs) - 1
-
-    def __getitem__(self, i):
-        return self.coeffs[i]
-
-    def __eq__(self, other):
-        return isinstance(other, UnivariateSeries) and self.coeffs == other.coeffs
-
-    def __mul__(self, other):
-        order = min(self.order, other.order)
-        out = [0] * (order + 1)
-        for i, a in enumerate(self.coeffs[:order + 1]):
-            if a:
-                for j, b in enumerate(other.coeffs[:order + 1 - i]):
-                    out[i + j] += a * b
-        return UnivariateSeries(out)
-
-    def inverse(self):
-        """Multiplicative inverse; requires an invertible constant term."""
-        if not self.coeffs[0]:
-            raise ZeroDivisionError("constant term vanishes")
-        inv = [1 / self.coeffs[0]]
-        for n in range(1, self.order + 1):
-            acc = sum(self.coeffs[k] * inv[n - k]
-                      for k in range(1, min(n, self.order) + 1))
-            inv.append(-acc / self.coeffs[0])
-        return UnivariateSeries(inv)
-
-    def __repr__(self):
-        return f"UnivariateSeries({self.coeffs})"
-
-
 def s_series(order):
-    """Taylor coefficients of s(t) = sinh(t/2) / (t/2) up to the given order.
+    """Taylor coefficients of s(t) = sinh(t/2) / (t/2) up to the given order,
+    as a list indexed by the power of t.
 
     s(t) = 1 + sum_{n>=1} t^(2n) / (2^(2n) (2n+1)!); odd coefficients vanish.
     """
@@ -343,7 +298,7 @@ def s_series(order):
             coeffs.append(Fraction(1, 2 ** n * fact))
         else:
             coeffs.append(Fraction(0))
-    return UnivariateSeries(coeffs)
+    return coeffs
 
 
 def inv_s_series(order):
@@ -356,24 +311,24 @@ def inv_s_series(order):
         if n:
             fact *= n
         coeffs.append((Fraction(2) ** (1 - n) - 1) * bernoulli(n) / fact)
-    return UnivariateSeries(coeffs)
+    return coeffs
 
 
 def eigenvalue_inner_series(exponentials, order):
     """G(t) = 1/s(t) + t sum_e c_e e^{te} to the given order, for the
     exponential multiset {e: c}: every eigenvalue series is e^{z u0} G(eps z).
     """
-    inner = inv_s_series(order).coeffs
+    inner = inv_s_series(order)
     for e, c in exponentials.items():
         # t * e^{t e} contributes c * e^(n-1) t^n / (n-1)!
         for n in range(1, order + 1):
             inner[n] += c * Fraction(e) ** (n - 1) / factorial(n - 1)
-    return UnivariateSeries(inner)
+    return inner
 
 
 def lift(g, length, n):
-    """Coefficient of z^(n+2) in e^{z u0} z^length g(eps z), for g a
-    UnivariateSeries over Q or the list of its coefficients:
+    """Coefficient of z^(n+2) in e^{z u0} z^length g(eps z), for g the list
+    of coefficients of a series over Q:
     sum_i g_i eps^i u0^(d-i) / (d-i)! with d = n + 2 - length.
 
     Every generated series of the package (the operators H_n, the

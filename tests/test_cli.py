@@ -2,11 +2,13 @@
 
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 
-from hopfq import __version__
-from hopfq.cli import main
+from hopfq import __version__, cli
+from hopfq.cli import _source_digest, cached_hamiltonian, main
+from hopfq.hamiltonians import hamiltonian
 from hopfq.partitions import partitions_of
 
 # sha256 of the stdout of fixed commands; any change to the rendered
@@ -255,6 +257,47 @@ def test_unusable_cache_dir_is_a_usage_error(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: --cache-dir ")
     assert blocker.read_text() == ""
+
+
+def test_failed_cache_write_leaves_no_temp_file(tmp_path, capsys):
+    # a directory where the cache file should be: the rename fails
+    (tmp_path / "hamiltonian_1_4.json").mkdir()
+    code = main(["hamiltonian", "--n", "1", "--weight", "4",
+                 "--cache-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: --cache-dir ")
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("n, W", [(3, 6), (-1, 0)])
+def test_cache_file_is_json_dumps_of_the_payload(tmp_path, capsys, n, W):
+    code, _ = run(["hamiltonian", "--n", str(n), "--weight", str(W),
+                   "--cache-dir", str(tmp_path)], capsys)
+    assert code == 0
+    expected = json.dumps({"n": n, "W": W, "code_version": __version__,
+                           "source_sha256": _source_digest(),
+                           "terms": hamiltonian(n, W).to_json()})
+    path = tmp_path / f"hamiltonian_{n}_{W}.json"
+    assert path.read_bytes() == expected.encode()
+
+
+def test_cold_cache_write_takes_less_memory_than_the_operator(tmp_path,
+                                                              monkeypatch):
+    _source_digest()  # read the sources before tracing
+    hamiltonian(5, 10)  # fill the generator's own caches before tracing
+    tracemalloc.start()
+    try:
+        op = hamiltonian(5, 10)
+        size = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        monkeypatch.setattr(cli, "hamiltonian", lambda n, W: op)
+        cached_hamiltonian(5, 10, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1] - size  # the write's own
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "hamiltonian_5_10.json").exists()
+    assert peak < size
 
 
 def test_tables_disk_text(capsys):

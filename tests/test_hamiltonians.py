@@ -190,11 +190,24 @@ def symbolic_generating_coefficients(K, max_weight):
     return [NormalOrderedOperator(terms) for terms in ops]
 
 
-def test_generator_agrees_with_symbolic_oracle():
-    fast = hamiltonian_generating_coefficients(5, 8)
-    slow = symbolic_generating_coefficients(5, 8)
-    assert len(fast) == len(slow) == 7
-    for n in range(-1, 6):
+def _one_at_a_time(K, max_weight):
+    """H_{-1} .. H_K, each generated alone by `hamiltonian`."""
+    return [hamiltonian(n, max_weight) for n in range(-1, K + 1)]
+
+
+# K + 2 of both parities, and H_n generated alone against the same oracle
+@pytest.mark.parametrize("K, W, generate", [
+    (-1, 4, hamiltonian_generating_coefficients),
+    (0, 6, hamiltonian_generating_coefficients),
+    (5, 8, hamiltonian_generating_coefficients),
+    (6, 6, hamiltonian_generating_coefficients),
+    (5, 8, _one_at_a_time),
+], ids=["K-1-W4", "K0-W6", "K5-W8", "K6-W6", "K5-W8-one-at-a-time"])
+def test_generator_agrees_with_symbolic_oracle(K, W, generate):
+    fast = generate(K, W)
+    slow = symbolic_generating_coefficients(K, W)
+    assert len(fast) == len(slow) == K + 2
+    for n in range(-1, K + 1):
         assert fast[n + 1].terms == slow[n + 1].terms
 
 

@@ -5,8 +5,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfq.scalars import (ExactScalar, UnivariateSeries, bernoulli,
-                           inv_s_series, s_series)
+from hopfq.scalars import ExactScalar, bernoulli, inv_s_series, s_series
 
 rationals = st.builds(Fraction, st.integers(-50, 50),
                       st.integers(1, 12))
@@ -96,16 +95,8 @@ def test_s_series_and_inverse():
     s = s_series(8)
     assert s[0] == 1 and s[2] == Fraction(1, 24) and s[4] == Fraction(1, 1920)
     inv = inv_s_series(8)
-    prod = s * inv
-    assert prod.coeffs == [1] + [0] * 8
+    prod = [sum(s[j] * inv[n - j] for j in range(n + 1)) for n in range(9)]
+    assert prod == [1] + [0] * 8
     # 1/s coefficients are (2^{1-n} - 1) B_n / n!
     assert inv[2] == Fraction(-1, 24)
     assert inv[4] == Fraction(7, 5760)
-
-
-def test_series_inverse_requires_unit():
-    try:
-        UnivariateSeries([0, 1]).inverse()
-        assert False
-    except ZeroDivisionError:
-        pass
