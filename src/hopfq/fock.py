@@ -347,6 +347,8 @@ def naive_hamiltonian(n, max_weight):
     """
     if n < -1:
         raise ValueError("n must be >= -1")
+    if max_weight < 0:
+        raise ValueError("max_weight must be >= 0")
     order = n + 2
     result = {}
     for w in range(max_weight + 1):

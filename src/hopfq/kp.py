@@ -3,11 +3,14 @@
 The disk potential becomes a tau-function after substituting the t-variables.
 To keep everything exact, each active exponential e^{t_k/d_k} is replaced by
 a formal Laurent variable v_k, where d_k is the common denominator of the
-rational exponents E_k/hbar over all partitions in range; the truncated tau
-is then a weight-graded polynomial in p_1, p_2, ... whose coefficients are
-Laurent polynomials in the v-variables.  Hirota operators, the generating
-bilinear identity expanded in y, and the second-log-derivative PDE are all
-checked identically in the v-variables.
+rational exponents E_k/hbar over all partitions in range.  The truncated tau
+`TruncatedTau` is a `SparseSum` from p-monomials to `Laurent` polynomials in
+the v-variables that also carries its eps and the weight up to which it is
+complete.  Every v-exponent tuple of a tau has one slot per t-variable
+t_0..t_K of its potential, zero for an inactive t_k, so the taus of one
+potential multiply slot by slot; tuples of two lengths are refused.  Hirota
+operators, the generating bilinear identity expanded in y, and the
+second-log-derivative PDE are all checked identically in the v-variables.
 
 The tau is built at rational u0 and nonzero rational eps, on `Fraction`
 coefficients.  At u0 = 0 with at most t0 active, eps enters it only as
@@ -22,7 +25,9 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial, lcm, perm, prod
+from operator import add
 
 from .fock import (FockPolynomial, mono_degree, mono_from_partition,
                    mono_mul, mono_sub, mono_weight, render_mono)
@@ -36,9 +41,9 @@ from .schur import centralizer_size, character, complete_homogeneous
 
 class Laurent(SparseSum):
     """Laurent polynomial in v_0, v_1, ... over Fraction: a sparse map
-    exponent tuple -> coefficient.  The tuples of one tau have one entry per
-    active t-variable; the product reads a shorter tuple as padded with zero
-    exponents.
+    exponent tuple -> coefficient.  Every exponent tuple of a tau has one
+    slot per t-variable t_0..t_K of its potential; a product of two
+    v-monomials whose tuples differ in length is refused.
     """
 
     __slots__ = ()
@@ -62,58 +67,38 @@ class Laurent(SparseSum):
 
 def _add_exponents(e1, e2):
     """The exponent tuple of a product of two v-monomials."""
-    return tuple(map(sum, itertools.zip_longest(e1, e2, fillvalue=0)))
-
-
-def vl_constant(value):
-    return Laurent({(): Fraction(value)} if value else {})
+    if len(e1) != len(e2):
+        raise ValueError(f"v-exponent tuples {e1} and {e2} differ in length")
+    return tuple(map(add, e1, e2))
 
 
 # ---------------------------------------------------------------------------
 
 
-class TruncatedTau:
-    """Weight-truncated series in the p-variables with v-Laurent coefficients.
+class TruncatedTau(SparseSum):
+    """Weight-truncated series in the p-variables: a `SparseSum` p-monomial
+    -> Laurent with its eps (a Fraction) and `valid_weight`, the weight up
+    to which it is complete.  A sum or `*` is complete to the smaller valid
+    weight, a derivative to a lower one; `product` is not truncated."""
 
-    `valid_weight` tracks up to which total weight the coefficients are
-    complete; operations shrink it accordingly.
-    """
-
-    __slots__ = ("terms", "valid_weight", "eps")
+    __slots__ = ("valid_weight", "eps")
 
     def __init__(self, terms, valid_weight, eps):
-        self.terms = terms          # {p-mono: Laurent}
+        super().__init__(terms)
         self.valid_weight = valid_weight
-        self.eps = eps              # Fraction
+        self.eps = eps
 
-    def copy_meta(self, terms, valid_weight=None):
-        return TruncatedTau(terms,
-                            self.valid_weight if valid_weight is None
-                            else valid_weight, self.eps)
+    def _like(self, terms):
+        return TruncatedTau(terms, self.valid_weight, self.eps)
 
-    def truncate(self):
-        """Drop monomials above the valid weight."""
-        return self.copy_meta({m: c for m, c in self.terms.items()
-                               if mono_weight(m) <= self.valid_weight})
+    def __eq__(self, other):
+        return SparseSum.__eq__(self, other) is True and (
+            (self.valid_weight, self.eps) == (other.valid_weight, other.eps))
 
     def __add__(self, other):
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            add_into(terms, m, c)
-        return self.copy_meta(terms,
-                              min(self.valid_weight, other.valid_weight))
-
-    def __neg__(self):
-        return self.copy_meta({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, scalar):
-        """Multiply by a rational or a Laurent."""
-        if not scalar:
-            return self.copy_meta({})
-        return self.copy_meta({m: c * scalar for m, c in self.terms.items()})
+        total = SparseSum.__add__(self, other)
+        total.valid_weight = min(self.valid_weight, other.valid_weight)
+        return total
 
     def __mul__(self, other):
         valid = min(self.valid_weight, other.valid_weight)
@@ -125,20 +110,19 @@ class TruncatedTau:
             for m2, c2 in other.terms.items():
                 if w1 + mono_weight(m2) <= valid:
                     add_into(terms, mono_mul(m1, m2), c1 * c2)
-        return self.copy_meta(terms, valid)
+        return TruncatedTau(terms, valid, self.eps)
 
     def derivative(self, mono):
         """The partial derivative prod_k (d/dp_k)^{a_k} for the multi-index
         mono = ((k, a_k), ...); the result is complete mono_weight(mono)
         lower."""
-        terms = {}
-        for m, c in self.terms.items():
+        def term(m, c):
             reduced = mono_sub(m, mono)
             if reduced is not None:
                 powers = dict(m)
-                # m -> reduced is injective, so no two terms meet here
-                terms[reduced] = c * prod(perm(powers[k], a) for k, a in mono)
-        return self.copy_meta(terms, self.valid_weight - mono_weight(mono))
+                return reduced, c * prod(perm(powers[k], a) for k, a in mono)
+        return TruncatedTau(self.remap(term).terms,
+                            self.valid_weight - mono_weight(mono), self.eps)
 
     def is_zero_to_valid(self):
         return all(not c or mono_weight(m) > self.valid_weight
@@ -165,14 +149,14 @@ def tau_from_disk(pot, active_k, u0, eps):
         raise ValueError("the tau is built at rational u0 and nonzero "
                          "rational eps")
     u0, eps = Fraction(u0), Fraction(eps)
-    active = sorted(active_k)
-    if any(k > pot.K for k in active):
-        raise ValueError("active index beyond the potential's K")
+    if any(not 0 <= k <= pot.K for k in active_k):
+        raise ValueError("active index outside the potential's 0..K")
     exponents = {lam: [amp.exponents[k].substitute(eps=eps, u0=u0)
-                       .as_fraction() for k in active]
+                       .as_fraction() if k in active_k else Fraction(0)
+                       for k in range(pot.K + 1)]
                  for lam, amp in pot.amplitudes.items()}
-    denominators = [lcm(*(row[i].denominator for row in exponents.values()))
-                    for i in range(len(active))]
+    denominators = [lcm(*(row[k].denominator for row in exponents.values()))
+                    for k in range(pot.K + 1)]
     terms = {}
     for lam, amp in pot.amplitudes.items():
         vexp = tuple(int(q * d) for q, d in zip(exponents[lam], denominators))
@@ -203,16 +187,13 @@ def hirota_apply(P, f, g):
     if P.terms:
         valid -= max(mono_weight(m) for m in P.terms)
     diagonal = f is g
-    partials = {}
 
-    def partial(h, b):
-        # when f is g the two keys coincide and the partial is shared
-        key = (h is f, b)
-        if key not in partials:
-            partials[key] = h.derivative(b)
-        return partials[key]
+    @cache
+    def partial(of_f, b):
+        # d^b f, or d^b g; on f = g every partial is one of f's
+        return (f if of_f else g).derivative(b)
 
-    terms = {}
+    residual = TruncatedTau({}, valid, f.eps)
     for dmono, coeff in P.terms.items():
         if diagonal and mono_degree(dmono) % 2:
             continue
@@ -231,12 +212,13 @@ def hirota_apply(P, f, g):
                          if a > c)
             if mono_degree(rest) % 2:
                 fac = -fac
-            df = partial(f, b)
-            product = df.copy_meta(df.terms, valid) * partial(g, rest)
-            scalar = coeff * fac
-            for m, c in product.terms.items():
-                add_into(terms, m, c * scalar)
-    return TruncatedTau(terms, valid, f.eps)
+            df, dg = partial(True, b), partial(diagonal, rest)
+            if len(df.terms) <= len(dg.terms):  # scale the smaller partial
+                df = df.scaled(coeff * fac)
+            else:
+                dg = dg.scaled(coeff * fac)
+            residual = residual + TruncatedTau(df.terms, valid, f.eps) * dg
+    return residual
 
 
 def _eps_scalar(eps):
@@ -299,7 +281,10 @@ def generating_identity_coefficients(y_order, y_vars=4, eps=None):
                 continue
             scalar1 = c1 * Fraction(-2) ** ydeg1
             # exponential factor up to the remaining y-degree
-            for extra in _y_tuples(y_vars, y_order - ydeg1):
+            for extra in itertools.product(range(y_order - ydeg1 + 1),
+                                           repeat=y_vars):
+                if ydeg1 + sum(extra) > y_order:
+                    continue
                 dmono = tuple((k, a) for k, a in enumerate(extra, start=1)
                               if a)
                 fac = e ** sum(extra) * Fraction(
@@ -309,17 +294,6 @@ def generating_identity_coefficients(y_order, y_vars=4, eps=None):
                 add_into(out, total,
                          hd * FockPolynomial.monomial(dmono, fac * scalar1))
     return out
-
-
-def _y_tuples(n, max_total):
-    for total in range(max_total + 1):
-        for cuts in itertools.combinations(range(total + n - 1), n - 1):
-            prev = -1
-            parts = []
-            for c in cuts + (total + n - 1,):
-                parts.append(c - prev - 1)
-                prev = c
-            yield tuple(parts)
 
 
 def _drop_odd(P):
@@ -380,22 +354,16 @@ def log_series(tau):
     (vexp, coeff), = c0.terms.items()
     inv = Laurent({tuple(-x for x in vexp): 1 / coeff})
     W = tau.valid_weight
-    pieces = [{} for _ in range(W + 1)]  # T_w
-    for m, c in tau.terms.items():
-        w = mono_weight(m)
-        if 0 < w <= W:
-            pieces[w][m] = c * inv
+    pieces = [tau.remap(lambda m, c: (m, c * inv) if mono_weight(m) == w
+                        else None) for w in range(W + 1)]  # T_w
     euler = [None]  # w L_w
-    log_terms = {}
+    log = tau.scaled(0)
     for w in range(1, W + 1):
-        terms = {m: c * w for m, c in pieces[w].items()}
+        euler.append(pieces[w].scaled(w))
         for j in range(1, w):
-            for m1, c1 in euler[j].items():
-                for m2, c2 in pieces[w - j].items():
-                    add_into(terms, mono_mul(m1, m2), -(c1 * c2))
-        euler.append(terms)
-        log_terms.update((m, c * Fraction(1, w)) for m, c in terms.items())
-    return TruncatedTau(log_terms, W, tau.eps)
+            euler[w] = euler[w] - euler[j] * pieces[w - j]
+        log = log + euler[w].scaled(Fraction(1, w))
+    return log
 
 
 def kp_equation_check(tau):
@@ -403,9 +371,9 @@ def kp_equation_check(tau):
     u = eps^2 d^2/dp_1^2 log tau, with x = p_1, y = p_2, t = p_3; None when
     tau is too short (weight <= 5) for the residual to be complete anywhere."""
     hbar = tau.eps ** 2
-    u = log_series(tau).derivative(((1, 2),)).scale(hbar)
+    u = log_series(tau).derivative(((1, 2),)).scaled(hbar)
     u_xt = u.derivative(((1, 1), (3, 1)))
     u_yy = u.derivative(((2, 2),))
     inner = u * u.derivative(((1, 1),)) + \
-        u.derivative(((1, 3),)).scale(hbar * Fraction(1, 12))
+        u.derivative(((1, 3),)).scaled(hbar * Fraction(1, 12))
     return _verdict(u_xt - u_yy - inner.derivative(((1, 1),)))

@@ -4,8 +4,9 @@ The symbolic coefficient ring is Q[u0][eps, eps^-1], with the quantization
 parameter hbar represented as eps^2 throughout (half-integer hbar powers occur
 in the disk amplitudes, so eps is the primitive variable).  `SparseSum` and
 `add_into` hold the sum-of-terms rule shared by every coefficient map in the
-package: scalars, Fock polynomials, operators, wedge vectors and tau
-coefficients; `SparseSum.remap`, `scaled` and `product` are its one
+package: scalars, Fock polynomials, operators, wedge vectors, v-Laurent
+coefficients and the KP taus, which carry a valid weight and eps through
+`SparseSum._like`; `SparseSum.remap`, `scaled` and `product` are its one
 term-by-term map, scaling and ring product.  Also provides Bernoulli
 numbers, the Taylor coefficients of s(t) = sinh(t/2)/(t/2) and 1/s(t), which
 govern the quantum corrections, the eigenvalue series built on 1/s(t),
@@ -46,6 +47,10 @@ class SparseSum:
         # terms is trusted to be reduced (no zero coefficients)
         self.terms = terms or {}
 
+    def _like(self, terms):
+        """Self's kind over terms; a subclass passes on its other state."""
+        return type(self)(terms)
+
     @classmethod
     def zero(cls):
         return cls()
@@ -67,10 +72,10 @@ class SparseSum:
         terms = dict(self.terms)
         for key, value in other.terms.items():
             add_into(terms, key, value)
-        return type(self)(terms)
+        return self._like(terms)
 
     def __neg__(self):
-        return type(self)({k: -v for k, v in self.terms.items()})
+        return self._like({k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -84,14 +89,14 @@ class SparseSum:
             term = fn(key, value)
             if term is not None:
                 add_into(terms, *term)
-        return type(self)(terms)
+        return self._like(terms)
 
     def scaled(self, c):
         """Every coefficient times c; the coefficient rings have no zero
         divisors, so only c = 0 makes a term vanish."""
         if not c:
-            return type(self)()
-        return type(self)({k: v * c for k, v in self.terms.items()})
+            return self._like({})
+        return self._like({k: v * c for k, v in self.terms.items()})
 
     def product(self, other, key_mul):
         """Ring product, the keys of two terms combined by key_mul."""
@@ -99,7 +104,7 @@ class SparseSum:
         for k1, v1 in self.terms.items():
             for k2, v2 in other.terms.items():
                 add_into(terms, key_mul(k1, k2), v1 * v2)
-        return type(self)(terms)
+        return self._like(terms)
 
 
 def _add_pairs(a, b):

@@ -336,6 +336,7 @@ DEGENERATE_BOUNDS = [
     ["verify", "hurwitz", "--n", "0"],
     ["verify", "hurwitz", "--m", "-1"],
     ["hamiltonian", "--n", "2", "--weight", "-1"],
+    ["hamiltonian", "--n", "2", "--naive", "--weight", "-1"],
     ["verify", "disk", "--K", "-1"],
     ["tables", "hurwitz", "--n", "3", "--m", "-1"],
     ["tables", "p1", "--eps", "0"],

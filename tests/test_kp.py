@@ -13,8 +13,15 @@ from hopfq.fock import FockPolynomial, mono_degree, mono_weight
 from hopfq.kp import (Laurent, TruncatedTau, generating_identity_coefficients,
                       hirota_apply, kp_bilinear_check, kp_equation_check,
                       kp_hierarchy_check, log_series, printed_bilinear,
-                      tau_from_disk, vl_constant)
+                      tau_from_disk)
 from hopfq.scalars import ExactScalar
+
+
+def truncated(tau):
+    """tau without its monomials above the valid weight."""
+    return TruncatedTau({m: c for m, c in tau.terms.items()
+                         if mono_weight(m) <= tau.valid_weight},
+                        tau.valid_weight, tau.eps)
 
 
 def repeated_derivative_hirota(P, f, g):
@@ -37,9 +44,9 @@ def repeated_derivative_hirota(P, f, g):
                     df = df.derivative(((k, 1),))
                 for _ in range(a - b):
                     dg = dg.derivative(((k, 1),))
-            term = (df * dg).scale(coeff * (fac if flips % 2 == 0 else -fac))
-            acc = acc + term.copy_meta(term.terms, valid)
-    return acc.truncate()
+            term = (df * dg).scaled(coeff * (fac if flips % 2 == 0 else -fac))
+            acc = acc + TruncatedTau(term.terms, valid, term.eps)
+    return truncated(acc)
 
 
 def power_sum_log_series(tau):
@@ -49,14 +56,14 @@ def power_sum_log_series(tau):
     inv = Laurent({tuple(-x for x in vexp): 1 / coeff})
     one = TruncatedTau({(): Laurent({(0,) * len(vexp): Fraction(1)})},
                        tau.valid_weight, tau.eps)
-    r = tau.scale(inv) - one
+    r = tau.scaled(inv) - one
     assert all(mono_weight(m) > 0 for m in r.terms)
     acc = TruncatedTau({}, tau.valid_weight, tau.eps)
     power = one
     for m in range(1, tau.valid_weight + 1):
-        power = (power * r).truncate()
-        acc = acc + power.scale(Fraction((-1) ** (m + 1), m))
-    return acc.truncate()
+        power = truncated(power * r)
+        acc = acc + power.scaled(Fraction((-1) ** (m + 1), m))
+    return truncated(acc)
 
 
 def assert_same_tau(got, want):
@@ -65,12 +72,17 @@ def assert_same_tau(got, want):
     assert got.terms == want.terms
 
 
+def constant(value, slots=0):
+    """value as a Laurent with exponent tuples of the given length."""
+    return Laurent({(0,) * slots: Fraction(value)} if value else {})
+
+
 def exp_series(a, W):
     """e^{a p_1} truncated at weight W with trivial v-coefficients."""
     terms = {}
     for d in range(W + 1):
         mono = ((1, d),) if d else ()
-        terms[mono] = vl_constant(Fraction(a) ** d / factorial(d))
+        terms[mono] = constant(Fraction(a) ** d / factorial(d))
     return TruncatedTau(terms, W, Fraction(1))
 
 
@@ -80,24 +92,26 @@ def random_series():
         lambda kvs: tuple(sorted({k: v for k, v in kvs}.items())))
     return st.dictionaries(monos, st.integers(-5, 5), max_size=4).map(
         lambda d: TruncatedTau(
-            {m: vl_constant(c) for m, c in d.items() if c}, 8, Fraction(1)))
+            {m: constant(c) for m, c in d.items() if c}, 8, Fraction(1)))
 
 
 def test_trivial_tau_is_plane_wave():
+    # one exponent slot per t-variable t0, t1 of the potential
     pot = disk_potential(5, 1)
     tau = tau_from_disk(pot, set(), 0, Fraction(1))
     for d in range(6):
         mono = ((1, d),) if d else ()
-        assert tau.terms.get(mono, {}) == vl_constant(Fraction(1, factorial(d)))
+        assert tau.terms.get(mono, {}) == constant(Fraction(1, factorial(d)), 2)
 
 
 def test_exponent_substitution_values():
-    # active {0}: amplitude carries v0^{24 (|lambda| - 1/24)}
+    # active {0}: amplitude carries v0^{24 (|lambda| - 1/24)}, and the slot
+    # of the inactive t1 stays zero
     pot = disk_potential(3, 1)
     tau = tau_from_disk(pot, {0}, 0, Fraction(1))
     exps = {e for c in tau.terms.values() for e in c.terms}
-    assert (24 * 1 - 1,) in exps  # |lambda| = 1
-    assert (-1,) in exps          # vacuum
+    assert (24 * 1 - 1, 0) in exps  # |lambda| = 1
+    assert (-1, 0) in exps          # vacuum
 
 
 def test_refusal_on_symbolic_exponent():
@@ -106,6 +120,10 @@ def test_refusal_on_symbolic_exponent():
     for u0, eps in [(None, Fraction(1)), (0, None), (0, Fraction(0))]:
         with pytest.raises(ValueError):
             tau_from_disk(pot, {1}, u0, eps)
+    # and an active index outside the potential's t0..tK names no exponent
+    for active in [{-1}, {0, 2}]:
+        with pytest.raises(ValueError):
+            tau_from_disk(pot, active, 0, Fraction(1))
 
 
 @given(random_series())
@@ -119,8 +137,8 @@ def test_odd_hirota_vanishes_on_diagonal(f):
 def test_hirota_on_exponentials():
     P = FockPolynomial.monomial(((1, 1),))
     got = hirota_apply(P, exp_series(2, 6), exp_series(3, 6))
-    want = exp_series(5, 6).scale(Fraction(2 - 3))
-    assert (got - want.copy_meta(want.terms, got.valid_weight)).is_zero_to_valid()
+    want = exp_series(5, 6).scaled(Fraction(2 - 3))
+    assert (got - want).is_zero_to_valid()
 
 
 @given(random_series(), random_series())
@@ -154,7 +172,7 @@ def test_log_series_of_exponential():
     tau = exp_series(3, 6)
     log = log_series(tau)
     # log e^{3 p1} = 3 p1 exactly
-    assert log.terms == {((1, 1),): vl_constant(3)}
+    assert log.terms == {((1, 1),): constant(3)}
 
 
 def test_kp_equation_on_disk_tau():
@@ -299,3 +317,50 @@ def test_perturbed_numeric_tau_fails_with_a_rendered_residual():
     assert residual.max_residual_term() == "1: (-8) * v0^94"
     failures = kp_hierarchy_check(tau, y_order=1)["failures"]
     assert failures and all(isinstance(t, str) and t for _, t in failures)
+
+
+def test_inherited_operations_keep_valid_weight_and_eps():
+    # TruncatedTau takes its sum, negation, scaling and term map from
+    # SparseSum; each result is a tau with the operands' eps, complete to the
+    # smaller valid weight of a sum
+    pot = disk_potential(6, 1)
+    eps = Fraction(1, 2)
+    a = tau_from_disk(pot, {0}, 0, eps)
+    b = tau_from_disk(pot, {0, 1}, 0, eps).derivative(((1, 1),))
+    assert (a.valid_weight, b.valid_weight) == (6, 5)
+    cases = [(-a, 6), (a + b, 5), (b + a, 5), (a - b, 5), (b - a, 5),
+             (a - a, 6), (a.scaled(0), 6), (a.scaled(Fraction(3)), 6),
+             (a.remap(lambda m, c: (m, c * 2)), 6)]
+    for result, valid in cases:
+        assert type(result) is TruncatedTau
+        assert (result.valid_weight, result.eps) == (valid, eps)
+    assert not (a - a).terms and not a.scaled(0).terms
+    assert (-a).terms == {m: -c for m, c in a.terms.items()}
+    assert a.scaled(Fraction(3)).terms == {m: c * 3 for m, c in a.terms.items()}
+    assert a.remap(lambda m, c: (m, c * 2)) == a + a
+
+
+def test_tau_equality_compares_valid_weight_and_eps():
+    pot = disk_potential(4, 1)
+    tau = tau_from_disk(pot, {0}, 0, Fraction(1))
+    again = tau_from_disk(pot, {0}, 0, Fraction(1))
+    assert tau is not again and tau == again
+    assert tau != TruncatedTau(tau.terms, 3, tau.eps)
+    assert tau != TruncatedTau(tau.terms, 4, Fraction(2))
+    assert TruncatedTau({}, 4, Fraction(1)) != Laurent()
+
+
+def test_exponent_tuples_have_one_slot_per_t_variable():
+    pot = disk_potential(4, 2)
+    for active in [set(), {0}, {2}, {0, 1, 2}]:
+        tau = tau_from_disk(pot, active, 0, Fraction(1))
+        assert {len(e) for c in tau.terms.values() for e in c.terms} == {3}
+    # tuples of two lengths are refused, not padded or cut short
+    with pytest.raises(ValueError):
+        Laurent({(1, 2): Fraction(1)}) * Laurent({(1,): Fraction(1)})
+    f = tau_from_disk(disk_potential(4, 1), {0}, 0, Fraction(1))
+    g = tau_from_disk(pot, {0}, 0, Fraction(1))
+    with pytest.raises(ValueError):
+        f * g
+    with pytest.raises(ValueError):
+        hirota_apply(printed_bilinear(1, f.eps), f, g)
