@@ -19,9 +19,9 @@ from math import factorial
 from typing import NamedTuple
 
 from .fock import FockPolynomial, mono_from_partition
-from .hamiltonians import (eigenvalue_closed_form,
+from .hamiltonians import (eigenvalue_series,
                            hamiltonian_generating_coefficients,
-                           vacuum_constant, verify_eigenvectors)
+                           verify_eigenvectors)
 from .partitions import (check_partition, dim, partitions_of, partitions_upto,
                          size, transpose)
 from .scalars import ExactScalar
@@ -57,8 +57,8 @@ def disk_potential(W, K):
     for lam in partitions_upto(W):
         n = size(lam)
         prefactor = ExactScalar.monomial(Fraction(dim(lam), factorial(n)), -n)
-        exponents = tuple(eigenvalue_closed_form(k, lam).shift_eps(-2)
-                          for k in range(K + 1))
+        exponents = tuple(e.shift_eps(-2) for k, e in
+                          eigenvalue_series(lam, K).items() if k >= 0)
         amplitudes[lam] = DiskAmplitude(lam, prefactor, exponents)
     return DiskPotential(W, K, amplitudes)
 
@@ -151,8 +151,8 @@ def verify_printed_expansion(report=None):
     Any mismatch is appended to `report` (a list) as (partition, detail).
     """
     pot = disk_potential(3, 3)
-    vacuum = [vacuum_constant(k).shift_eps(-2).substitute(u0=0)
-              for k in range(4)]
+    # the empty partition's exponents are the vacuum's, E_k(()) / hbar
+    vacuum = [e.substitute(u0=0) for e in pot.amplitudes[()].exponents]
     expected = _printed_display()
     ok = True
     for lam, amp in pot.amplitudes.items():
@@ -181,10 +181,10 @@ def verify_printed_expansion(report=None):
 
 def schroedinger_check(pot):
     """For every k <= K of the potential: (a) the stored t_k-exponent of
-    every amplitude times hbar is the eigenvalue E_k (holds by construction,
-    asserted anyway); (b) the transposed operator -- coefficients
-    (alpha, beta) swapped, acting on the p-variables -- has the same Schur
-    eigenvectors with the same eigenvalues.
+    every amplitude times hbar is E_k from one `eigenvalue_series` per
+    partition (holds by construction, asserted anyway); (b) the transposed
+    operator -- coefficients (alpha, beta) swapped, acting on the
+    p-variables -- has the same Schur eigenvectors with the same eigenvalues.
 
     (b) is the substantive check.  Each generated H_k equals its transpose
     (asserted), so (b) is the eigenvector check of H_k itself, which one
@@ -194,8 +194,9 @@ def schroedinger_check(pot):
     operators = hamiltonian_generating_coefficients(K, W)
     if any(op != op.transpose() for op in operators[1:]):
         return False
-    if any(amp.exponents[k].shift_eps(2) != eigenvalue_closed_form(k, lam)
-           for lam, amp in pot.amplitudes.items() for k in range(K + 1)):
+    if any([e.shift_eps(2) for e in amp.exponents]
+           != list(eigenvalue_series(lam, K).values())[1:]
+           for lam, amp in pot.amplitudes.items()):
         return False
     return not verify_eigenvectors(K, W, operators)["failures"]
 
@@ -262,11 +263,13 @@ def hurwitz_series(W, M):
     """
     result = {}
     for n in range(W + 1):
+        energies = [(lam, eigenvalue_series(lam, 1)[1]
+                     .substitute(eps=1, u0=0).as_fraction())
+                    for lam in partitions_of(n)]
         for m in range(M + 1):
             acc = FockPolynomial.zero()
-            for lam in partitions_of(n):
-                energy = eigenvalue_closed_form(1, lam).substitute(eps=1, u0=0)
-                coeff = energy.as_fraction() ** m * Fraction(dim(lam), factorial(n))
+            for lam, energy in energies:
+                coeff = energy ** m * Fraction(dim(lam), factorial(n))
                 acc = acc + schur(lam) * coeff
             result[(n, m)] = acc
     return result

@@ -14,9 +14,9 @@ The coefficient of q^alpha p^beta is e^{z u0} z^(l(alpha) + l(beta)) g(eps z)
 rational even series depending only on the multiset of modes.  So each g
 is built once over Q, on its even powers, and `scalars.lift` adds u0 and eps
 back once per multiset and alpha! beta!.  The eigenvalues
-E_k(lambda) on the scaled Schur basis have the same shape, e^{z u0} G(eps z);
-they come with both that series and the Bernoulli-sum expression, which must
-agree.
+E_k(lambda) on the scaled Schur basis have the same shape, e^{z u0} G(eps z),
+and `eigenvalue_series` lifts them all from one G; the Bernoulli-sum forms
+are kept only as the independent oracles the tests compare it with.
 """
 
 from __future__ import annotations
@@ -125,26 +125,6 @@ def cut_and_join(max_weight):
 # eigenvalues
 
 
-class EigenvalueSeries:
-    """Taylor coefficients E_n for n = -1 .. K of the eigenvalue series
-    E(z) = 1 + sum_{n >= -1} E_n z^{n+2}."""
-
-    __slots__ = ("partition", "coefficients")
-
-    def __init__(self, partition, coefficients):
-        self.partition = partition
-        self.coefficients = coefficients  # index n + 1 -> ExactScalar
-
-    def __eq__(self, other):
-        if not isinstance(other, EigenvalueSeries):
-            return NotImplemented
-        return (self.partition == other.partition
-                and self.coefficients == other.coefficients)
-
-    def __getitem__(self, n):
-        return self.coefficients[n + 1]
-
-
 def _content_shifts(partition):
     """Pairs (a_i, b_i) = (lambda_i - i + 1/2, -i + 1/2) over the rows."""
     return [(Fraction(2 * (partition[i - 1] - i) + 1, 2), Fraction(1 - 2 * i, 2))
@@ -152,14 +132,14 @@ def _content_shifts(partition):
 
 
 def eigenvalue_series(partition, K):
-    """E_n = lift(G, 0, n) from the finite rewriting E(z) = e^{z u0} G(eps z),
+    """{k: E_k} for k = -1 .. K, E(z) = 1 + sum_k E_k z^(k+2), with
+    E_k = lift(G, 0, k) from the finite rewriting E(z) = e^{z u0} G(eps z),
     G(t) = 1/s(t) + t sum_i (e^{t a_i} - e^{t b_i})
     (the infinite geometric tail is absorbed into 1/s)."""
     if K < -1:
         raise ValueError("K must be >= -1")
     g = eigenvalue_inner_series(exponential_row_form(partition), K + 2)
-    return EigenvalueSeries(tuple(partition),
-                            tuple(lift(g, 0, n) for n in range(-1, K + 1)))
+    return {k: lift(g, 0, k) for k in range(-1, K + 1)}
 
 
 @lru_cache(maxsize=None)
@@ -436,12 +416,12 @@ def verify_commutativity(N, W, operators=None):
 
 
 def _eigenvalue_premise_failures(partition, values):
-    """Entries for every E_k(lambda) in `values` (k = -1 ..) that is not
-    homogeneous of degree k + 2 in (u0, eps) or breaks
+    """Entries for every E_k(lambda) in `values` ({k: E_k}, k = -1 ..) that
+    is not homogeneous of degree k + 2 in (u0, eps) or breaks
     E_k = sum_j u0^j / j! E_{k-j}(0), E_{-2} = 1."""
     failures = []
     at_zero = [{0: Fraction(1)}]
-    for k, value in enumerate(values, start=-1):
+    for k, value in values.items():
         at_zero.append({e: v for (e, u), v in value.terms.items() if not u})
         if any(e + u != k + 2 for e, u in value.terms):
             failures.append({"premise": "eigenvalue_grading", "k": k,
@@ -458,7 +438,7 @@ def _eigenvalue_premise_failures(partition, values):
 
 def verify_eigenvectors(K, W, operators=None):
     """Check H_k s_lambda(q/eps) = E_k(lambda) s_lambda(q/eps) exactly for
-    all |lambda| <= W and k <= K, with E_k from the closed Bernoulli form.
+    all |lambda| <= W and k <= K, E_k from one eigenvalue_series per lambda.
 
     Premises (a) grading and (b) u0 expansion are asserted on `operators`
     as in `verify_commutativity`, and their analogues on each E_k(lambda):
@@ -476,10 +456,10 @@ def verify_eigenvectors(K, W, operators=None):
         operators = hamiltonian_generating_coefficients(K, W)
 
     def eigenvalues(lam):
-        values = [eigenvalue_closed_form(k, lam) for k in range(-1, K + 1)]
+        values = eigenvalue_series(lam, K)
         return (_eigenvalue_premise_failures(lam, values),
                 [value.terms.get((k + 2, 0), Fraction(0))
-                 for k, value in enumerate(values, start=-1)])
+                 for k, value in values.items()])
 
     premises = _premise_failures(operators)
     failures, basis_dims, checked = _schur_sweep(operators[:K + 2], W,

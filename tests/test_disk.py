@@ -1,17 +1,22 @@
 """Disk potential, pairing, degree slices, and factorization counts."""
 
+import importlib
 import itertools
+import pkgutil
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
+import hopfq
 from hopfq import disk
 from hopfq.disk import (disk_potential, fock_pairing, hurwitz_match_report,
                         hurwitz_oracle, hurwitz_oracle_direct,
                         integer_hbar_check, p1_partition_function,
                         schroedinger_check, verify_printed_expansion)
 from hopfq.fock import FockPolynomial, NormalOrderedOperator
+from hopfq.hamiltonians import verify_eigenvectors
+from hopfq.kp import tau_from_disk
 from hopfq.partitions import dim, partitions_of, partitions_upto, size
 from hopfq.scalars import ExactScalar, add_into
 from hopfq.schur import schur
@@ -197,3 +202,28 @@ def test_hurwitz_series_against_oracle():
     report = hurwitz_match_report(4, 4)
     assert report["mismatches"] == []
     assert report["checked"] > 0
+
+
+EIGENVALUE_ORACLES = ("eigenvalue_closed_form", "eigenvalue_frobenius_form",
+                      "vacuum_constant")
+
+
+def test_production_paths_read_no_eigenvalue_oracle(monkeypatch):
+    # the closed, Frobenius and Bernoulli-vacuum forms only check
+    # eigenvalue_series in the tests; no verifier or table may read them
+    def refuse(*args):
+        raise AssertionError(f"eigenvalue oracle called with {args}")
+
+    modules = [hopfq] + [importlib.import_module(f"hopfq.{info.name}")
+                         for info in pkgutil.iter_modules(hopfq.__path__)]
+    for module in modules:
+        for name in EIGENVALUE_ORACLES:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    assert verify_eigenvectors(3, 6)["failures"] == []
+    pot = disk_potential(6, 3)
+    assert schroedinger_check(pot)
+    assert verify_printed_expansion()
+    assert hurwitz_match_report(5, 4)["mismatches"] == []
+    assert len(p1_partition_function(4, 2)[4]) == 5
+    assert tau_from_disk(pot, {0, 1}, 0, Fraction(1)).terms

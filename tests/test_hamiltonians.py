@@ -105,12 +105,20 @@ def test_vacuum_constants():
 
 
 def test_eigenvalue_series_matches_closed_forms():
-    for lam in partitions_upto(5):
-        series = eigenvalue_series(lam, 4)
-        for k in range(-1, 5):
+    for lam in partitions_upto(6):
+        series = eigenvalue_series(lam, 7)
+        assert list(series) == list(range(-1, 8))
+        for k in range(-1, 8):
             closed = eigenvalue_closed_form(k, lam)
             assert series[k] == closed, (lam, k)
             assert eigenvalue_frobenius_form(k, lam) == closed, (lam, k)
+
+
+def test_eigenvalue_series_refuses_indices_out_of_range():
+    series = eigenvalue_series((1,), 3)
+    for k in (-2, 4):
+        with pytest.raises(KeyError):
+            series[k]
 
 
 def test_eigenvalue_examples():
@@ -471,15 +479,24 @@ EIGENVALUE_PERTURBATIONS = {
 
 @pytest.mark.parametrize("name", sorted(EIGENVALUE_PERTURBATIONS))
 def test_eigenvalue_perturbations_fail_in_both_engines(name, monkeypatch):
+    # the sweep reads eigenvalue_series, the oracle the closed form
     closed = hamiltonians.eigenvalue_closed_form
+    series = hamiltonians.eigenvalue_series
+    bump = EIGENVALUE_PERTURBATIONS[name]
 
-    def perturbed(k, lam):
+    def perturbed_closed(k, lam):
         value = closed(k, lam)
-        if (k, tuple(lam)) == (3, (2, 1)):
-            value = value + EIGENVALUE_PERTURBATIONS[name]
-        return value
+        return value + bump if (k, tuple(lam)) == (3, (2, 1)) else value
 
-    monkeypatch.setattr(hamiltonians, "eigenvalue_closed_form", perturbed)
+    def perturbed_series(lam, K):
+        values = series(lam, K)
+        if tuple(lam) == (2, 1):
+            values[3] = values[3] + bump
+        return values
+
+    monkeypatch.setattr(hamiltonians, "eigenvalue_closed_form",
+                        perturbed_closed)
+    monkeypatch.setattr(hamiltonians, "eigenvalue_series", perturbed_series)
     ops = hamiltonian_generating_coefficients(3, 5)
     assert symbolic_eigenvectors(3, 5, ops)["failures"]
     report = verify_eigenvectors(3, 5, ops)
