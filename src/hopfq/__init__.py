@@ -14,10 +14,10 @@ from .scalars import ExactScalar
 from .partitions import partitions_of, partitions_upto, dim, transpose
 from .fock import FockPolynomial, NormalOrderedOperator
 from .schur import schur, scaled_schur
-from .hamiltonians import hamiltonian, eigenvalue_closed_form
+from .hamiltonians import hamiltonian, eigenvalue_series
 
 __all__ = [
     "__version__", "ExactScalar", "FockPolynomial", "NormalOrderedOperator",
     "partitions_of", "partitions_upto", "dim", "transpose",
-    "schur", "scaled_schur", "hamiltonian", "eigenvalue_closed_form",
+    "schur", "scaled_schur", "hamiltonian", "eigenvalue_series",
 ]

@@ -102,20 +102,31 @@ def _current_payload(path):
     return None
 
 
+def _cached_operator(payload):
+    """(n, W, operator) of a cache payload, or None if its contents are
+    malformed: n or W not an int in range, or terms that do not parse
+    (`from_json` takes only ints for powers and indices)."""
+    n, W = payload.get("n"), payload.get("W")
+    if type(n) is not int or type(W) is not int or n < -1 or W < 0:
+        return None
+    try:
+        return n, W, NormalOrderedOperator.from_json(payload["terms"])
+    except (ArithmeticError, KeyError, TypeError, ValueError):
+        return None
+
+
 def cached_hamiltonian(n, W, cache_dir, use_cache=True):
     """Generate (or reload) the Hamiltonian for (n, W).  A cache file is
-    served only if a digest of the current sources wrote it; any other file
-    is regenerated and replaced atomically.  An unwritable --cache-dir is a
-    usage error."""
+    served only if a digest of the current sources wrote it and its contents
+    are well formed; any other file is regenerated and replaced atomically.
+    An unwritable --cache-dir is a usage error."""
     if not use_cache or cache_dir is None:
         return hamiltonian(n, W)
     path = Path(cache_dir) / f"hamiltonian_{n}_{W}.json"
     payload = _current_payload(path)
-    if payload and payload.get("n") == n and payload.get("W") == W:
-        try:
-            return NormalOrderedOperator.from_json(payload["terms"])
-        except (ValueError, KeyError, TypeError):
-            pass
+    cached = payload and _cached_operator(payload)
+    if cached and cached[:2] == (n, W):
+        return cached[2]
     op = hamiltonian(n, W)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     # the bytes of json.dumps of the payload, written one term at a time
@@ -142,15 +153,18 @@ def _verify_cache_sample(cache_dir, rng):
     """Reload one random cached operator written by the current sources and
     re-verify it against fresh generation.  Returns (passed, detail);
     passed is None, and the detail gives the reason, when no such entry
-    exists to check."""
+    exists to check, and False with a reason when the entry is malformed."""
     files = sorted(Path(cache_dir).glob("hamiltonian_*_*.json")) \
         if cache_dir and Path(cache_dir).is_dir() else []
-    current = [p for p in map(_current_payload, files) if p]
+    current = [(path, p) for path in files if (p := _current_payload(path))]
     if not current:
         return None, "no cached operator written by the current sources"
-    payload = rng.choice(current)
-    fresh = hamiltonian(payload["n"], payload["W"])
-    return NormalOrderedOperator.from_json(payload["terms"]) == fresh, {}
+    path, payload = rng.choice(current)
+    entry = _cached_operator(payload)
+    if entry is None:
+        return False, {"reason": f"malformed cache entry {path.name}"}
+    n, W, op = entry
+    return op == hamiltonian(n, W), {}
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ generating function of transposition-factorization counts.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -182,23 +181,25 @@ def verify_printed_expansion(report=None):
 def schroedinger_check(pot):
     """For every k <= K of the potential: (a) the stored t_k-exponent of
     every amplitude times hbar is E_k from one `eigenvalue_series` per
-    partition (holds by construction, asserted anyway); (b) the transposed
-    operator -- coefficients (alpha, beta) swapped, acting on the
-    p-variables -- has the same Schur eigenvectors with the same eigenvalues.
+    partition; (b) the transposed operator -- coefficients (alpha, beta)
+    swapped, acting on the p-variables -- has the same Schur eigenvectors
+    with those eigenvalues.
 
-    (b) is the substantive check.  Each generated H_k equals its transpose
-    (asserted), so (b) is the eigenvector check of H_k itself, which one
-    `verify_eigenvectors` run decides on H_{-1} .. H_K.
+    Each generated H_k equals its transpose (asserted), so (b) is the
+    eigenvector check of H_k itself, which one `verify_eigenvectors` run
+    decides on H_{-1} .. H_K.  It reads the series that (a) compared, so
+    together they verify the stored exponents as eigenvalues.
     """
     K, W = pot.K, pot.max_weight
     operators = hamiltonian_generating_coefficients(K, W)
     if any(op != op.transpose() for op in operators[1:]):
         return False
+    series = {lam: eigenvalue_series(lam, K) for lam in pot.amplitudes}
     if any([e.shift_eps(2) for e in amp.exponents]
-           != list(eigenvalue_series(lam, K).values())[1:]
+           != list(series[lam].values())[1:]
            for lam, amp in pot.amplitudes.items()):
         return False
-    return not verify_eigenvectors(K, W, operators)["failures"]
+    return not verify_eigenvectors(K, W, operators, series)["failures"]
 
 
 def fock_pairing(bra, ket):
@@ -336,23 +337,6 @@ def hurwitz_oracle(n, m, mu):
                 nxt[t2] = nxt.get(t2, 0) + c * ways
         counts = nxt
     return Fraction(counts.get(mu, 0), factorial(n))
-
-
-def hurwitz_oracle_direct(n, m, mu):
-    """Same count by literal iteration over all transposition m-tuples; only
-    viable for tiny parameters, used to cross-check the recursion."""
-    if (n * (n - 1) // 2) ** m > 300000:
-        raise ValueError("direct enumeration too large")
-    mu = check_partition(tuple(mu))
-    transpositions = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    hits = 0
-    for tup in itertools.product(transpositions, repeat=m):
-        perm = list(range(n))
-        for i, j in tup:
-            perm[i], perm[j] = perm[j], perm[i]
-        if _cycle_type(perm) == mu:
-            hits += 1
-    return Fraction(hits, factorial(n))
 
 
 def hurwitz_match_report(W, M):

@@ -72,22 +72,6 @@ class WedgeState(NamedTuple):
             above += -m - sum(1 for r in self.removed if r > m)
         return above
 
-    def partition(self):
-        """Row lengths lambda_i = m_i + i - 1 over occupied slots in
-        decreasing order; only meaningful at charge zero."""
-        if self.charge != 0:
-            raise ValueError("state has nonzero charge")
-        rows = []
-        occ = sorted(self.added, reverse=True)
-        vac = [m for m in range(0, min(self.removed, default=1) - 1, -1)
-               if m not in self.removed]
-        for i, m in enumerate(occ + vac, start=1):
-            lam = m + i - 1
-            if lam == 0:
-                break
-            rows.append(lam)
-        return tuple(rows)
-
 
 VACUUM = WedgeState((), ())
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from operator import index
 
 from .partitions import partitions_of
 from .scalars import ExactScalar, SparseSum, add_into
@@ -118,17 +119,9 @@ class FockPolynomial(SparseSum):
         return self.remap(
             lambda m, c: (m, c * scalar_per_factor ** mono_degree(m)))
 
-    def substitute_scalars(self, eps=None, u0=None):
-        return self.remap(lambda m, c: (m, c.substitute(eps=eps, u0=u0)))
-
-    def weights(self):
-        return sorted({mono_weight(m) for m in self.terms})
-
     def is_homogeneous(self, w=None):
-        ws = self.weights()
-        if not ws:
-            return True
-        return ws == [w if w is not None else ws[0]]
+        weights = {mono_weight(m) for m in self.terms}
+        return len(weights) <= 1 and (w is None or weights <= {w})
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: (mono_weight(t[0]), t[0]))
@@ -178,14 +171,6 @@ class NormalOrderedOperator(SparseSum):
             return cls()
         return cls({(tuple(alpha), tuple(beta)): coeff})
 
-    @classmethod
-    def creation(cls, k, power=1):
-        return cls.term(((k, power),), EMPTY)
-
-    @classmethod
-    def annihilation(cls, k, power=1):
-        return cls.term(EMPTY, ((k, power),))
-
     def coefficient(self, alpha, beta):
         return self.terms.get((tuple(alpha), tuple(beta)), ExactScalar.zero())
 
@@ -194,9 +179,6 @@ class NormalOrderedOperator(SparseSum):
     def transpose(self):
         """Swap creation and annihilation multi-indices in every term."""
         return self.remap(lambda key, c: (key[::-1], c))
-
-    def is_weight_preserving(self):
-        return all(mono_weight(a) == mono_weight(b) for a, b in self.terms)
 
     def restrict_weight(self, max_weight):
         return NormalOrderedOperator({
@@ -318,8 +300,8 @@ class NormalOrderedOperator(SparseSum):
     def from_json(cls, data):
         terms = {}
         for entry in data:
-            alpha = tuple((int(k), int(m)) for k, m in entry["alpha"])
-            beta = tuple((int(k), int(m)) for k, m in entry["beta"])
+            alpha = tuple((index(k), index(m)) for k, m in entry["alpha"])
+            beta = tuple((index(k), index(m)) for k, m in entry["beta"])
             coeff = ExactScalar.from_json(entry["coeff"])
             if not coeff.is_zero():
                 terms[(alpha, beta)] = coeff
@@ -327,14 +309,6 @@ class NormalOrderedOperator(SparseSum):
 
 
 # ---------------------------------------------------------------------------
-
-
-def degree_operator(max_weight):
-    """sum_k q_k p_k: multiplies weight-n monomials by hbar * n."""
-    terms = {}
-    for k in range(1, max_weight + 1):
-        terms[(((k, 1),), ((k, 1),))] = ExactScalar.one()
-    return NormalOrderedOperator(terms)
 
 
 def naive_hamiltonian(n, max_weight):

@@ -107,20 +107,6 @@ def hamiltonian(n, max_weight):
     return _operators(range(n, n + 1), max_weight)[0]
 
 
-def cut_and_join(max_weight):
-    """(1/2) sum_{i,j} (hbar (i+j) q_i q_j d_{i+j} + hbar^2 i j q_{i+j} d_i d_j),
-    written normally ordered; equals H_1 at u0 = 0."""
-    terms = {}
-    for i in range(1, max_weight):
-        for j in range(i, max_weight - i + 1):
-            half = Fraction(1, 2) if i == j else Fraction(1)
-            alpha = mono_from_partition(tuple(sorted((i, j), reverse=True)))
-            single = ((i + j, 1),)
-            terms[(alpha, single)] = ExactScalar.from_rational(half)
-            terms[(single, alpha)] = ExactScalar.from_rational(half)
-    return NormalOrderedOperator(terms)
-
-
 # ---------------------------------------------------------------------------
 # eigenvalues
 
@@ -436,9 +422,10 @@ def _eigenvalue_premise_failures(partition, values):
     return failures
 
 
-def verify_eigenvectors(K, W, operators=None):
+def verify_eigenvectors(K, W, operators=None, series=None):
     """Check H_k s_lambda(q/eps) = E_k(lambda) s_lambda(q/eps) exactly for
-    all |lambda| <= W and k <= K, E_k from one eigenvalue_series per lambda.
+    all |lambda| <= W and k <= K, E_k from one eigenvalue_series per lambda,
+    or from series[lambda] when a map `series` of them is given.
 
     Premises (a) grading and (b) u0 expansion are asserted on `operators`
     as in `verify_commutativity`, and their analogues on each E_k(lambda):
@@ -456,7 +443,7 @@ def verify_eigenvectors(K, W, operators=None):
         operators = hamiltonian_generating_coefficients(K, W)
 
     def eigenvalues(lam):
-        values = eigenvalue_series(lam, K)
+        values = eigenvalue_series(lam, K) if series is None else series[lam]
         return (_eigenvalue_premise_failures(lam, values),
                 [value.terms.get((k + 2, 0), Fraction(0))
                  for k, value in values.items()])

@@ -39,10 +39,6 @@ class Frobenius(NamedTuple):
     alpha: tuple
     beta: tuple
 
-    @property
-    def d(self):
-        return len(self.alpha)
-
 
 def frobenius(partition):
     """Frobenius coordinates alpha_i = lambda_i - i, beta_i = lambda'_i - i
@@ -52,21 +48,6 @@ def frobenius(partition):
     alpha = tuple(partition[i - 1] - i for i in range(1, d + 1))
     beta = tuple(conj[i - 1] - i for i in range(1, d + 1))
     return Frobenius(alpha, beta)
-
-
-def from_frobenius(coords):
-    """Inverse of `frobenius`."""
-    alpha, beta = coords.alpha, coords.beta
-    if len(alpha) != len(beta):
-        raise ValueError("alpha and beta must have equal length")
-    d = len(alpha)
-    rows = [alpha[i] + i + 1 for i in range(d)]
-    # column data beta determines rows below the diagonal
-    conj_rows = [beta[i] + i + 1 for i in range(d)]
-    extra = []
-    for j in range(d + 1, (conj_rows[0] if conj_rows else 0) + 1):
-        extra.append(sum(1 for c in conj_rows if c >= j))
-    return check_partition(tuple(rows) + tuple(p for p in extra if p > 0))
 
 
 def b_sign_exponent(partition):

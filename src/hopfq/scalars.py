@@ -18,6 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from operator import index
 
 
 def add_into(terms, key, value):
@@ -149,10 +150,6 @@ class ExactScalar(SparseSum):
         return cls({(power, 0): Fraction(1)})
 
     @classmethod
-    def u0(cls, power=1):
-        return cls.monomial(1, 0, power)
-
-    @classmethod
     def hbar(cls, power=1):
         """hbar^power = eps^(2*power); power may be a half-integer Fraction."""
         p = Fraction(power) * 2
@@ -230,14 +227,6 @@ class ExactScalar(SparseSum):
             raise ValueError(f"not a pure rational: {self.render()}")
         return self.terms[(0, 0)]
 
-    def min_eps_order(self):
-        if not self.terms:
-            raise ValueError("zero has no eps order")
-        return min(e for e, _ in self.terms)
-
-    def eps_powers(self):
-        return sorted({e for e, _ in self.terms})
-
     # -- rendering --------------------------------------------------------
 
     def render(self):
@@ -268,7 +257,7 @@ class ExactScalar(SparseSum):
         for e, u, num, den in data:
             val = Fraction(num, den)
             if val:
-                terms[(e, u)] = val
+                terms[(index(e), index(u))] = val
         return cls(terms)
 
 

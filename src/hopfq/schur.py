@@ -17,8 +17,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
 
-from .fock import FockPolynomial, mono_degree, mono_from_partition
-from .partitions import dim, partitions_of, size, transpose
+from .fock import FockPolynomial, mono_from_partition
+from .partitions import partitions_of, size, transpose
 from .scalars import ExactScalar
 
 
@@ -107,34 +107,19 @@ def verify_transpose_sign(partition):
 # expansion in the Schur basis: q^mu = sum_lambda chi^lambda(mu) s_lambda
 
 
-def _schur_coefficients(poly, n, coefficient, zero):
-    """{lambda: sum_mu chi^lambda(mu) c_mu} over the partitions lambda of n,
-    for poly = sum_mu c_mu q^mu homogeneous of weight n; c_mu is
-    coefficient(q^mu, its coefficient in poly)."""
+def expand_in_schur_basis(poly, n):
+    """Coefficients of a weight-n homogeneous polynomial in {s_lambda}:
+    for poly = sum_mu c_mu q^mu, the map lambda -> sum_mu chi^lambda(mu) c_mu
+    over the partitions lambda of n.  The c_mu must be rational; the
+    values are Fractions.
+    """
     if not poly.is_homogeneous(n):
         raise ValueError("polynomial is not homogeneous of the stated weight")
     values = [(tuple(k for k, m in reversed(mono) for _ in range(m)),
-               coefficient(mono, c)) for mono, c in poly.terms.items()]
-    return {lam: sum((c * character(lam, mu) for mu, c in values), zero)
+               c.as_fraction()) for mono, c in poly.terms.items()]
+    return {lam: sum((c * character(lam, mu) for mu, c in values),
+                     Fraction(0))
             for lam in partitions_of(n)}
-
-
-def expand_in_schur_basis(poly, n):
-    """Coefficients of a weight-n homogeneous polynomial in {s_lambda}.
-
-    The polynomial must have rational coefficients; returns a map
-    partition -> Fraction.
-    """
-    return _schur_coefficients(poly, n, lambda mono, c: c.as_fraction(),
-                               Fraction(0))
-
-
-def expand_in_scaled_schur(poly, n):
-    """Coefficients (ExactScalar) of a weight-n polynomial in {s_lambda(q/eps)}:
-    q^mu = eps^l(mu) (q/eps)^mu."""
-    return _schur_coefficients(
-        poly, n, lambda mono, c: c.shift_eps(mono_degree(mono)),
-        ExactScalar.zero())
 
 
 def power_of_q1_expansion(n):
@@ -144,14 +129,3 @@ def power_of_q1_expansion(n):
     poly = FockPolynomial.monomial(((1, n),) if n else ())
     return {lam: int(c) for lam, c in expand_in_schur_basis(poly, n).items()
             if c}
-
-
-def plane_wave_expansion(max_weight):
-    """Truncation of e^{q1/hbar} = sum_lambda eps^(-|lambda|) dim/|lambda|! *
-    s_lambda(q/eps) over |lambda| <= max_weight."""
-    acc = FockPolynomial.zero()
-    for n in range(max_weight + 1):
-        for lam in partitions_of(n):
-            pref = ExactScalar.monomial(Fraction(dim(lam), factorial(n)), -n)
-            acc = acc + scaled_schur(lam) * pref
-    return acc

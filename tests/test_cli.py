@@ -410,3 +410,50 @@ def test_cache_sample_without_current_entry_is_skipped(tmp_path, capsys):
     code, out = run(verify, capsys)
     assert code == 0
     assert json.loads(out)["cache_sample"] == {"passed": True, "detail": {}}
+
+
+MALFORMED = {"zero-denominator": ("coefficient", [[0, 0, 1, 0]]),
+             "str-eps-power": ("coefficient", [["2", 0, 1, 1], [0, 1, 1, 1]]),
+             "float-u0-power": ("coefficient", [[0, 0.5, 1, 1]]),
+             "str-n": ("n", "1"), "float-n": ("n", 1.0),
+             "bool-W": ("W", True), "negative-W": ("W", -3),
+             "null-terms": ("terms", None)}
+
+
+def _malform(path, field, value):
+    """Rewrite the cache file with one field replaced, keeping its digest;
+    "coefficient" replaces the first term's coefficient."""
+    payload = json.loads(path.read_text())
+    if field == "coefficient":
+        payload["terms"][0]["coeff"] = value
+    else:
+        payload[field] = value
+    path.write_text(json.dumps(payload))
+
+
+@pytest.mark.parametrize("field, value", MALFORMED.values(), ids=MALFORMED)
+def test_malformed_current_cache_entry_is_regenerated(tmp_path, capsys,
+                                                       field, value):
+    args = ["hamiltonian", "--n", "1", "--weight", "2",
+            "--cache-dir", str(tmp_path)]
+    code, fresh = run(args, capsys)
+    path = tmp_path / "hamiltonian_1_2.json"
+    written = path.read_text()
+    _malform(path, field, value)
+    code, out = run(args, capsys)
+    assert code == 0 and out == fresh
+    assert path.read_text() == written
+
+
+@pytest.mark.parametrize("field, value", MALFORMED.values(), ids=MALFORMED)
+def test_malformed_current_cache_entry_fails_the_sample(tmp_path, capsys,
+                                                        field, value):
+    code, _ = run(["hamiltonian", "--n", "1", "--weight", "2",
+                   "--cache-dir", str(tmp_path)], capsys)
+    _malform(tmp_path / "hamiltonian_1_2.json", field, value)
+    code, out = run(["verify", "hurwitz", "--n", "2", "--m", "1",
+                     "--cache-dir", str(tmp_path)], capsys)
+    assert code == 1
+    assert json.loads(out)["cache_sample"] == {
+        "passed": False,
+        "detail": {"reason": "malformed cache entry hamiltonian_1_2.json"}}

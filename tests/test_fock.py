@@ -5,9 +5,8 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfq.fock import (FockPolynomial, NormalOrderedOperator,
-                        degree_operator, mono_degree, mono_weight,
-                        naive_hamiltonian, weight_basis)
+from hopfq.fock import (FockPolynomial, NormalOrderedOperator, mono_degree,
+                        mono_weight, naive_hamiltonian, weight_basis)
 from hopfq.scalars import ExactScalar
 
 monos = st.lists(st.tuples(st.integers(1, 4), st.integers(1, 3)),
@@ -37,8 +36,8 @@ def test_mono_helpers():
 
 def test_single_contraction():
     # p_k q_k = q_k p_k + hbar k
-    p = NormalOrderedOperator.annihilation(2)
-    q = NormalOrderedOperator.creation(2)
+    p = NormalOrderedOperator.term((), ((2, 1),))
+    q = NormalOrderedOperator.term(((2, 1),), ())
     expected = NormalOrderedOperator.term(((2, 1),), ((2, 1),)) + \
         NormalOrderedOperator.identity(ExactScalar.monomial(2, 2))
     assert p.compose(q) == expected
@@ -46,7 +45,7 @@ def test_single_contraction():
 
 def test_apply_matches_differential_action():
     # p_2 acting on q_2^3 gives 3 * hbar * 2 * q_2^2
-    p = NormalOrderedOperator.annihilation(2)
+    p = NormalOrderedOperator.term((), ((2, 1),))
     f = FockPolynomial.monomial(((2, 3),))
     got = p.apply(f)
     assert got == FockPolynomial.monomial(((2, 2),), ExactScalar.monomial(6, 2))
@@ -69,23 +68,10 @@ def test_transpose_involution(op):
     assert op.transpose().transpose() == op
 
 
-def test_substitute_scalars_drops_vanishing_monomials():
-    u0 = ExactScalar.u0()
-    p = FockPolynomial({((1, 1),): u0 - 1, ((2, 1),): u0})
-    assert p.substitute_scalars(u0=1).terms == {((2, 1),): ExactScalar.one()}
-
-
-def test_degree_operator():
-    op = degree_operator(6)
-    f = FockPolynomial.monomial(((1, 1), (2, 2)))
-    assert op.apply(f) == f * ExactScalar.monomial(5, 2)
-
-
 def test_weight_restriction_prunes_high_terms():
     op = naive_hamiltonian(1, 6)
-    assert op.restrict_weight(3).is_weight_preserving()
     for (alpha, beta), _ in op.restrict_weight(3).sorted_terms():
-        assert mono_weight(beta) <= 3
+        assert mono_weight(alpha) == mono_weight(beta) <= 3
 
 
 def test_compose_max_weight_consistency():
@@ -103,5 +89,5 @@ def test_operator_json_roundtrip():
 
 
 def test_render_mentions_identity():
-    op = NormalOrderedOperator.identity(ExactScalar.u0())
+    op = NormalOrderedOperator.identity(ExactScalar.monomial(1, 0, 1))
     assert op.render() == "(1 * u0^1) Id"

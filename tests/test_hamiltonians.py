@@ -8,9 +8,9 @@ import pytest
 
 from hopfq import hamiltonians
 from hopfq.fock import (FockPolynomial, NormalOrderedOperator,
-                        degree_operator, mono_from_partition, mono_mul,
-                        mono_weight, naive_hamiltonian, weight_basis)
-from hopfq.hamiltonians import (cut_and_join, eigenvalue_closed_form,
+                        mono_from_partition, mono_mul, mono_weight,
+                        naive_hamiltonian, weight_basis)
+from hopfq.hamiltonians import (eigenvalue_closed_form,
                                 eigenvalue_frobenius_form, eigenvalue_series,
                                 exponential_frobenius_form,
                                 exponential_row_form, hamiltonian,
@@ -22,8 +22,21 @@ from hopfq.scalars import ExactScalar, inv_s_series, s_series
 from hopfq.schur import scaled_schur, schur
 
 
+def degree_operator(max_weight):
+    """sum_k q_k p_k: multiplies weight-n monomials by hbar * n."""
+    return NormalOrderedOperator({(((k, 1),), ((k, 1),)): ExactScalar.one()
+                                  for k in range(1, max_weight + 1)})
+
+
+def test_degree_operator():
+    op = degree_operator(6)
+    f = FockPolynomial.monomial(((1, 1), (2, 2)))
+    assert op.apply(f) == f * ExactScalar.monomial(5, 2)
+
+
 def test_bottom_hamiltonians():
-    assert hamiltonian(-1, 4) == NormalOrderedOperator.identity(ExactScalar.u0())
+    u0 = ExactScalar.monomial(1, 0, 1)
+    assert hamiltonian(-1, 4) == NormalOrderedOperator.identity(u0)
     h0 = hamiltonian(0, 4)
     correction = NormalOrderedOperator.identity(
         ExactScalar.monomial(Fraction(1, 2), 0, 2)
@@ -50,6 +63,20 @@ def test_h2_correction_structure():
             ((k, 1),), ((k, 1),),
             ExactScalar.monomial(Fraction(2 * k * k - 1, 24), 2))
     assert diff == expected
+
+
+def cut_and_join(max_weight):
+    """(1/2) sum_{i,j} (hbar (i+j) q_i q_j d_{i+j} + hbar^2 i j q_{i+j} d_i d_j),
+    written normally ordered; equals H_1 at u0 = 0."""
+    terms = {}
+    for i in range(1, max_weight):
+        for j in range(i, max_weight - i + 1):
+            half = Fraction(1, 2) if i == j else Fraction(1)
+            alpha = mono_from_partition(tuple(sorted((i, j), reverse=True)))
+            single = ((i + j, 1),)
+            terms[(alpha, single)] = ExactScalar.from_rational(half)
+            terms[(single, alpha)] = ExactScalar.from_rational(half)
+    return NormalOrderedOperator(terms)
 
 
 def test_cut_and_join_is_h1_at_u0_zero():
@@ -124,7 +151,7 @@ def test_eigenvalue_series_refuses_indices_out_of_range():
 def test_eigenvalue_examples():
     # E_{-1} = u0, E_0 = u0^2/2 + hbar(|lambda| - 1/24)
     lam = (2, 1)
-    assert eigenvalue_closed_form(-1, lam) == ExactScalar.u0()
+    assert eigenvalue_closed_form(-1, lam) == ExactScalar.monomial(1, 0, 1)
     e0 = eigenvalue_closed_form(0, lam)
     expected = ExactScalar.monomial(Fraction(1, 2), 0, 2) + \
         ExactScalar.monomial(Fraction(3) - Fraction(1, 24), 2)
@@ -173,7 +200,8 @@ def symbolic_generating_coefficients(K, max_weight):
     order = K + 2
     s, inv_s = s_series(order), inv_s_series(order)
     vacuum = _z_series_mul(
-        [ExactScalar.u0(j) * Fraction(1, factorial(j)) for j in range(order + 1)],
+        [ExactScalar.monomial(Fraction(1, factorial(j)), 0, j)
+         for j in range(order + 1)],
         [ExactScalar.monomial(inv_s[j], j) for j in range(order + 1)], order)
     ops = [{} for _ in range(K + 2)]
     for w in range(max_weight + 1):
@@ -415,7 +443,8 @@ def test_off_diagonal_perturbation_fails_only_as_matrix():
     # monomial of s = s_lambda(q)
     for f in report["failures"]:
         s = schur(tuple(f["partition"]))
-        image = ops[4].apply(s).substitute_scalars(eps=1, u0=0)
+        image = ops[4].apply(s).remap(
+            lambda m, c: (m, c.substitute(eps=1, u0=0)))
         pivot = next(m for m in weight_basis(6) if s.coefficient(m))
         e = (image.coefficient(pivot).as_fraction()
              / s.coefficient(pivot).as_fraction())
@@ -523,7 +552,8 @@ def test_wrong_character_fails_as_an_eigenvector(monkeypatch):
         k = f["k"]
         e_k = eigenvalue_closed_form(k, (2, 1)).substitute(eps=1, u0=0)
         diff = ops[k + 1].apply(vec) - vec * e_k
-        assert f["difference"] == diff.substitute_scalars(eps=1, u0=0).render()
+        assert f["difference"] == diff.remap(
+            lambda m, c: (m, c.substitute(eps=1, u0=0))).render()
 
 
 def test_commutativity_at_weight_12():

@@ -48,15 +48,13 @@ def test_substitution_is_a_homomorphism(a, b, eps, u0):
 
 def test_monomial_and_accessors():
     x = ExactScalar.monomial(Fraction(3, 2), eps_power=-1, u0_power=2)
-    assert x.min_eps_order() == -1
-    assert x.eps_powers() == [-1]
     assert x.shift_eps(1) == ExactScalar.monomial(Fraction(3, 2), 0, 2)
     assert x.substitute(eps=2, u0=1) == Fraction(3, 4)
     assert ExactScalar.hbar(Fraction(1, 2)) == ExactScalar.eps(1)
 
 
 def test_substitute_sums_terms_that_meet_and_stores_no_zero():
-    u0 = ExactScalar.u0()
+    u0 = ExactScalar.monomial(1, 0, 1)
     assert (u0 + 1).substitute(u0=2) == 3
     assert (u0 - 1).substitute(u0=1).terms == {}
     assert (ExactScalar.eps() + ExactScalar.eps(2)).substitute(eps=-1).terms \
@@ -80,7 +78,7 @@ def test_as_fraction_guards():
 
 
 def test_render_and_json_roundtrip():
-    x = ExactScalar.monomial(Fraction(-1, 24), 2) + ExactScalar.u0()
+    x = ExactScalar({(2, 0): Fraction(-1, 24), (0, 1): Fraction(1)})
     assert x.render() == "1 * u0^1 + -1/24 * eps^2"
     assert ExactScalar.from_json(x.to_json()) == x
 

@@ -9,8 +9,7 @@ from hopfq.fock import FockPolynomial
 from hopfq.partitions import dim, partitions_of, partitions_upto
 from hopfq.scalars import ExactScalar
 from hopfq.schur import (centralizer_size, character, complete_homogeneous,
-                         expand_in_scaled_schur, expand_in_schur_basis,
-                         plane_wave_expansion, power_of_q1_expansion,
+                         expand_in_schur_basis, power_of_q1_expansion,
                          scaled_schur, schur, verify_transpose_sign)
 
 
@@ -116,11 +115,15 @@ def test_power_of_q1_expansion_gives_dimensions():
         assert coeffs == {lam: dim(lam) for lam in partitions_of(n)}
 
 
-def test_expand_in_scaled_schur():
-    target = scaled_schur((2,)) + scaled_schur((1, 1)) * ExactScalar.eps()
-    coeffs = expand_in_scaled_schur(target, 2)
-    assert coeffs[(2,)] == ExactScalar.one()
-    assert coeffs[(1, 1)] == ExactScalar.eps()
+def plane_wave_expansion(max_weight):
+    """Truncation of e^{q1/hbar} = sum_lambda eps^(-|lambda|) dim/|lambda|! *
+    s_lambda(q/eps) over |lambda| <= max_weight."""
+    acc = FockPolynomial.zero()
+    for n in range(max_weight + 1):
+        for lam in partitions_of(n):
+            pref = ExactScalar.monomial(Fraction(dim(lam), factorial(n)), -n)
+            acc = acc + scaled_schur(lam) * pref
+    return acc
 
 
 def test_plane_wave_expansion_is_exponential():
