@@ -37,7 +37,10 @@ from .partitions import partitions_of, render as render_partition
 def _parse_rational(text):
     if text is None or text == "symbolic":
         return None
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:  # argparse refuses a ValueError with exit 2
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def _eps_value(args):

@@ -179,26 +179,23 @@ def verify_printed_expansion(report=None):
 
 
 def schroedinger_check(pot):
-    """For every k <= K of the potential: (a) the stored t_k-exponent of
-    every amplitude times hbar is E_k from one `eigenvalue_series` per
-    partition; (b) the transposed operator -- coefficients (alpha, beta)
-    swapped, acting on the p-variables -- has the same Schur eigenvectors
-    with those eigenvalues.
+    """For every k <= K of the potential, the transposed operator --
+    coefficients (alpha, beta) swapped, acting on the p-variables -- has the
+    Schur eigenvectors with eigenvalues E_k = hbar * (stored t_k exponent).
 
-    Each generated H_k equals its transpose (asserted), so (b) is the
-    eigenvector check of H_k itself, which one `verify_eigenvectors` run
-    decides on H_{-1} .. H_K.  It reads the series that (a) compared, so
-    together they verify the stored exponents as eigenvalues.
+    Each generated H_k equals its transpose (asserted), so this is the
+    eigenvector check of H_k itself: one `verify_eigenvectors` run on
+    H_{-1} .. H_K, with E_{-1} = u0.  Its eigenvalue premises make the
+    stored exponents the eigenvalues in full, not only at u0 = 0.
     """
     K, W = pot.K, pot.max_weight
     operators = hamiltonian_generating_coefficients(K, W)
     if any(op != op.transpose() for op in operators[1:]):
         return False
-    series = {lam: eigenvalue_series(lam, K) for lam in pot.amplitudes}
-    if any([e.shift_eps(2) for e in amp.exponents]
-           != list(series[lam].values())[1:]
-           for lam, amp in pot.amplitudes.items()):
-        return False
+    u0 = ExactScalar.monomial(1, 0, 1)
+    series = {lam: dict(enumerate([u0] + [e.shift_eps(2)
+                                          for e in amp.exponents], start=-1))
+              for lam, amp in pot.amplitudes.items()}
     return not verify_eigenvectors(K, W, operators, series)["failures"]
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, inf, lcm, prod
 from operator import mul
 
 from .fock import (EMPTY, FockPolynomial, NormalOrderedOperator, mono_degree,
@@ -202,49 +202,46 @@ def exponential_frobenius_form(partition):
 # eps, so both sweeps assert that structure and then work at u0 = 0, eps = 1
 
 
-def _term_failure(premise, n, key, coeff, expected=None):
-    alpha, beta = key
-    entry = {"premise": premise, "n": n,
-             "alpha": [list(km) for km in alpha],
-             "beta": [list(km) for km in beta],
-             "coefficient": coeff.render()}
-    if expected is not None:
-        entry["expected"] = expected.render()
-    return entry
-
-
-def _u0_expansion(at_zero, n):
-    """Coefficients (e, j) -> value of sum_j u0^j / j! X_{n-j}(0), where
-    at_zero[i] is the u0-free part {e: value} of X_{i-2}."""
-    terms = {}
-    for j in range(n + 3):
-        for e, v in at_zero[n + 2 - j].items():
-            terms[(e, j)] = v if j < 2 else v / factorial(j)
-    return terms
+def _lift_failures(chain, length, below):
+    """(premise, n, extra) for each break in `chain` = [X_{-1}, X_0, ...],
+    the z^(n+2) coefficients of a series e^{z u0} z^length g(eps z):
+      "grading": a term u0^a eps^b of X_n has a + b + length != n + 2;
+      "u0_expansion": d/du0 X_n != X_{n-1}, X_{-2} = `below`; extra holds
+          the expected X_n(0) + int_0^u0 X_{n-1}.
+    Over Q, d/du0 X_n = X_{n-1} for all n is X_n = sum_j u0^j/j! X_{n-j}(0),
+    X_{-2}(0) = below: by induction on n, integrate X_{n-1}'s expansion."""
+    failures = []
+    for n, x in enumerate(chain, start=-1):
+        if any(e + u + length != n + 2 for e, u in x.terms):
+            failures.append(("grading", n, {}))
+        expected = {key: v for key, v in x.terms.items() if not key[1]}
+        for (e, u), v in below.terms.items():
+            expected[(e, u + 1)] = v / (u + 1)
+        if x.terms != expected:
+            failures.append(("u0_expansion", n, {
+                "expected": ExactScalar(expected).render()}))
+        below = x
+    return failures
 
 
 def _premise_failures(operators):
     """Entries for every term of `operators` (H_{-1}, H_0, ...) that breaks
-    premise (a) or (b)."""
+    premise (a) or (b): `_lift_failures` on each (alpha, beta) chain, with
+    no grade fitting a term of wt(alpha) != wt(beta), the rest of (a)."""
     failures = []
-    empty = [{}] * (len(operators) + 1)
-    at_zero = {(EMPTY, EMPTY): [{0: Fraction(1)}] + empty[1:]}
-    for n, op in enumerate(operators, start=-1):
-        for key, c in op.terms.items():
-            alpha, beta = key
-            length = mono_degree(alpha) + mono_degree(beta)
-            if (mono_weight(alpha) != mono_weight(beta)
-                    or any(e + u + length != n + 2 for e, u in c.terms)):
-                failures.append(_term_failure("grading", n, key, c))
-            parts = at_zero.setdefault(key, list(empty))
-            parts[n + 2] = {e: v for (e, u), v in c.terms.items() if not u}
-    for key, parts in sorted(at_zero.items()):
-        for n, op in enumerate(operators, start=-1):
-            c = op.terms.get(key, ExactScalar.zero())
-            expected = _u0_expansion(parts, n)
-            if c.terms != expected:
-                failures.append(_term_failure("u0_expansion", n, key, c,
-                                              ExactScalar(expected)))
+    zero, one = ExactScalar.zero(), ExactScalar.one()
+    keys = set().union(*(op.terms for op in operators), [(EMPTY, EMPTY)])
+    for alpha, beta in sorted(keys):
+        chain = [op.terms.get((alpha, beta), zero) for op in operators]
+        length = (mono_degree(alpha) + mono_degree(beta)
+                  if mono_weight(alpha) == mono_weight(beta) else inf)
+        below = one if alpha == beta == EMPTY else zero
+        failures += [{"premise": premise, "n": n,
+                      "alpha": [list(km) for km in alpha],
+                      "beta": [list(km) for km in beta],
+                      "coefficient": chain[n + 1].render(), **extra}
+                     for premise, n, extra in
+                     _lift_failures(chain, length, below)]
     return failures
 
 
@@ -379,8 +376,8 @@ def verify_commutativity(N, W, operators=None):
     with a "premise" key:
       (a) grading: every term c u0^a eps^b q^alpha p^beta of H_n has
           wt(alpha) = wt(beta) and a + b + l(alpha) + l(beta) = n + 2;
-      (b) u0 expansion: H_n(u0) = sum_j u0^j / j! H_{n-j}(0), with
-          H_{-2}(0) = Id;
+      (b) u0 expansion: d/du0 H_n = H_{n-1}, with H_{-2} = Id, which over
+          Q is H_n(u0) = sum_j u0^j / j! H_{n-j}(0) (see `_lift_failures`);
       (c) basis: the integer vectors w! s_lambda(q) = chi^lambda(mu) w!/z_mu
           span V_w, w <= W, by the orthogonality of the character table.
     By (a), H_n(0) acts on V_w as eps^(n+2) D^-1 R_n D, with
@@ -401,27 +398,6 @@ def verify_commutativity(N, W, operators=None):
             "basis_dims": basis_dims}
 
 
-def _eigenvalue_premise_failures(partition, values):
-    """Entries for every E_k(lambda) in `values` ({k: E_k}, k = -1 ..) that
-    is not homogeneous of degree k + 2 in (u0, eps) or breaks
-    E_k = sum_j u0^j / j! E_{k-j}(0), E_{-2} = 1."""
-    failures = []
-    at_zero = [{0: Fraction(1)}]
-    for k, value in values.items():
-        at_zero.append({e: v for (e, u), v in value.terms.items() if not u})
-        if any(e + u != k + 2 for e, u in value.terms):
-            failures.append({"premise": "eigenvalue_grading", "k": k,
-                             "partition": list(partition),
-                             "eigenvalue": value.render()})
-        expected = _u0_expansion(at_zero, k)
-        if value.terms != expected:
-            failures.append({"premise": "eigenvalue_u0_expansion", "k": k,
-                             "partition": list(partition),
-                             "eigenvalue": value.render(),
-                             "expected": ExactScalar(expected).render()})
-    return failures
-
-
 def verify_eigenvectors(K, W, operators=None, series=None):
     """Check H_k s_lambda(q/eps) = E_k(lambda) s_lambda(q/eps) exactly for
     all |lambda| <= W and k <= K, E_k from one eigenvalue_series per lambda,
@@ -430,7 +406,7 @@ def verify_eigenvectors(K, W, operators=None, series=None):
     Premises (a) grading and (b) u0 expansion are asserted on `operators`
     as in `verify_commutativity`, and their analogues on each E_k(lambda):
     it is homogeneous of degree k + 2 in (u0, eps), and
-    E_k = sum_j u0^j / j! E_{k-j}(0) with E_{-2} = 1.  Under them the
+    d/du0 E_k = E_{k-1} with E_{-2} = 1.  Under them the
     identity holds exactly when R_k s_lambda(q) = e_k(lambda) s_lambda(q),
     with R_k H_k's matrix at u0 = 0, eps = 1 and e_k(lambda) the eps^(k+2)
     coefficient of E_k(lambda).  The sweep is that of
@@ -444,9 +420,12 @@ def verify_eigenvectors(K, W, operators=None, series=None):
 
     def eigenvalues(lam):
         values = eigenvalue_series(lam, K) if series is None else series[lam]
-        return (_eigenvalue_premise_failures(lam, values),
-                [value.terms.get((k + 2, 0), Fraction(0))
-                 for k, value in values.items()])
+        chain = list(values.values())
+        return ([{"premise": "eigenvalue_" + premise, "k": k,
+                  "partition": list(lam), "eigenvalue": chain[k + 1].render(),
+                  **extra} for premise, k, extra
+                 in _lift_failures(chain, 0, ExactScalar.one())],
+                [x.terms.get((k + 2, 0), 0) for k, x in values.items()])
 
     premises = _premise_failures(operators)
     failures, basis_dims, checked = _schur_sweep(operators[:K + 2], W,

@@ -355,6 +355,19 @@ def test_degenerate_bounds_are_refused(argv, capsys):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--u0", "1/0"), ("--hbar", "1/0"), ("--eps", "0/0"),
+])
+def test_zero_denominator_is_a_usage_error(flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["tables", "p1", "--degree", "1", "--K", "1", flag, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: hopfq tables p1 [")
+    assert f"argument {flag}: invalid" in captured.err
+
+
 def test_hbar_square_root_refusal(capsys):
     code, _ = run(["tables", "p1", "--degree", "1", "--K", "1",
                    "--hbar", "2"], capsys)

@@ -135,8 +135,31 @@ def test_perturbed_stored_exponent_fails_schroedinger_check():
     assert not schroedinger_check(pot)
 
 
-def test_schroedinger_check_builds_each_series_once(monkeypatch):
-    # check (a) and the eigen sweep read one eigenvalue series per partition
+def test_stored_exponent_wrong_only_in_u0_fails_schroedinger_check(
+        monkeypatch):
+    # u0 added to the t_1 exponent of (2, 1): E_1 gains the graded term
+    # eps^2 u0, invisible at u0 = 0, so only d/du0 E_k = E_{k-1} sees it,
+    # at k = 1 and again at k = 2
+    reports = []
+
+    def recorded(*args):
+        reports.append(verify_eigenvectors(*args))
+        return reports[-1]
+
+    pot = disk_potential(4, 2)
+    amp = pot.amplitudes[(2, 1)]
+    bumped = amp.exponents[1] + ExactScalar.monomial(1, 0, 1)
+    pot.amplitudes[(2, 1)] = amp._replace(
+        exponents=amp.exponents[:1] + (bumped,) + amp.exponents[2:])
+    monkeypatch.setattr(disk, "verify_eigenvectors", recorded)
+    assert not schroedinger_check(pot)
+    assert [(f.get("premise"), f["k"], f["partition"])
+            for f in reports[0]["failures"]] == [
+        ("eigenvalue_u0_expansion", k, [2, 1]) for k in (1, 2)]
+
+
+def test_schroedinger_check_builds_no_series(monkeypatch):
+    # the eigen sweep reads the potential's stored exponents
     built = []
     series = disk.eigenvalue_series
 
@@ -148,7 +171,7 @@ def test_schroedinger_check_builds_each_series_once(monkeypatch):
     monkeypatch.setattr(disk, "eigenvalue_series", counted)
     monkeypatch.setattr(hamiltonians, "eigenvalue_series", counted)
     assert schroedinger_check(pot)
-    assert sorted(built) == sorted(pot.amplitudes)
+    assert built == []
 
 
 @pytest.mark.parametrize("j", range(4))

@@ -409,6 +409,37 @@ def test_commutativity_perturbations_fail_in_both_engines(name):
     assert _kinds(verify_commutativity(3, 6, ops)) == kinds
 
 
+def test_weight_changing_term_fails_only_as_grading():
+    # eps^3 q2 p1 added to the top operator H_3: graded in (u0, eps) and
+    # free of u0, but wt(alpha) != wt(beta), the other half of (a)
+    ops = hamiltonian_generating_coefficients(3, 6)
+    ops[4] = ops[4] + NormalOrderedOperator.term(((2, 1),), ((1, 1),),
+                                                 ExactScalar.monomial(1, 3))
+    report = verify_commutativity(3, 6, ops)
+    assert [(f["premise"], f["n"], f["alpha"], f["beta"])
+            for f in report["failures"]] == [("grading", 3, [[2, 1]],
+                                              [[1, 1]])]
+
+
+def test_chain_base_case_is_checked():
+    # H_{-1} + u0 Id: d/du0 H_{-1} = 2 Id, not H_{-2} = Id, and then
+    # d/du0 H_0 = H_{-1} breaks on the identity term as well
+    ops = hamiltonian_generating_coefficients(3, 6)
+    ops[0] = ops[0] + NormalOrderedOperator.identity(
+        ExactScalar.monomial(1, 0, 1))
+    report = verify_commutativity(3, 6, ops)
+    assert [(f["premise"], f["n"], f["alpha"], f["beta"])
+            for f in report["failures"]] == [("u0_expansion", n, [], [])
+                                             for n in (-1, 0)]
+    # E_{-1}((2, 1)) = 2 u0: d/du0 E_{-1} = 2, not E_{-2} = 1
+    series = {lam: eigenvalue_series(lam, 3) for lam in partitions_upto(5)}
+    series[(2, 1)][-1] = ExactScalar.monomial(2, 0, 1)
+    report = verify_eigenvectors(3, 5, series=series)
+    assert [(f["premise"], f["k"], f["partition"])
+            for f in report["failures"]] == [
+        ("eigenvalue_u0_expansion", k, [2, 1]) for k in (-1, 0)]
+
+
 def test_eigenbasis_engine_agrees_with_pairwise_oracle():
     ops = hamiltonian_generating_coefficients(5, 8)
     for W in range(9):

@@ -53,7 +53,6 @@ ALLOWED = {
     "hamiltonians.eigenvalue_closed_form": CRITERION,
     "hamiltonians.eigenvalue_frobenius_form": CRITERION,
     "hamiltonians.exponential_frobenius_form": CRITERION,
-    "hamiltonians._term_failure": FAILURE,
     "hamiltonians._render_at_unit": FAILURE,
     "kp.Laurent.render": FAILURE,
     "kp.TruncatedTau.max_residual_term": FAILURE,
