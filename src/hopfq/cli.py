@@ -35,12 +35,18 @@ from .partitions import partitions_of, render as render_partition
 
 
 def _parse_rational(text):
+    """A rational option value, or None for 'symbolic'.  A value refused
+    here is a usage error: argparse prints the reason and exits 2."""
     if text is None or text == "symbolic":
         return None
     try:
         return Fraction(text)
-    except ZeroDivisionError:  # argparse refuses a ValueError with exit 2
-        raise ValueError(f"zero denominator in {text!r}") from None
+    except ZeroDivisionError:
+        reason = "zero denominator"
+    except ValueError:
+        reason = "not an integer, fraction or decimal"
+    raise argparse.ArgumentTypeError(
+        f"invalid rational value {text!r}: {reason}")
 
 
 def _eps_value(args):

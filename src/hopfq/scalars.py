@@ -320,10 +320,11 @@ def eigenvalue_inner_series(exponentials, order):
     return inner
 
 
-def lift(g, length, n):
-    """Coefficient of z^(n+2) in e^{z u0} z^length g(eps z), for g the list
-    of coefficients of a series over Q:
-    sum_i g_i eps^i u0^(d-i) / (d-i)! with d = n + 2 - length.
+def lift(g, length, n, den=1):
+    """Coefficient of z^(n+2) in e^{z u0} z^length g(eps z) / den, for g the
+    list of coefficients of a series over Q, or of integer numerators over
+    the common denominator den:
+    sum_i g_i eps^i u0^(d-i) / (den (d-i)!) with d = n + 2 - length.
 
     Every generated series of the package (the operators H_n, the
     eigenvalues E_k) has this shape, so this is the one place where u0 and
@@ -333,5 +334,5 @@ def lift(g, length, n):
     terms = {}
     for i in range(d + 1):
         if g[i]:
-            terms[(i, d - i)] = g[i] / factorial(d - i)
+            terms[(i, d - i)] = Fraction(g[i], den * factorial(d - i))
     return ExactScalar(terms)

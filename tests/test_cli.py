@@ -366,6 +366,22 @@ def test_zero_denominator_is_a_usage_error(flag, value, capsys):
     assert captured.out == ""
     assert captured.err.startswith("usage: hopfq tables p1 [")
     assert f"argument {flag}: invalid" in captured.err
+    assert (f"argument {flag}: invalid rational value {value!r}: "
+            "zero denominator") in captured.err
+    assert "_parse_rational" not in captured.err
+
+
+@pytest.mark.parametrize("flag", ["--u0", "--hbar", "--eps"])
+def test_a_value_that_is_not_rational_is_a_usage_error(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["tables", "p1", "--degree", "1", "--K", "1", flag, "abc"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: hopfq tables p1 [")
+    assert (f"argument {flag}: invalid rational value 'abc': "
+            "not an integer, fraction or decimal") in captured.err
+    assert "_parse_rational" not in captured.err
 
 
 def test_hbar_square_root_refusal(capsys):

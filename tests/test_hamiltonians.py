@@ -1,5 +1,6 @@
 """Quantum Hamiltonians, eigenvalues, and verification sweeps."""
 
+import random
 from fractions import Fraction
 from math import factorial, lcm
 from operator import mul
@@ -601,3 +602,297 @@ def test_commutativity_at_weight_14():
     assert report["pairs_checked"] == 21
     assert report["weight_bound"] == 14
     assert report["basis_dims"][14] == 135
+
+
+# ---------------------------------------------------------------------------
+# the per-vector sweep: R_i v for each v = w! s_lambda(q) on its own, one
+# dot product per row, as the oracle of the Kronecker-packed sweep
+
+
+def per_vector_sweep(operators, W, eigenvalues=None):
+    """(failures, basis_dims, checked) of `hamiltonians._schur_sweep`, each
+    Schur vector multiplied out alone and every orthogonality relation
+    formed."""
+    scales, bases, rows = hamiltonians._sparse_rows(operators, W)
+    failures = []
+    checked = 0
+    for w, basis in enumerate(bases):
+        parts, chi, vecs = hamiltonians._schur_vectors(w)
+        if eigenvalues is None:
+            for a, vec in enumerate(vecs):
+                for b in range(a, len(vecs)):
+                    product = sum(map(mul, vec, chi[b]))
+                    expected = factorial(w) if a == b else 0
+                    if product != expected:
+                        failures.append({
+                            "premise": "basis", "weight": w,
+                            "partitions": [list(parts[a]), list(parts[b])],
+                            "product": product, "expected": expected})
+        for lam, vec in zip(parts, vecs):
+            if eigenvalues is not None:
+                entries, values = eigenvalues(lam)
+                failures += entries
+            p = next((r for r, x in enumerate(vec) if x), 0)
+            for i, op_rows in enumerate(rows[w]):
+                checked += 1
+                image = [sum(map(mul, vals, map(vec.__getitem__, cols)))
+                         for cols, vals in op_rows]
+                if eigenvalues is None:
+                    num, den = image[p], vec[p]
+                else:
+                    e = values[i] * scales[i]
+                    num, den = e.numerator, e.denominator
+                diff = [x * den - num * y for x, y in zip(image, vec)]
+                if any(diff):
+                    where = ({"n": i - 1, "weight": w} if eigenvalues is None
+                             else {"k": i - 1})
+                    failures.append({**where, "partition": list(lam),
+                                     "difference": hamiltonians._render_at_unit(
+                                         basis, diff,
+                                         scales[i] * den * factorial(w))})
+    return failures, [len(basis) for basis in bases], checked
+
+
+def sweeps_agree(monkeypatch, verify, *args, **kwargs):
+    """verify(*args, **kwargs) with every sweep it makes run by both the
+    packed and the per-vector engine, asserted equal; returns the report
+    and the sweep's failures."""
+    packed_sweep = hamiltonians._schur_sweep
+    sweeps = []
+
+    def both(operators, W, eigenvalues=None):
+        packed = packed_sweep(operators, W, eigenvalues)
+        assert packed == per_vector_sweep(operators, W, eigenvalues)
+        sweeps.append(packed)
+        return packed
+
+    monkeypatch.setattr(hamiltonians, "_schur_sweep", both)
+    report = verify(*args, **kwargs)
+    assert len(sweeps) == 1
+    return report, sweeps[0][0]
+
+
+@pytest.mark.parametrize("name", sorted(PERTURBATIONS))
+def test_packed_sweep_agrees_with_per_vector_sweep_on_perturbations(
+        name, monkeypatch):
+    n, coeff, kinds = PERTURBATIONS[name]
+    ops = _perturbed(hamiltonian_generating_coefficients(3, 6), n, coeff)
+    _, failures = sweeps_agree(monkeypatch, verify_commutativity, 3, 6, ops)
+    assert bool(failures) == ("matrix" in kinds)
+    _, failures = sweeps_agree(monkeypatch, verify_eigenvectors, 3, 5, ops)
+    assert bool(failures) == ("matrix" in kinds)
+
+
+@pytest.mark.parametrize("name", sorted(EIGENVALUE_PERTURBATIONS))
+def test_packed_sweep_agrees_with_per_vector_sweep_on_eigenvalue_changes(
+        name, monkeypatch):
+    series = hamiltonians.eigenvalue_series
+    bump = EIGENVALUE_PERTURBATIONS[name]
+
+    def perturbed_series(lam, K):
+        values = series(lam, K)
+        if tuple(lam) == (2, 1):
+            values[3] = values[3] + bump
+        return values
+
+    monkeypatch.setattr(hamiltonians, "eigenvalue_series", perturbed_series)
+    for W in (5, 6):
+        report, _ = sweeps_agree(monkeypatch, verify_eigenvectors, 3, W)
+        assert _kinds(report) == {name}
+
+
+def _off_diagonal(operators):
+    """eps^2 q6 p3^2 added to the top operator H_3 (see
+    `test_off_diagonal_perturbation_fails_only_as_matrix`)."""
+    out = list(operators)
+    out[4] = out[4] + NormalOrderedOperator.term(((6, 1),), ((3, 2),),
+                                                 ExactScalar.monomial(1, 2))
+    return out
+
+
+def _eigenvalue_shift(operators):
+    """eps^5 Id added to the top operator H_3."""
+    out = list(operators)
+    out[4] = out[4] + NormalOrderedOperator.identity(ExactScalar.monomial(1, 5))
+    return out
+
+
+@pytest.mark.parametrize("change", [_off_diagonal, _eigenvalue_shift])
+def test_packed_sweep_agrees_with_per_vector_sweep_on_matrix_changes(
+        change, monkeypatch):
+    ops = change(hamiltonian_generating_coefficients(3, 6))
+    _, commute = sweeps_agree(monkeypatch, verify_commutativity, 3, 6, ops)
+    _, eigen = sweeps_agree(monkeypatch, verify_eigenvectors, 3, 6, ops)
+    assert eigen
+    assert bool(commute) == (change is _off_diagonal)
+
+
+@pytest.mark.parametrize("table", ["wrong", "singular"])
+def test_packed_sweep_agrees_with_per_vector_sweep_on_broken_tables(
+        table, monkeypatch):
+    # the two broken character tables of the tests above: one entry of
+    # (2, 1) changed, and the row of (1, 1) replaced by that of (2)
+    character = hamiltonians.character
+
+    def broken(lam, mu):
+        if table == "singular":
+            return character((2,) if lam == (1, 1) else lam, mu)
+        return character(lam, mu) + ((lam, mu) == ((2, 1), (1, 1, 1)))
+
+    monkeypatch.setattr(hamiltonians, "character", broken)
+    ops = hamiltonian_generating_coefficients(3, 6)
+    _, commute = sweeps_agree(monkeypatch, verify_commutativity, 3, 6, ops)
+    _, eigen = sweeps_agree(monkeypatch, verify_eigenvectors, 3, 6, ops)
+    assert commute and eigen
+
+
+def test_packed_sweep_agrees_with_per_vector_sweep_at_weight_8(monkeypatch):
+    ops = hamiltonian_generating_coefficients(5, 8)
+    report, failures = sweeps_agree(monkeypatch, verify_commutativity, 5, 8,
+                                    ops)
+    assert report["failures"] == failures == []
+    report, failures = sweeps_agree(monkeypatch, verify_eigenvectors, 5, 8,
+                                    ops)
+    assert report["failures"] == failures == []
+    assert report["pairs_checked"] == 7 * sum(report["basis_dims"])
+
+
+def _random_operator(rng, W, density):
+    """Random rational multiples of q^alpha p^beta, wt(alpha) = wt(beta)
+    <= W: no Schur vector is an eigenvector of it."""
+    terms = {}
+    for w in range(W + 1):
+        basis = weight_basis(w)
+        for alpha in basis:
+            for beta in basis:
+                if rng.random() < density:
+                    terms[(alpha, beta)] = ExactScalar.from_rational(
+                        Fraction(rng.randint(-99, 99) or 1, rng.randint(1, 4)))
+    return NormalOrderedOperator(terms)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_packed_sweep_agrees_with_per_vector_sweep_on_random_operators(seed):
+    # random rows make every digit of the packed check nonzero, as large
+    # as the rows allow, and every vector fail
+    rng = random.Random(seed)
+    W = 6
+    ops = [_random_operator(rng, W, density) for density in (0.2, 0.5, 1)]
+    commute = hamiltonians._schur_sweep(ops, W)
+    assert commute == per_vector_sweep(ops, W)
+    assert len(commute[0]) > len(partitions_upto(W))
+    ratios = {lam: [Fraction(rng.randint(-999, 999), rng.randint(1, 9))
+                    for _ in ops] for lam in partitions_upto(W)}
+
+    def eigenvalues(lam):
+        return [], ratios[lam]
+
+    eigen = hamiltonians._schur_sweep(ops, W, eigenvalues)
+    assert eigen == per_vector_sweep(ops, W, eigenvalues)
+    assert len(eigen[0]) > len(partitions_upto(W))
+
+
+def test_digit_bound_covers_every_digit(monkeypatch):
+    # the bound each weight's width is taken from, against the largest
+    # digit den (R_i v)_j - num v_j that the check forms, in both modes
+    rng = random.Random(7)
+    W = 6
+    ops = [_random_operator(rng, W, density) for density in (0.3, 1)]
+    ratios = {lam: [Fraction(rng.randint(-999, 999), rng.randint(1, 9))
+                    for _ in ops] for lam in partitions_upto(W)}
+    scales, _, rows = hamiltonians._sparse_rows(ops, W)
+    digit_bits = hamiltonians._digit_bits
+    for eigen in (False, True):
+        bounds = []
+        monkeypatch.setattr(hamiltonians, "_digit_bits",
+                            lambda bound: bounds.append(bound)
+                            or digit_bits(bound))
+        hamiltonians._schur_sweep(ops, W, (lambda lam: ([], ratios[lam]))
+                                  if eigen else None)
+        assert len(bounds) == W + 1
+        for w, bound in enumerate(bounds):
+            _, _, vecs = hamiltonians._schur_vectors(w)
+            worst = 0
+            for i, op_rows in enumerate(rows[w]):
+                for lam, vec in zip(partitions_of(w), vecs):
+                    image = [sum(map(mul, vals, map(vec.__getitem__, cols)))
+                             for cols, vals in op_rows]
+                    if eigen:
+                        e = ratios[lam][i]
+                        num, den = e.numerator * scales[i], e.denominator
+                    else:
+                        r = max(j for j, x in enumerate(vec) if x)
+                        num, den = image[r], vec[r]
+                    worst = max(worst, *(abs(den * x - num * y)
+                                         for x, y in zip(image, vec)))
+            assert worst <= bound
+
+
+@pytest.mark.parametrize("bits", [2, 3, 8, 61, 64])
+def test_signed_digits_round_trip(bits):
+    top = (1 << bits - 1) - 1  # the largest digit magnitude allowed
+    digits = [top, -top, 0, -1, 1, -top, top, top // 2, -(top // 3)]
+    shifts = range(0, bits * len(digits), bits)
+    packed = hamiltonians._pack(digits, shifts)
+    assert hamiltonians._unpack(packed, bits, len(digits)) == digits
+    assert packed == sum(d * 2 ** (bits * l) for l, d in enumerate(digits))
+
+
+def test_too_narrow_digits_miss_a_failure(monkeypatch):
+    # at the width of the bound the off-diagonal change fails on V_6 only;
+    # at 2 bits the digits carry into each other, none of its entries is
+    # reported, and the commuting operators seem not to commute
+    ops = hamiltonian_generating_coefficients(3, 6)
+    caught = verify_commutativity(3, 6, _off_diagonal(ops))["failures"]
+    assert {(f["n"], f["weight"]) for f in caught} == {(3, 6)}
+    assert verify_commutativity(3, 6, ops)["failures"] == []
+    monkeypatch.setattr(hamiltonians, "_digit_bits", lambda bound: 2)
+    narrow = verify_commutativity(3, 6, _off_diagonal(ops))["failures"]
+    assert not [f for f in caught if f in narrow]
+    assert verify_commutativity(3, 6, ops)["failures"]
+
+
+# ---------------------------------------------------------------------------
+# the premise memo: one `_lift_failures` run per chain of coefficient
+# objects, length and base case
+
+
+def _with_terms(operators, terms):
+    """operators with {n: {(alpha, beta): coefficient}} set in H_n."""
+    out = list(operators)
+    for n, extra in terms.items():
+        out[n + 1] = NormalOrderedOperator({**out[n + 1].terms, **extra})
+    return out
+
+
+def _premise_entries(report):
+    return [(f["premise"], f["n"], f["alpha"], f["beta"])
+            for f in report["failures"] if "premise" in f]
+
+
+def test_premise_memo_keeps_the_length():
+    # one object at two weight-7 pairs no other operator has: graded for
+    # l(alpha) + l(beta) = 2, not for 3, and not u0 free of H_2
+    c = ExactScalar.monomial(1, 3) + ExactScalar.monomial(1, 2, 1)
+    short = (((7, 1),), ((7, 1),))
+    long = (((1, 1), (6, 1)), ((7, 1),))
+    ops = _with_terms(hamiltonian_generating_coefficients(3, 6),
+                      {3: {short: c, long: c}})
+    assert ops[4].terms[short] is ops[4].terms[long]
+    assert _premise_entries(verify_commutativity(3, 6, ops)) == [
+        ("grading", 3, [[1, 1], [6, 1]], [[7, 1]]),
+        ("u0_expansion", 3, [[1, 1], [6, 1]], [[7, 1]]),
+        ("u0_expansion", 3, [[7, 1]], [[7, 1]])]
+
+
+def test_premise_memo_keeps_the_identity_apart():
+    # q7 p7 given the identity's coefficient object in every H_n: its
+    # chain is the identity's, but of length 2 and based on 0, not on Id
+    ops = hamiltonian_generating_coefficients(3, 6)
+    pair = (((7, 1),), ((7, 1),))
+    ops = _with_terms(ops, {n: {pair: ops[n + 1].terms[((), ())]}
+                            for n in range(-1, 4)})
+    assert _premise_entries(verify_commutativity(3, 6, ops)) == [
+        ("grading", -1, [[7, 1]], [[7, 1]]),
+        ("u0_expansion", -1, [[7, 1]], [[7, 1]])] + [
+        ("grading", n, [[7, 1]], [[7, 1]]) for n in range(4)]

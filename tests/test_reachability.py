@@ -53,6 +53,7 @@ ALLOWED = {
     "hamiltonians.eigenvalue_closed_form": CRITERION,
     "hamiltonians.eigenvalue_frobenius_form": CRITERION,
     "hamiltonians.exponential_frobenius_form": CRITERION,
+    "hamiltonians._matrix_failures": FAILURE,
     "hamiltonians._render_at_unit": FAILURE,
     "kp.Laurent.render": FAILURE,
     "kp.TruncatedTau.max_residual_term": FAILURE,

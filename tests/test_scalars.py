@@ -5,7 +5,8 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfq.scalars import ExactScalar, bernoulli, inv_s_series, s_series
+from hopfq.scalars import (ExactScalar, bernoulli, inv_s_series, lift,
+                           s_series)
 
 rationals = st.builds(Fraction, st.integers(-50, 50),
                       st.integers(1, 12))
@@ -98,3 +99,17 @@ def test_s_series_and_inverse():
     # 1/s coefficients are (2^{1-n} - 1) B_n / n!
     assert inv[2] == Fraction(-1, 24)
     assert inv[4] == Fraction(7, 5760)
+
+
+def test_lift_over_a_common_denominator():
+    # integer numerators over one denominator lift to the rational series
+    g = [Fraction(1, 3), 0, Fraction(-5, 8), Fraction(7, 12), 0, Fraction(1, 2)]
+    den = 24
+    nums = [int(c * den) for c in g]
+    for length, n in [(0, -2), (0, 3), (2, 3), (3, 5)]:
+        assert lift(nums, length, n, den) == lift(g, length, n)
+    # sum_i g_i eps^i u0^(d-i) / (d-i)!, d = n + 2 - length = 3
+    assert lift(nums, 1, 2, den) == (
+        ExactScalar.monomial(Fraction(1, 18), 0, 3)
+        + ExactScalar.monomial(Fraction(-5, 8), 2, 1)
+        + ExactScalar.monomial(Fraction(7, 12), 3, 0))
