@@ -5,7 +5,7 @@ Subcommands:
   verify       run a verification suite, exit 0 on pass / 1 on failure
   tables       emit amplitude / degree-slice / factorization-count tables
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 141 SIGPIPE.
 """
 
 from __future__ import annotations
@@ -124,12 +124,12 @@ def _cached_operator(payload):
         return None
 
 
-def cached_hamiltonian(n, W, cache_dir, use_cache=True):
-    """Generate (or reload) the Hamiltonian for (n, W).  A cache file is
-    served only if a digest of the current sources wrote it and its contents
-    are well formed; any other file is regenerated and replaced atomically.
-    An unwritable --cache-dir is a usage error."""
-    if not use_cache or cache_dir is None:
+def cached_hamiltonian(n, W, cache_dir):
+    """Generate (or reload, unless cache_dir is None) the Hamiltonian for
+    (n, W).  A cache file is served only if a digest of the current sources
+    wrote it and its contents are well formed; any other file is regenerated
+    and replaced atomically.  An unwritable --cache-dir is a usage error."""
+    if cache_dir is None:
         return hamiltonian(n, W)
     path = Path(cache_dir) / f"hamiltonian_{n}_{W}.json"
     payload = _current_payload(path)
@@ -187,8 +187,8 @@ def cmd_hamiltonian(args):
     if args.naive:
         op = naive_hamiltonian(args.n, args.weight)
     else:
-        op = cached_hamiltonian(args.n, args.weight, args.cache_dir,
-                                use_cache=not args.no_cache)
+        op = cached_hamiltonian(args.n, args.weight,
+                                None if args.no_cache else args.cache_dir)
     if args.format == "json":
         print(json.dumps({"n": args.n, "W": args.weight,
                           "naive": bool(args.naive), "terms": op.to_json()},
@@ -299,26 +299,19 @@ def cmd_verify(args):
     if not args.no_cache:
         results["cache_sample"] = _verify_cache_sample(args.cache_dir, rng)
     report = {name: {"skipped": True, "reason": detail} if ok is None
-              else {"passed": ok, "detail": _jsonable(detail)}
+              else {"passed": ok, "detail": detail}
               for name, (ok, detail) in results.items()}
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(json.dumps(report, indent=2, sort_keys=True, default=str))
     return 0 if all(ok is not False for ok, _ in results.values()) else 1
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(x) for x in obj]
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, (bool, int, str)) or obj is None:
-        return obj
-    return str(obj)
 
 
 # ---------------------------------------------------------------------------
 # tables
+
+
+# LaTeX's special characters, escaped for text mode
+_LATEX = str.maketrans({"\\": r"\textbackslash{}", "^": r"\^{}", "~": r"\~{}",
+                        **{c: "\\" + c for c in "#$%&_{}"}})
 
 
 def _emit_rows(header, rows, fmt):
@@ -329,10 +322,13 @@ def _emit_rows(header, rows, fmt):
         for row in rows:
             print(",".join(str(x) for x in row))
     elif fmt == "latex":
+        # a braced cell cannot open with the [ that \\ reads as a length
+        lines = [" & ".join("{" + str(x).translate(_LATEX) + "}" for x in row)
+                 for row in [header] + rows]
         print("\\begin{tabular}{" + "l" * len(header) + "}")
-        print(" & ".join(header) + " \\\\ \\hline")
-        for row in rows:
-            print(" & ".join(str(x) for x in row) + " \\\\")
+        print(lines[0] + " \\\\ \\hline")
+        for line in lines[1:]:
+            print(line + " \\\\")
         print("\\end{tabular}")
     else:
         widths = [max(len(str(x)) for x in [h] + [r[i] for r in rows])
@@ -468,7 +464,13 @@ def main(argv=None):
         # refused through the chosen command, so its usage shows its options
         args.subparser.error(f"unrecognized arguments: {' '.join(unread)}")
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader has gone; on devnull the flush at exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ValueError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2

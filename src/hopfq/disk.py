@@ -17,7 +17,8 @@ from functools import lru_cache
 from math import factorial
 from typing import NamedTuple
 
-from .fock import FockPolynomial, mono_from_partition
+from .fock import (EMPTY, FockPolynomial, _lowering_factor, mono_degree,
+                   mono_from_partition)
 from .hamiltonians import (eigenvalue_series,
                            hamiltonian_generating_coefficients,
                            verify_eigenvectors)
@@ -208,12 +209,8 @@ def fock_pairing(bra, ket):
         c = ket.terms.get(mono)
         if c is None:
             continue
-        factor = Fraction(1)
-        weight = 0
-        for var, power in mono:
-            factor *= Fraction(var) ** power * factorial(power)
-            weight += var * power
-        acc = acc + b * c * ExactScalar.monomial(factor, 2 * weight)
+        acc = acc + b * c * ExactScalar.monomial(
+            _lowering_factor(EMPTY, mono), 2 * mono_degree(mono))
     return acc
 
 

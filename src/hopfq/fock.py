@@ -139,6 +139,16 @@ class FockPolynomial(SparseSum):
 # ---------------------------------------------------------------------------
 
 
+def _lowering_factor(rest, beta):
+    """p^beta q^(rest + beta) = factor * q^rest at eps = 1."""
+    have = dict(rest)
+    factor = 1
+    for k, b in beta:
+        m = have.get(k, 0)
+        factor *= k ** b * factorial(m + b) // factorial(m)
+    return factor
+
+
 @lru_cache(maxsize=None)
 def _contraction_weights(a, b, k):
     # p_k^b q_k^a = sum_j j! C(a,j) C(b,j) (hbar k)^j q_k^(a-j) p_k^(b-j)
@@ -195,14 +205,9 @@ class NormalOrderedOperator(SparseSum):
                 rest = mono_sub(mono, beta)
                 if rest is None:
                     continue
-                factor = Fraction(1)
-                have = dict(mono)
-                for k, b in beta:
-                    mk = have[k]
-                    for i in range(b):
-                        factor *= k * (mk - i)
                 coeff = c * cm * ExactScalar.monomial(
-                    factor, eps_power=2 * mono_degree(beta))
+                    _lowering_factor(rest, beta),
+                    eps_power=2 * mono_degree(beta))
                 add_into(result, mono_mul(rest, alpha), coeff)
         return FockPolynomial(result)
 

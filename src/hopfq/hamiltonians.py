@@ -28,8 +28,9 @@ from functools import lru_cache
 from math import comb, factorial, inf, lcm, prod
 from operator import itemgetter, lshift, mul
 
-from .fock import (EMPTY, FockPolynomial, NormalOrderedOperator, mono_degree,
-                   mono_from_partition, mono_mul, mono_weight, weight_basis)
+from .fock import (EMPTY, FockPolynomial, NormalOrderedOperator,
+                   _lowering_factor, mono_degree, mono_from_partition,
+                   mono_mul, mono_weight, weight_basis)
 from .partitions import frobenius, partitions_of
 from .scalars import (ExactScalar, add_into, bernoulli,
                       eigenvalue_inner_series, inv_s_series, lift, s_series)
@@ -292,16 +293,6 @@ def _premise_failures(operators):
             for premise, n, extra in found]
 
 
-def _lowering_factor(rest, beta):
-    """p^beta q^(rest + beta) = factor * q^rest at eps = 1."""
-    have = dict(rest)
-    factor = 1
-    for k, b in beta:
-        m = have.get(k, 0)
-        factor *= k ** b * factorial(m + b) // factorial(m)
-    return factor
-
-
 def _terms_by_weight(operators, bases, index):
     """(scales, by_weight): L_i = scales[i] is the lcm of the denominators
     of operators[i] at u0 = 0, eps = 1, and by_weight[wt] lists
@@ -439,16 +430,10 @@ def _render_at_unit(basis, values, scale):
 
 
 def _matrix_failures(w, basis, parts, vecs, images, scale, ratios, where):
-    """(lambda's index, entry) for every v = vecs[lambda] with R v != e v,
-    from the images R v; e = num / den is ratios[lambda], or with `ratios`
-    None is read off the pivot (first nonzero entry) of v.  The entry is
+    """(lambda's index, entry) for each v = vecs[lambda] with R v != e v,
+    from the images R v and e = num / den, (num, den) = ratios[lambda]:
     `where` with lambda and R s - e s at u0 = 0, eps = 1 as "difference"."""
-    for a, (vec, image) in enumerate(zip(vecs, images)):
-        if ratios is None:
-            p = next((r for r, x in enumerate(vec) if x), 0)
-            num, den = image[p], vec[p]
-        else:
-            num, den = ratios[a]
+    for a, (vec, image, (num, den)) in enumerate(zip(vecs, images, ratios)):
         diff = [x * den - num * y for x, y in zip(image, vec)]
         if any(diff):
             yield a, {**where, "partition": list(parts[a]),
@@ -463,27 +448,28 @@ def _schur_sweep(operators, W, eigenvalues=None):
     None, e is read off an entry of v and premise (c) is asserted; else
     eigenvalues(lambda) gives (entries for lambda's broken eigenvalue
     premises, the eigenvalue of each R_i).  A failure gives R_i s - e s at
-    u0 = 0, eps = 1 as "difference", e read off the first nonzero entry.
+    u0 = 0, eps = 1 as "difference", with the e the check tested.
 
     The vectors of one weight are checked together, by Kronecker
     substitution.  With A = L_i R_i in integers, e_lambda = num_lambda /
-    den_lambda and
+    den_lambda over one den_lambda that every operator shares and
       U_c = sum_lambda den_lambda v_lambda[c] 2^(B lambda),
       T_j = sum_lambda num_lambda v_lambda[j] 2^(B lambda),
     (A U)_j - T_j = sum_lambda d_lambda 2^(B lambda) with the digits
-    d_lambda = den_lambda (A v_lambda)_j - num_lambda v_lambda[j].  For S
-    the largest row sum of |A| on V_w and M the largest |v_lambda[c]|,
-    |d_lambda| <= (den_lambda S + |num_lambda|) M; in commute mode num and
-    den are the entries of A v_lambda and v_lambda at q_1^w (v_lambda is
-    dim lambda != 0 there; the last nonzero entry in general), so
-    |d| <= 2 S M^2.  B is two bits wider than the bound, so |d| < 2^(B-2),
-    and a sum of d_l 2^(B l) with every |d_l| < 2^(B-1) vanishes only when
-    every d_l does, as its top nonzero term outweighs the rest.  So
-    A U = T exactly when A v_lambda = e_lambda v_lambda for every lambda.
-    The digits of A V, V_c = sum_lambda v_lambda[c] 2^(B lambda), are the
-    (A v_lambda)_j, at most S M: one dot product of its q_1^w row gives
-    every num_lambda, and a (w, i) that fails is unpacked into the images
-    A v_lambda, to form the entries with the first-nonzero pivot.  Every
+    d_lambda = den_lambda (A v_lambda)_j - num_lambda v_lambda[j], so U is
+    packed once per weight.  In commute mode num and den are the entries of
+    A v_lambda and v_lambda at q_1^w (v_lambda is dim lambda != 0 there;
+    the last nonzero entry in general); in eigen mode den_lambda is the lcm
+    of the denominators of the L_i e_i(lambda).  For S the largest row sum
+    of |A| on V_w and M the largest |v_lambda[c]|, every |d_lambda| is at
+    most (den_lambda S + |num_lambda|) M, 2 S M^2 in commute mode.  B is
+    two bits wider than the bound, so |d| < 2^(B-2), and a sum of
+    d_l 2^(B l) with every |d_l| < 2^(B-1) vanishes only when every d_l
+    does, as its top nonzero term outweighs the rest.  So A U = T exactly
+    when A v_lambda = e_lambda v_lambda for every lambda.  The digits of
+    A V, V_c = sum_lambda v_lambda[c] 2^(B lambda), are the (A v_lambda)_j,
+    at most S M: one dot product of its q_1^w row gives every num_lambda,
+    and a (w, i) that fails is unpacked into the images A v_lambda.  Every
     row with v_lambda[j] != 0 gives the same verdict, so the entries, in
     their order (per weight, per lambda: eigenvalue premises, then R_0,
     R_1, ...), are those of the vector-by-vector sweep.  The basis check is
@@ -509,27 +495,27 @@ def _schur_sweep(operators, W, eigenvalues=None):
             premises = [[]] * count
         else:
             premises, values = zip(*map(eigenvalues, parts))
-            ratios = [[(e[i].numerator * scale, e[i].denominator)
-                       for e in values] for i, scale in enumerate(scales)]
-            bound = size * max(den * width + abs(num)
-                               for pairs in ratios for num, den in pairs)
+            nums, dens = zip(*(_numerators(list(map(mul, e, scales)))
+                               for e in values))
+            bound = size * max(den * width + max(map(abs, row))
+                               for row, den in zip(nums, dens))
+            nums = list(zip(*nums))  # nums[i][lambda]
         bits = _digit_bits(bound)
         shifts = range(0, bits * count, bits)
         packed = [_pack(col, shifts) for col in cols]
+        scaled = [_pack(map(mul, dens, col), shifts) for col in cols]
         if eigenvalues is None:
             failures += _basis_failures(w, parts, chi, vecs, packed, shifts)
-            scaled = [_pack(map(mul, dens, col), shifts) for col in cols]
         broken = [[] for _ in parts]  # per lambda, for R_0, R_1, ...
         for i, op_rows in enumerate(rows[w]):
             checked += count
             if eigenvalues is None:
                 read = {r: _unpack(_dot(op_rows[r], packed), bits, count)
                         for r in set(reads)}
-                nums = [read[r][a] for a, r in enumerate(reads)]
+                row_nums = [read[r][a] for a, r in enumerate(reads)]
             else:
-                nums, dens = zip(*ratios[i])
-                scaled = [_pack(map(mul, dens, col), shifts) for col in cols]
-            targets = [_pack(map(mul, nums, col), shifts) for col in cols]
+                row_nums = nums[i]
+            targets = [_pack(map(mul, row_nums, col), shifts) for col in cols]
             if [_dot(row, scaled) for row in op_rows] == targets:
                 continue
             images = zip(*(_unpack(_dot(row, packed), bits, count)
@@ -538,7 +524,7 @@ def _schur_sweep(operators, W, eigenvalues=None):
                      else {"k": i - 1})
             for a, entry in _matrix_failures(
                     w, basis, parts, vecs, images, scales[i],
-                    None if eigenvalues is None else ratios[i], where):
+                    zip(row_nums, dens), where):
                 broken[a].append(entry)
         for entries, more in zip(premises, broken):
             failures += entries + more

@@ -2,7 +2,12 @@
 
 import hashlib
 import json
+import os
+import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -324,6 +329,56 @@ def test_tables_p1_json(capsys):
     rows = json.loads(out)
     degree2 = [r for r in rows if r["degree"] == 2]
     assert len(degree2) == 2  # partitions (2) and (1,1)
+
+
+# a LaTeX escape of `cli._emit_rows`: \textbackslash{}, \^{}, \~{} or \X
+LATEX_ESCAPE = re.compile(r"\\textbackslash\{\}|\\[\^~]\{\}|\\[#$%&_{}]")
+
+
+def _latex_cells(line):
+    """The cells of one tabular row, read back to plain text.  Each must be
+    a braced group with no LaTeX special character left unescaped."""
+    cells = []
+    for cell in line.split(" & "):
+        assert cell[0] + cell[-1] == "{}"
+        text = cell[1:-1]
+        assert not set(LATEX_ESCAPE.sub("", text)) & set("\\#$%&_{}^~")
+        cells.append(LATEX_ESCAPE.sub(
+            lambda m: "\\" if m[0][1] == "t" else m[0][1], text))
+    return cells
+
+
+@pytest.mark.parametrize("argv", [
+    ["tables", "disk", "--weight", "3", "--K", "1"],
+    ["tables", "p1", "--degree", "2", "--K", "1", "--u0", "symbolic"],
+    ["tables", "hurwitz", "--n", "3", "--m", "2"]])
+def test_tables_latex_escapes_and_braces_every_cell(argv, capsys):
+    # headers hold _ and cells ^; a row opening with [ right after \\
+    # would be read as \\[<length>]
+    rows = json.loads(run(argv + ["--format", "json"], capsys)[1])
+    code, out = run(argv + ["--format", "latex"], capsys)
+    assert code == 0
+    first, header, *body, last = out.splitlines()
+    assert first == r"\begin{tabular}{" + "l" * len(rows[0]) + "}"
+    assert last == r"\end{tabular}"
+    assert header.endswith(r" \\ \hline")
+    assert _latex_cells(header.removesuffix(r" \\ \hline")) == list(rows[0])
+    assert [_latex_cells(line.removesuffix(r" \\")) for line in body] == [
+        [str(v) for v in row.values()] for row in rows]
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    # the reader is gone before the first write, as under `| head -c1`;
+    # 1 would claim a failed verification
+    read, write = os.pipe()
+    os.close(read)
+    proc = subprocess.run(
+        [sys.executable, "-m", "hopfq.cli", "verify", "commute", "--N", "1",
+         "--weight", "2", "--no-cache"],
+        stdout=write, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
+    os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, "")
 
 
 # bounds under which a check would run nothing (or spurious failures)

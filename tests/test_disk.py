@@ -14,7 +14,8 @@ from hopfq.disk import (_cycle_type, disk_potential, fock_pairing,
                         hurwitz_match_report, hurwitz_oracle,
                         integer_hbar_check, p1_partition_function,
                         schroedinger_check, verify_printed_expansion)
-from hopfq.fock import FockPolynomial, NormalOrderedOperator
+from hopfq.fock import (FockPolynomial, NormalOrderedOperator,
+                        mono_from_partition)
 from hopfq.hamiltonians import verify_eigenvectors
 from hopfq.kp import tau_from_disk
 from hopfq.partitions import dim, partitions_of, partitions_upto, size
@@ -200,11 +201,25 @@ def test_transpose_break_fails_schroedinger_check(j, monkeypatch):
 def test_fock_pairing_examples():
     p1, q1 = FockPolynomial.variable(1), FockPolynomial.variable(1)
     assert fock_pairing(p1, q1) == ExactScalar.hbar()
+    p2, q2 = FockPolynomial.variable(2), FockPolynomial.variable(2)
+    assert fock_pairing(p2, q2) == ExactScalar.hbar() * 2
     for lam in partitions_upto(5):
         n = size(lam)
         ket = FockPolynomial.monomial(((1, n),) if n else ())
         assert fock_pairing(schur(lam), ket) == ExactScalar.monomial(
             dim(lam), 2 * n)
+
+
+def test_fock_pairing_is_the_action_at_q_zero():
+    # <p^mu, q^nu> is p^mu, as the operator p_k = hbar k d/dq_k, applied
+    # to q^nu at q = 0
+    monos = [mono_from_partition(lam) for lam in partitions_upto(5)]
+    for mu in monos:
+        bra = FockPolynomial.monomial(mu)
+        op = NormalOrderedOperator.term((), mu)
+        for nu in monos:
+            ket = FockPolynomial.monomial(nu)
+            assert fock_pairing(bra, ket) == op.apply(ket).coefficient(())
 
 
 def test_schur_pairing_orthonormality():

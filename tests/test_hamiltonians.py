@@ -7,7 +7,7 @@ from operator import mul
 
 import pytest
 
-from hopfq import hamiltonians
+from hopfq import fock, hamiltonians
 from hopfq.fock import (FockPolynomial, NormalOrderedOperator,
                         mono_from_partition, mono_mul, mono_weight,
                         naive_hamiltonian, weight_basis)
@@ -335,7 +335,7 @@ def integer_matrices(operators, W):
                 mat, idx = mats[w], index[w]
                 for rest in bases[w - wt]:
                     mat[idx[mono_mul(rest, alpha)]][idx[mono_mul(rest, beta)]] \
-                        += v * hamiltonians._lowering_factor(rest, beta)
+                        += v * fock._lowering_factor(rest, beta)
         out.append(mats)
     return out
 
@@ -471,13 +471,14 @@ def test_off_diagonal_perturbation_fails_only_as_matrix():
     report = verify_commutativity(3, 6, ops)
     assert _kinds(report) == {"matrix"}
     assert {(f["n"], f["weight"]) for f in report["failures"]} == {(3, 6)}
-    # the residual is R_3 s - e s at u0 = 0, eps = 1, e read off the first
-    # monomial of s = s_lambda(q)
+    # the residual is R_3 s - e s at u0 = 0, eps = 1, e read off the last
+    # monomial of s = s_lambda(q), the entry the packed check tests
     for f in report["failures"]:
         s = schur(tuple(f["partition"]))
         image = ops[4].apply(s).remap(
             lambda m, c: (m, c.substitute(eps=1, u0=0)))
-        pivot = next(m for m in weight_basis(6) if s.coefficient(m))
+        pivot = next(m for m in reversed(weight_basis(6))
+                     if s.coefficient(m))
         e = (image.coefficient(pivot).as_fraction()
              / s.coefficient(pivot).as_fraction())
         diff = image - s * ExactScalar.from_rational(e)
@@ -632,7 +633,7 @@ def per_vector_sweep(operators, W, eigenvalues=None):
             if eigenvalues is not None:
                 entries, values = eigenvalues(lam)
                 failures += entries
-            p = next((r for r, x in enumerate(vec) if x), 0)
+            p = max((r for r, x in enumerate(vec) if x), default=0)
             for i, op_rows in enumerate(rows[w]):
                 checked += 1
                 image = [sum(map(mul, vals, map(vec.__getitem__, cols)))
@@ -818,8 +819,11 @@ def test_digit_bound_covers_every_digit(monkeypatch):
                     image = [sum(map(mul, vals, map(vec.__getitem__, cols)))
                              for cols, vals in op_rows]
                     if eigen:
-                        e = ratios[lam][i]
-                        num, den = e.numerator * scales[i], e.denominator
+                        # every operator's e over one denominator per lambda
+                        es = [e * scale for e, scale in zip(ratios[lam],
+                                                            scales)]
+                        den = lcm(*(e.denominator for e in es))
+                        num = es[i].numerator * (den // es[i].denominator)
                     else:
                         r = max(j for j, x in enumerate(vec) if x)
                         num, den = image[r], vec[r]
