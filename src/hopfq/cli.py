@@ -26,7 +26,7 @@ from . import __version__
 from .disk import (disk_potential, hurwitz_match_report, hurwitz_oracle,
                    integer_hbar_check, p1_partition_function,
                    schroedinger_check, verify_printed_expansion)
-from .fock import NormalOrderedOperator, naive_hamiltonian
+from .fock import naive_hamiltonian
 from .hamiltonians import (hamiltonian, verify_commutativity,
                            verify_eigenvectors)
 from .kp import (kp_bilinear_check, kp_equation_check, kp_hierarchy_check,
@@ -76,7 +76,16 @@ def default_cache_dir():
 
 
 # ---------------------------------------------------------------------------
-# operator cache
+# stdout cache
+
+
+def hamiltonian_stdout(n, W, fmt, naive=False):
+    """What `hamiltonian` prints for (n, W) in format `text` or `json`."""
+    op = (naive_hamiltonian if naive else hamiltonian)(n, W)
+    if fmt == "json":
+        return json.dumps({"n": n, "W": W, "naive": naive,
+                           "terms": op.to_json()}, indent=2) + "\n"
+    return op.render() + "\n"
 
 
 def _sha256():
@@ -92,7 +101,7 @@ def _sha256():
 @lru_cache(maxsize=None)
 def _source_digest():
     """sha256 over the package's own source files: any edit to the code that
-    generates an operator changes it, so it keys the cache."""
+    renders a Hamiltonian changes it, so it keys the cache."""
     digest = _sha256()
     for path in sorted(Path(__file__).parent.glob("*.py")):
         digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
@@ -111,43 +120,34 @@ def _current_payload(path):
     return None
 
 
-def _cached_operator(payload):
-    """(n, W, operator) of a cache payload, or None if its contents are
-    malformed: n or W not an int in range, or terms that do not parse
-    (`from_json` takes only ints for powers and indices)."""
+def _well_formed(payload):
+    """Whether a payload holds what `cached_stdout` writes: n an int >= -1,
+    W an int >= 0, a `hamiltonian` format and a str stdout."""
     n, W = payload.get("n"), payload.get("W")
-    if type(n) is not int or type(W) is not int or n < -1 or W < 0:
-        return None
-    try:
-        return n, W, NormalOrderedOperator.from_json(payload["terms"])
-    except (ArithmeticError, KeyError, TypeError, ValueError):
-        return None
+    return (type(n) is int and type(W) is int and n >= -1 and W >= 0
+            and payload.get("format") in ("text", "json")
+            and type(payload.get("stdout")) is str)
 
 
-def cached_hamiltonian(n, W, cache_dir):
-    """Generate (or reload, unless cache_dir is None) the Hamiltonian for
-    (n, W).  A cache file is served only if a digest of the current sources
-    wrote it and its contents are well formed; any other file is regenerated
-    and replaced atomically.  An unwritable --cache-dir is a usage error."""
+def cached_stdout(n, W, fmt, cache_dir):
+    """`hamiltonian_stdout(n, W, fmt)`, read back unless cache_dir is None
+    from an entry that the current sources wrote for the same (n, W, fmt)
+    and that is well formed.  Any other file is regenerated and replaced
+    atomically.  An unwritable --cache-dir is a usage error."""
     if cache_dir is None:
-        return hamiltonian(n, W)
-    path = Path(cache_dir) / f"hamiltonian_{n}_{W}.json"
+        return hamiltonian_stdout(n, W, fmt)
+    path = Path(cache_dir) / f"hamiltonian_{n}_{W}_{fmt}.json"
     payload = _current_payload(path)
-    cached = payload and _cached_operator(payload)
-    if cached and cached[:2] == (n, W):
-        return cached[2]
-    op = hamiltonian(n, W)
+    if (payload and _well_formed(payload)
+            and (payload["n"], payload["W"], payload["format"]) == (n, W, fmt)):
+        return payload["stdout"]
+    stdout = hamiltonian_stdout(n, W, fmt)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    # the bytes of json.dumps of the payload, written one term at a time
-    head = json.dumps({"n": n, "W": W, "code_version": __version__,
-                       "source_sha256": _source_digest(), "terms": []})
-    entries = map(json.dumps, op.json_entries())
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        with open(tmp, "w") as out:
-            out.write(head[:-len("]}")] + next(entries, ""))
-            out.writelines(", " + entry for entry in entries)
-            out.write("]}")
+        tmp.write_text(json.dumps({"n": n, "W": W, "format": fmt,
+                                   "source_sha256": _source_digest(),
+                                   "stdout": stdout}))
         os.replace(tmp, path)
     except OSError as ex:
         raise ValueError(f"--cache-dir {cache_dir} cannot hold the cache "
@@ -155,25 +155,23 @@ def cached_hamiltonian(n, W, cache_dir):
     finally:
         with suppress(OSError):
             tmp.unlink()  # a failed write leaves no partial file behind
-    return op
+    return stdout
 
 
 def _verify_cache_sample(cache_dir, rng):
-    """Reload one random cached operator written by the current sources and
-    re-verify it against fresh generation.  Returns (passed, detail);
-    passed is None, and the detail gives the reason, when no such entry
-    exists to check, and False with a reason when the entry is malformed."""
-    files = sorted(Path(cache_dir).glob("hamiltonian_*_*.json")) \
-        if cache_dir and Path(cache_dir).is_dir() else []
+    """Compare one random cache entry written by the current sources with a
+    fresh render, byte for byte.  Returns (passed, detail); passed is None,
+    and the detail gives the reason, when no such entry exists to check,
+    and False with a reason when the entry is malformed."""
+    files = sorted(Path(cache_dir).glob("hamiltonian_*.json"))
     current = [(path, p) for path in files if (p := _current_payload(path))]
     if not current:
         return None, "no cached operator written by the current sources"
     path, payload = rng.choice(current)
-    entry = _cached_operator(payload)
-    if entry is None:
+    if not _well_formed(payload):
         return False, {"reason": f"malformed cache entry {path.name}"}
-    n, W, op = entry
-    return op == hamiltonian(n, W), {}
+    fresh = hamiltonian_stdout(payload["n"], payload["W"], payload["format"])
+    return payload["stdout"] == fresh, {}
 
 
 # ---------------------------------------------------------------------------
@@ -182,19 +180,15 @@ def _verify_cache_sample(cache_dir, rng):
 
 def cmd_hamiltonian(args):
     if args.n < -1:
-        print("error: n must be >= -1", file=sys.stderr)
-        return 2
+        raise ValueError("n must be >= -1")
+    if args.weight < 0:
+        raise ValueError("--weight must be >= 0")
     if args.naive:
-        op = naive_hamiltonian(args.n, args.weight)
+        stdout = hamiltonian_stdout(args.n, args.weight, args.format, True)
     else:
-        op = cached_hamiltonian(args.n, args.weight,
-                                None if args.no_cache else args.cache_dir)
-    if args.format == "json":
-        print(json.dumps({"n": args.n, "W": args.weight,
-                          "naive": bool(args.naive), "terms": op.to_json()},
-                         indent=2))
-    else:
-        print(op.render())
+        stdout = cached_stdout(args.n, args.weight, args.format,
+                               None if args.no_cache else args.cache_dir)
+    sys.stdout.write(stdout)
     return 0
 
 
@@ -293,6 +287,9 @@ def _suite_tasks(args):
 
 
 def cmd_verify(args):
+    if not args.no_cache and args.cache_dir.exists() \
+            and not args.cache_dir.is_dir():
+        raise ValueError(f"--cache-dir {args.cache_dir} is not a directory")
     rng = random.Random(args.seed)
     tasks = _suite_tasks(args)
     results = {name: fn() for name, fn in tasks}

@@ -11,7 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from operator import index
 
 from .partitions import partitions_of
 from .scalars import ExactScalar, SparseSum, add_into
@@ -292,25 +291,10 @@ class NormalOrderedOperator(SparseSum):
     def __repr__(self):
         return f"NormalOrderedOperator({self.render()})"
 
-    def json_entries(self):
-        """The entries of `to_json`, one at a time and in its order."""
-        for (alpha, beta), c in self.sorted_terms():
-            yield {"alpha": [list(km) for km in alpha],
-                   "beta": [list(km) for km in beta], "coeff": c.to_json()}
-
     def to_json(self):
-        return list(self.json_entries())
-
-    @classmethod
-    def from_json(cls, data):
-        terms = {}
-        for entry in data:
-            alpha = tuple((index(k), index(m)) for k, m in entry["alpha"])
-            beta = tuple((index(k), index(m)) for k, m in entry["beta"])
-            coeff = ExactScalar.from_json(entry["coeff"])
-            if not coeff.is_zero():
-                terms[(alpha, beta)] = coeff
-        return cls(terms)
+        return [{"alpha": [list(km) for km in alpha],
+                 "beta": [list(km) for km in beta], "coeff": c.to_json()}
+                for (alpha, beta), c in self.sorted_terms()]
 
 
 # ---------------------------------------------------------------------------

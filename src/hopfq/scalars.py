@@ -18,7 +18,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from operator import index
 
 
 def add_into(terms, key, value):
@@ -250,15 +249,6 @@ class ExactScalar(SparseSum):
         """Array of [eps power, u0 power, numerator, denominator], sorted."""
         return [[e, u, v.numerator, v.denominator]
                 for (e, u), v in sorted(self.terms.items())]
-
-    @classmethod
-    def from_json(cls, data):
-        terms = {}
-        for e, u, num, den in data:
-            val = Fraction(num, den)
-            if val:
-                terms[(index(e), index(u))] = val
-        return cls(terms)
 
 
 @lru_cache(maxsize=None)

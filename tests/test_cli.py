@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 from hopfq import __version__, cli
-from hopfq.cli import _source_digest, cached_hamiltonian, main
+from hopfq.cli import _source_digest, cached_stdout, main
+from hopfq.fock import NormalOrderedOperator
 from hopfq.hamiltonians import hamiltonian
 from hopfq.partitions import partitions_of
 
@@ -234,77 +235,6 @@ def test_verify_hirota_counts_hierarchy_coefficients(capsys):
                       for label in ("none", "t0", "t0t1")}
 
 
-def test_operator_cache_roundtrip(tmp_path, capsys):
-    args = ["hamiltonian", "--n", "1", "--weight", "4",
-            "--cache-dir", str(tmp_path)]
-    code1, out1 = run(args, capsys)
-    assert code1 == 0
-    assert list(tmp_path.glob("hamiltonian_1_4.json"))
-    code2, out2 = run(args, capsys)
-    assert code2 == 0 and out1 == out2
-    # stale version header is ignored, not an error
-    path = tmp_path / "hamiltonian_1_4.json"
-    payload = json.loads(path.read_text())
-    payload["code_version"] = "0.0.0"
-    path.write_text(json.dumps(payload))
-    code3, out3 = run(args, capsys)
-    assert code3 == 0 and out3 == out1
-
-
-def test_unusable_cache_dir_is_a_usage_error(tmp_path, capsys):
-    # a file where the cache directory should be: refused, not bypassed
-    blocker = tmp_path / "file"
-    blocker.write_text("")
-    code = main(["hamiltonian", "--n", "2", "--weight", "3",
-                 "--cache-dir", str(blocker)])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err.startswith("error: --cache-dir ")
-    assert blocker.read_text() == ""
-
-
-def test_failed_cache_write_leaves_no_temp_file(tmp_path, capsys):
-    # a directory where the cache file should be: the rename fails
-    (tmp_path / "hamiltonian_1_4.json").mkdir()
-    code = main(["hamiltonian", "--n", "1", "--weight", "4",
-                 "--cache-dir", str(tmp_path)])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.err.startswith("error: --cache-dir ")
-    assert not list(tmp_path.glob("*.tmp"))
-
-
-@pytest.mark.parametrize("n, W", [(3, 6), (-1, 0)])
-def test_cache_file_is_json_dumps_of_the_payload(tmp_path, capsys, n, W):
-    code, _ = run(["hamiltonian", "--n", str(n), "--weight", str(W),
-                   "--cache-dir", str(tmp_path)], capsys)
-    assert code == 0
-    expected = json.dumps({"n": n, "W": W, "code_version": __version__,
-                           "source_sha256": _source_digest(),
-                           "terms": hamiltonian(n, W).to_json()})
-    path = tmp_path / f"hamiltonian_{n}_{W}.json"
-    assert path.read_bytes() == expected.encode()
-
-
-def test_cold_cache_write_takes_less_memory_than_the_operator(tmp_path,
-                                                              monkeypatch):
-    _source_digest()  # read the sources before tracing
-    hamiltonian(5, 10)  # fill the generator's own caches before tracing
-    tracemalloc.start()
-    try:
-        op = hamiltonian(5, 10)
-        size = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        monkeypatch.setattr(cli, "hamiltonian", lambda n, W: op)
-        cached_hamiltonian(5, 10, tmp_path)
-        peak = tracemalloc.get_traced_memory()[1] - size  # the write's own
-    finally:
-        tracemalloc.stop()
-    assert (tmp_path / "hamiltonian_5_10.json").exists()
-    assert peak < size
-
-
 def test_tables_disk_text(capsys):
     code, out = run(["tables", "disk", "--weight", "1", "--K", "1"], capsys)
     assert code == 0
@@ -452,23 +382,184 @@ def test_stdout_is_pinned(argv, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[argv]
 
 
+# ---------------------------------------------------------------------------
+# the stdout cache of `hamiltonian`
+
+ENTRY_KEYS = {"n", "W", "format", "source_sha256", "stdout"}
+
+
+def _cache_args(n, W, tmp_path, *extra):
+    return ["hamiltonian", "--n", str(n), "--weight", str(W),
+            "--cache-dir", str(tmp_path), *extra]
+
+
+def test_operator_cache_roundtrip(tmp_path, capsys):
+    args = _cache_args(1, 4, tmp_path)
+    code1, out1 = run(args, capsys)
+    assert code1 == 0
+    # one entry per (n, W, format), written through a renamed temp file
+    assert [p.name for p in tmp_path.iterdir()] == ["hamiltonian_1_4_text.json"]
+    payload = json.loads((tmp_path / "hamiltonian_1_4_text.json").read_text())
+    assert payload.keys() == ENTRY_KEYS
+    assert payload["stdout"] == out1
+    code2, out2 = run(args, capsys)
+    assert code2 == 0 and out1 == out2
+
+
+@pytest.mark.parametrize("n, W", [(3, 6), (-1, 0)])
+def test_cache_file_is_json_dumps_of_the_payload(tmp_path, capsys, n, W):
+    for fmt in ("text", "json"):
+        code, out = run(_cache_args(n, W, tmp_path, "--format", fmt), capsys)
+        assert code == 0
+        assert out == cli.hamiltonian_stdout(n, W, fmt)
+        expected = json.dumps({"n": n, "W": W, "format": fmt,
+                               "source_sha256": _source_digest(),
+                               "stdout": out})
+        path = tmp_path / f"hamiltonian_{n}_{W}_{fmt}.json"
+        assert path.read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_warm_run_builds_no_operator(tmp_path, capsys, monkeypatch, fmt):
+    args = _cache_args(2, 5, tmp_path, "--format", fmt)
+    code, cold = run(args, capsys)
+    assert code == 0
+
+    def refuse(*args):
+        raise AssertionError("a warm run built an operator")
+    monkeypatch.setattr(cli, "hamiltonian", refuse)
+    monkeypatch.setattr(NormalOrderedOperator, "__init__", refuse)
+    code, warm = run(args, capsys)
+    assert code == 0 and warm == cold
+
+
+def test_an_entry_is_served_only_for_its_own_n_w_and_format(tmp_path,
+                                                           capsys):
+    # current, well-formed entries copied under the name of another
+    # (n, W, format) are regenerated, never printed in its place
+    code, text = run(_cache_args(1, 4, tmp_path), capsys)
+    code, json_out = run(_cache_args(1, 4, tmp_path, "--format", "json"),
+                         capsys)
+    other = run(_cache_args(2, 4, tmp_path), capsys)[1]
+    text_path = tmp_path / "hamiltonian_1_4_text.json"
+    json_path = tmp_path / "hamiltonian_1_4_json.json"
+    json_entry = json_path.read_bytes()
+    json_path.write_bytes(text_path.read_bytes())
+    code, out = run(_cache_args(1, 4, tmp_path, "--format", "json"), capsys)
+    assert code == 0 and out == json_out != text
+    assert json_path.read_bytes() == json_entry
+    text_path.write_bytes((tmp_path / "hamiltonian_2_4_text.json")
+                          .read_bytes())
+    code, out = run(_cache_args(1, 4, tmp_path), capsys)
+    assert code == 0 and out == text != other
+
+
 def test_cache_entry_from_other_sources_is_regenerated(tmp_path, capsys):
-    args = ["hamiltonian", "--n", "1", "--weight", "4",
-            "--cache-dir", str(tmp_path)]
+    args = _cache_args(1, 4, tmp_path)
     code, fresh = run(args, capsys)
     assert code == 0
-    path = tmp_path / "hamiltonian_1_4.json"
+    path = tmp_path / "hamiltonian_1_4_text.json"
     payload = json.loads(path.read_text())
-    # current version header, but written by other sources, with wrong terms
-    assert payload["code_version"] == __version__
+    # well formed, but written by other sources, with a wrong stdout
     payload["source_sha256"] = "0" * 64
-    payload["terms"] = payload["terms"][:1]
+    payload["stdout"] = "(1) Id\n"
     path.write_text(json.dumps(payload))
     code, out = run(args, capsys)
     assert code == 0 and out == fresh
-    assert json.loads(path.read_text())["source_sha256"] != "0" * 64
-    # written through a temp file that is renamed into place
-    assert [p.name for p in tmp_path.iterdir()] == ["hamiltonian_1_4.json"]
+    assert json.loads(path.read_text())["source_sha256"] == _source_digest()
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_entry_in_the_operator_format_is_ignored(tmp_path, capsys):
+    # the format that held the operator's terms, from other sources
+    old = tmp_path / "hamiltonian_1_4.json"
+    old.write_text(json.dumps({
+        "n": 1, "W": 4, "code_version": __version__,
+        "source_sha256": "0" * 64,
+        "terms": [{"alpha": [], "beta": [], "coeff": [[0, 0, 1, 1]]}]}))
+    written = old.read_text()
+    code, out = run(["verify", "hurwitz", "--n", "2", "--m", "1",
+                     "--cache-dir", str(tmp_path)], capsys)
+    assert code == 0 and json.loads(out)["cache_sample"]["skipped"] is True
+    code, out = run(_cache_args(1, 4, tmp_path), capsys)
+    assert code == 0 and out == cli.hamiltonian_stdout(1, 4, "text")
+    assert old.read_text() == written
+    assert (tmp_path / "hamiltonian_1_4_text.json").exists()
+
+
+@pytest.mark.parametrize("argv", [argv for argv in sorted(PINNED_STDOUT)
+                                  if argv[0] == "hamiltonian"])
+def test_pinned_hamiltonian_stdout_through_the_cache(argv, tmp_path, capsys):
+    cached = [a for a in argv if a != "--no-cache"]
+    cached += ["--cache-dir", str(tmp_path)]
+    for _ in ("cold", "warm"):
+        code, out = run(cached, capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[argv]
+
+
+def test_warm_cache_read_takes_less_memory_than_the_operator(tmp_path):
+    cold = cached_stdout(5, 10, "text", tmp_path)
+    tracemalloc.start()
+    try:
+        op = hamiltonian(5, 10)
+        size = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        warm = cached_stdout(5, 10, "text", tmp_path)
+        peak = tracemalloc.get_traced_memory()[1] - size  # the read's own
+    finally:
+        tracemalloc.stop()
+    assert warm == cold == op.render() + "\n"
+    assert peak < size
+
+
+def test_unusable_cache_dir_is_a_usage_error(tmp_path, capsys):
+    # a file where the cache directory should be: refused, not bypassed
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = main(["hamiltonian", "--n", "2", "--weight", "3",
+                 "--cache-dir", str(blocker)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: --cache-dir ")
+    assert blocker.read_text() == ""
+
+
+def test_verify_refuses_a_cache_dir_that_is_a_file(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    verify = ["verify", "hurwitz", "--n", "2", "--m", "1",
+              "--cache-dir", str(blocker)]
+    code = main(verify)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: --cache-dir {blocker} is not a directory\n"
+    # without the spot-check the cache is never read
+    code, out = run(verify + ["--no-cache"], capsys)
+    assert code == 0 and "cache_sample" not in json.loads(out)
+
+
+@pytest.mark.parametrize("naive", [[], ["--naive"]], ids=["cached", "naive"])
+def test_negative_weight_names_the_flag(tmp_path, capsys, naive):
+    cache = tmp_path / "cache"
+    code = main(_cache_args(1, -1, cache, *naive))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: --weight must be >= 0\n"
+    assert not cache.exists()
+
+
+def test_failed_cache_write_leaves_no_temp_file(tmp_path, capsys):
+    # a directory where the cache file should be: the rename fails
+    (tmp_path / "hamiltonian_1_4_text.json").mkdir()
+    code = main(_cache_args(1, 4, tmp_path))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: --cache-dir ")
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_cache_sample_without_current_entry_is_skipped(tmp_path, capsys):
@@ -480,48 +571,63 @@ def test_cache_sample_without_current_entry_is_skipped(tmp_path, capsys):
     assert sample["skipped"] is True and sample["reason"]
     assert "passed" not in sample
     # an entry written by other sources is not checked either
-    code, _ = run(["hamiltonian", "--n", "0", "--weight", "2",
-                   "--cache-dir", str(tmp_path)], capsys)
-    path = tmp_path / "hamiltonian_0_2.json"
+    code, _ = run(_cache_args(0, 2, tmp_path), capsys)
+    path = tmp_path / "hamiltonian_0_2_text.json"
     payload = json.loads(path.read_text())
     payload["source_sha256"] = "0" * 64
     path.write_text(json.dumps(payload))
     code, out = run(verify, capsys)
     assert code == 0 and json.loads(out)["cache_sample"]["skipped"] is True
-    # a current entry is reloaded and checked
-    run(["hamiltonian", "--n", "0", "--weight", "2",
-         "--cache-dir", str(tmp_path)], capsys)
+    # a current entry is compared with a fresh render
+    run(_cache_args(0, 2, tmp_path), capsys)
     code, out = run(verify, capsys)
     assert code == 0
     assert json.loads(out)["cache_sample"] == {"passed": True, "detail": {}}
 
 
-MALFORMED = {"zero-denominator": ("coefficient", [[0, 0, 1, 0]]),
-             "str-eps-power": ("coefficient", [["2", 0, 1, 1], [0, 1, 1, 1]]),
-             "float-u0-power": ("coefficient", [[0, 0.5, 1, 1]]),
-             "str-n": ("n", "1"), "float-n": ("n", 1.0),
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_tampered_cache_entry_fails_the_sample(tmp_path, capsys, fmt):
+    # well formed and current, but its stdout is not what the sources print
+    run(_cache_args(1, 2, tmp_path, "--format", fmt), capsys)
+    path = tmp_path / f"hamiltonian_1_2_{fmt}.json"
+    payload = json.loads(path.read_text())
+    payload["stdout"] = payload["stdout"].replace("1", "2", 1)
+    assert payload["stdout"] != cli.hamiltonian_stdout(1, 2, fmt)
+    path.write_text(json.dumps(payload))
+    code, out = run(["verify", "hurwitz", "--n", "2", "--m", "1",
+                     "--cache-dir", str(tmp_path)], capsys)
+    assert code == 1
+    assert json.loads(out)["cache_sample"] == {"passed": False, "detail": {}}
+
+
+MISSING = object()
+MALFORMED = {"str-n": ("n", "1"), "float-n": ("n", 1.0),
+             "bool-n": ("n", True), "negative-n": ("n", -2),
+             "str-W": ("W", "2"), "float-W": ("W", 2.0),
              "bool-W": ("W", True), "negative-W": ("W", -3),
-             "null-terms": ("terms", None)}
+             "unknown-format": ("format", "csv"),
+             "null-stdout": ("stdout", None),
+             "list-stdout": ("stdout", ["(1) Id\n"]),
+             "missing-format": ("format", MISSING),
+             "missing-stdout": ("stdout", MISSING)}
 
 
 def _malform(path, field, value):
-    """Rewrite the cache file with one field replaced, keeping its digest;
-    "coefficient" replaces the first term's coefficient."""
+    """Rewrite the cache file with one field replaced (or removed, for
+    MISSING), keeping its digest."""
     payload = json.loads(path.read_text())
-    if field == "coefficient":
-        payload["terms"][0]["coeff"] = value
-    else:
-        payload[field] = value
+    payload[field] = value
+    if value is MISSING:
+        del payload[field]
     path.write_text(json.dumps(payload))
 
 
 @pytest.mark.parametrize("field, value", MALFORMED.values(), ids=MALFORMED)
 def test_malformed_current_cache_entry_is_regenerated(tmp_path, capsys,
                                                        field, value):
-    args = ["hamiltonian", "--n", "1", "--weight", "2",
-            "--cache-dir", str(tmp_path)]
+    args = _cache_args(1, 2, tmp_path)
     code, fresh = run(args, capsys)
-    path = tmp_path / "hamiltonian_1_2.json"
+    path = tmp_path / "hamiltonian_1_2_text.json"
     written = path.read_text()
     _malform(path, field, value)
     code, out = run(args, capsys)
@@ -532,12 +638,11 @@ def test_malformed_current_cache_entry_is_regenerated(tmp_path, capsys,
 @pytest.mark.parametrize("field, value", MALFORMED.values(), ids=MALFORMED)
 def test_malformed_current_cache_entry_fails_the_sample(tmp_path, capsys,
                                                         field, value):
-    code, _ = run(["hamiltonian", "--n", "1", "--weight", "2",
-                   "--cache-dir", str(tmp_path)], capsys)
-    _malform(tmp_path / "hamiltonian_1_2.json", field, value)
+    code, _ = run(_cache_args(1, 2, tmp_path), capsys)
+    _malform(tmp_path / "hamiltonian_1_2_text.json", field, value)
     code, out = run(["verify", "hurwitz", "--n", "2", "--m", "1",
                      "--cache-dir", str(tmp_path)], capsys)
     assert code == 1
     assert json.loads(out)["cache_sample"] == {
         "passed": False,
-        "detail": {"reason": "malformed cache entry hamiltonian_1_2.json"}}
+        "detail": {"reason": "malformed cache entry hamiltonian_1_2_text.json"}}

@@ -67,8 +67,9 @@ ALLOWED = {
     "fermion.fermionic_hamiltonian_eigenvalue_series": CRITERION,
 }
 
-# Every subcommand, suite, table and format, at small bounds.  The cold
-# and the warm `hamiltonian` share a cache, and `verify all` samples it.
+# Every subcommand, suite, table and format, at small bounds.  The two
+# cached `hamiltonian` runs write one entry per format, and `verify all`
+# samples one of them.
 COMMANDS = [
     ["hamiltonian", "--n", "2", "--weight", "4", "--cache-dir", "{cache}"],
     ["hamiltonian", "--n", "2", "--weight", "4", "--cache-dir", "{cache}",

@@ -81,7 +81,7 @@ def test_as_fraction_guards():
 def test_render_and_json_roundtrip():
     x = ExactScalar({(2, 0): Fraction(-1, 24), (0, 1): Fraction(1)})
     assert x.render() == "1 * u0^1 + -1/24 * eps^2"
-    assert ExactScalar.from_json(x.to_json()) == x
+    assert x.to_json() == [[0, 1, 1, 1], [2, 0, -1, 24]]
 
 
 def test_bernoulli_values():
