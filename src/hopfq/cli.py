@@ -179,10 +179,6 @@ def _verify_cache_sample(cache_dir, rng):
 
 
 def cmd_hamiltonian(args):
-    if args.n < -1:
-        raise ValueError("n must be >= -1")
-    if args.weight < 0:
-        raise ValueError("--weight must be >= 0")
     if args.naive:
         stdout = hamiltonian_stdout(args.n, args.weight, args.format, True)
     else:
@@ -195,8 +191,6 @@ def cmd_hamiltonian(args):
 def _suite_tasks(args):
     """(name, callable) pairs for the requested verification suite."""
     N, K, W = (getattr(args, name, None) for name in ("N", "K", "weight"))
-    if W is not None and W < 0:
-        raise ValueError("--weight must be >= 0")
 
     def commute():
         rep = verify_commutativity(N, W)
@@ -207,8 +201,6 @@ def _suite_tasks(args):
         return not rep["failures"], rep
 
     def disk():
-        if K < 0:
-            raise ValueError("--K must be >= 0")
         issues = []
         pot = disk_potential(W, K)
         ok = verify_printed_expansion(issues)
@@ -360,8 +352,6 @@ def cmd_tables(args):
         _emit_rows(["degree", "partition", "coefficient"]
                    + [f"t{k}_exponent" for k in range(args.K + 1)], rows, fmt)
     elif args.what == "hurwitz":
-        if args.m < 0:
-            raise ValueError("--m must be >= 0")
         n = args.n if args.n is not None else 3
         rows = []
         for m in range(args.m + 1):
@@ -383,6 +373,17 @@ SUITE_BOUNDS = {"commute": ("N", "weight"), "eigen": ("K", "weight"),
                 "p1": ("K", "weight"), "all": ("N", "K", "weight", "n", "m")}
 TABLE_BOUNDS = {"disk": ("weight", "K"), "p1": ("degree", "K", "u0"),
                 "hurwitz": ("n", "m")}
+
+# the least value of every integer bound; `hamiltonian --n` may also be -1
+LEAST = {"N": 0, "K": 0, "weight": 0, "degree": 0, "n": 1, "m": 0}
+
+
+def _check_bounds(args):
+    least = {**LEAST, "n": -1} if args.command == "hamiltonian" else LEAST
+    for name, k in least.items():
+        value = getattr(args, name, None)
+        if value is not None and value < k:
+            raise ValueError(f"--{name} must be >= {k}")
 
 
 def build_parser():
@@ -461,6 +462,7 @@ def main(argv=None):
         # refused through the chosen command, so its usage shows its options
         args.subparser.error(f"unrecognized arguments: {' '.join(unread)}")
     try:
+        _check_bounds(args)
         code = args.func(args)
         sys.stdout.flush()
         return code

@@ -14,18 +14,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 from typing import NamedTuple
 
-from .fock import (EMPTY, FockPolynomial, _lowering_factor, mono_degree,
-                   mono_from_partition)
+from .fock import EMPTY, FockPolynomial, _lowering_factor, mono_degree
 from .hamiltonians import (eigenvalue_series,
                            hamiltonian_generating_coefficients,
                            verify_eigenvectors)
 from .partitions import (check_partition, dim, partitions_of, partitions_upto,
                          size, transpose)
 from .scalars import ExactScalar
-from .schur import scaled_schur, schur
+from .schur import centralizer_size, character, scaled_schur
 
 
 class DiskAmplitude(NamedTuple):
@@ -72,18 +71,27 @@ def integer_hbar_check(pot):
     """The potential lives in integer powers of hbar to every t-order.
 
     Transposition pairs the amplitudes: amp(lambda') = amp(lambda) at
-    eps -> -eps, in the polynomial part (omega maps s_lambda to s_lambda')
-    and in the exponents.  So eps -> -eps permutes the terms of the sum over
-    lambda, and odd eps powers cancel in every t-coefficient.  The pairing
-    is symmetric (eps -> -eps is an involution), so each pair is compared
-    once, from lambda >= lambda'."""
+    eps -> -eps, in the polynomial part and in the exponents.  So
+    eps -> -eps permutes the terms of the sum over lambda, and odd eps
+    powers cancel in every t-coefficient.  Each pair is compared once, from
+    lambda >= lambda' (eps -> -eps is an involution).
+
+    At p^mu the polynomial part is prefactor chi^lambda(mu) times the unit
+    1 / (z_mu eps^{l(mu)}), which the flip multiplies by (-1)^{l(mu)}.  So
+    the flipped part of lambda is the part of lambda' exactly when
+    flip(prefactor_lambda) (-1)^{l(mu)} chi^lambda(mu) = prefactor_lambda'
+    chi^lambda'(mu) for every mu of |lambda|: the omega involution
+    chi^lambda'(mu) = (-1)^{|lambda| + l(mu)} chi^lambda(mu) (Macdonald
+    I.7), on the integer character table."""
     for lam, amp in pot.amplitudes.items():
         mate = transpose(lam)
         if lam < mate:
             continue
         twin = pot.amplitudes[mate]
-        flipped = amp.polynomial_part().remap(lambda m, c: (m, _flip_eps(c)))
-        if (flipped != twin.polynomial_part()
+        flipped = _flip_eps(amp.prefactor)
+        if (any(flipped.scaled((-1) ** len(mu) * character(lam, mu))
+                != twin.prefactor.scaled(character(mate, mu))
+                for mu in partitions_of(size(lam)))
                 or tuple(map(_flip_eps, amp.exponents)) != twin.exponents):
             return False
     return True
@@ -248,28 +256,6 @@ def p1_partition_function(D, K):
 # transposition-factorization counts
 
 
-def hurwitz_series(W, M):
-    """Coefficients of beta^m/m! in the potential specialized to u0 = 0,
-    hbar = 1, t_1 = beta, all other t = 0: map (n, m) -> p-polynomial
-    sum_{|lambda|=n} (dim/n!) E_1(lambda)^m s_lambda(p).
-
-    The coefficient of the monomial p_mu is the number of m-tuples of
-    transpositions in S_n with product of cycle type mu, divided by n!.
-    """
-    result = {}
-    for n in range(W + 1):
-        energies = [(lam, eigenvalue_series(lam, 1)[1]
-                     .substitute(eps=1, u0=0).as_fraction())
-                    for lam in partitions_of(n)]
-        for m in range(M + 1):
-            acc = FockPolynomial.zero()
-            for lam, energy in energies:
-                coeff = energy ** m * Fraction(dim(lam), factorial(n))
-                acc = acc + schur(lam) * coeff
-            result[(n, m)] = acc
-    return result
-
-
 def _cycle_type(perm):
     """The cycle type of a permutation of 0 .. n-1, as a partition."""
     seen = [False] * len(perm)
@@ -334,20 +320,30 @@ def hurwitz_oracle(n, m, mu):
 
 
 def hurwitz_match_report(W, M):
-    """Compare every hurwitz_series coefficient against the oracle; returns
-    a dict with counts and a list of mismatches."""
+    """Compare every count of `hurwitz_oracle`, n <= W and m <= M, with the
+    coefficient of beta^m/m! p^mu in the potential at u0 = 0, hbar = 1,
+    t_1 = beta, other t = 0: the Frobenius character sum (Okounkov-
+    Pandharipande, Ann. Math. 163, 2006) sum_{|lambda|=n} dim(lambda)
+    e_1(lambda)^m chi^lambda(mu) / (n! z_mu), e_1 = E_1 there, summed in
+    integers over one denominator.  Returns counts and mismatches."""
     if W < 1 or M < 0:
         raise ValueError("Hurwitz bounds must be n >= 1 and m >= 0")
-    series = hurwitz_series(W, M)
     mismatches = []
     checked = 0
-    for (n, m), poly in series.items():
-        if n == 0:
-            continue
-        for mu in partitions_of(n):
-            got = poly.coefficient(mono_from_partition(mu))
-            want = hurwitz_oracle(n, m, mu)
-            checked += 1
-            if got != ExactScalar.from_rational(want):
-                mismatches.append((n, m, mu, got.render(), want))
+    for n in range(1, W + 1):
+        energies = {lam: eigenvalue_series(lam, 1)[1]
+                    .substitute(eps=1, u0=0).as_fraction()
+                    for lam in partitions_of(n)}
+        # one denominator for the e_1 of degree n: 1, as E_1 sums contents
+        den = lcm(*(e.denominator for e in energies.values()))
+        for m in range(M + 1):
+            terms = [(lam, dim(lam) * (e * den).numerator ** m)
+                     for lam, e in energies.items()]
+            for mu in partitions_of(n):
+                got = Fraction(sum(w * character(lam, mu) for lam, w in terms),
+                               den ** m * factorial(n) * centralizer_size(mu))
+                want = hurwitz_oracle(n, m, mu)
+                checked += 1
+                if got != want:
+                    mismatches.append((n, m, mu, str(got), want))
     return {"checked": checked, "mismatches": mismatches}

@@ -552,6 +552,31 @@ def test_negative_weight_names_the_flag(tmp_path, capsys, naive):
     assert not cache.exists()
 
 
+@pytest.mark.parametrize("command, message", [
+    ("hamiltonian --n -2", "--n must be >= -1"),
+    ("verify commute --N -1", "--N must be >= 0"),
+    ("verify eigen --K -1", "--K must be >= 0"),
+    ("verify p1 --K -1", "--K must be >= 0"),
+    ("verify hurwitz --n 0", "--n must be >= 1"),
+    ("verify hurwitz --m -1", "--m must be >= 0"),
+    ("verify all --n 0", "--n must be >= 1"),
+    ("tables disk --K -1", "--K must be >= 0"),
+    ("tables disk --weight -1", "--weight must be >= 0"),
+    ("tables p1 --degree -1", "--degree must be >= 0"),
+    ("tables p1 --K -1", "--K must be >= 0"),
+    ("tables hurwitz --n 0", "--n must be >= 1"),
+])
+def test_refused_bound_names_the_flag(command, message, capsys):
+    argv = command.split()
+    if argv[0] != "tables":
+        argv.append("--no-cache")
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_failed_cache_write_leaves_no_temp_file(tmp_path, capsys):
     # a directory where the cache file should be: the rename fails
     (tmp_path / "hamiltonian_1_4_text.json").mkdir()

@@ -10,7 +10,7 @@ import pytest
 
 import hopfq
 from hopfq import disk, hamiltonians
-from hopfq.disk import (_cycle_type, disk_potential, fock_pairing,
+from hopfq.disk import (_cycle_type, _flip_eps, disk_potential, fock_pairing,
                         hurwitz_match_report, hurwitz_oracle,
                         integer_hbar_check, p1_partition_function,
                         schroedinger_check, verify_printed_expansion)
@@ -18,9 +18,12 @@ from hopfq.fock import (FockPolynomial, NormalOrderedOperator,
                         mono_from_partition)
 from hopfq.hamiltonians import verify_eigenvectors
 from hopfq.kp import tau_from_disk
-from hopfq.partitions import dim, partitions_of, partitions_upto, size
+from hopfq.partitions import (dim, partitions_of, partitions_upto, size,
+                              transpose)
 from hopfq.scalars import ExactScalar, add_into
-from hopfq.schur import schur
+from hopfq.schur import scaled_schur, schur
+
+schur_module = importlib.import_module("hopfq.schur")
 
 
 # ---------------------------------------------------------------------------
@@ -51,6 +54,22 @@ def integer_hbar_oracle(W, K=2, t_orders=None):
     t_orders = t_orders if t_orders is not None else [1] * (K + 1)
     return not any(e % 2 for poly in expand_in_t(pot, t_orders).values()
                    for c in poly.terms.values() for e, _ in c.terms)
+
+
+def integer_hbar_polynomial_oracle(pot):
+    """The pairing check on expanded polynomials: for every lambda >=
+    lambda', prefactor times s_lambda(p/eps), flipped eps -> -eps, equals
+    the same for lambda', and so do the exponent vectors."""
+    for lam, amp in pot.amplitudes.items():
+        mate = transpose(lam)
+        if lam < mate:
+            continue
+        twin = pot.amplitudes[mate]
+        flipped = amp.polynomial_part().remap(lambda m, c: (m, _flip_eps(c)))
+        if (flipped != twin.polynomial_part()
+                or tuple(map(_flip_eps, amp.exponents)) != twin.exponents):
+            return False
+    return True
 
 
 def test_amplitude_table_shape():
@@ -92,6 +111,14 @@ def test_integer_hbar_property():
     assert integer_hbar_check(disk_potential(6, 2))
 
 
+def test_integer_hbar_check_agrees_with_polynomial_oracle():
+    for W in range(9):
+        for K in range(4):
+            pot = disk_potential(W, K)
+            assert integer_hbar_check(pot)
+            assert integer_hbar_polynomial_oracle(pot)
+
+
 def test_integer_hbar_check_agrees_with_expansion_oracle():
     for W in range(7):
         assert (integer_hbar_check(disk_potential(W, 2))
@@ -100,11 +127,12 @@ def test_integer_hbar_check_agrees_with_expansion_oracle():
             and integer_hbar_oracle(4, 3, [2, 2, 1, 1]))
 
 
-@pytest.mark.parametrize("part", ["exponent", "prefactor"])
+@pytest.mark.parametrize("part", ["exponent", "prefactor", "doubled"])
 def test_odd_eps_term_on_one_amplitude_fails_both(part, monkeypatch):
-    # eps added to the t_0 exponent of (2) but not of (1, 1), or its
-    # prefactor times (1 + eps): the pair no longer cancels, and the
-    # coefficient of p_1^2 gains eps^-3 / 4 at t_0, or at t^0
+    # eps added to the t_0 exponent of (2) but not of (1, 1), its prefactor
+    # times (1 + eps), or its prefactor doubled: the pair no longer cancels.
+    # The coefficient of p_1^2 gains eps^-3 / 4 at t_0, or at t^0; with the
+    # doubled prefactor, that of p_2 gains eps^-3 / 4 at t^0
     build = disk.disk_potential
 
     def perturbed(W, K):
@@ -113,13 +141,48 @@ def test_odd_eps_term_on_one_amplitude_fails_both(part, monkeypatch):
         if part == "exponent":
             amp = amp._replace(exponents=(amp.exponents[0] + ExactScalar.eps(),)
                                + amp.exponents[1:])
-        else:
+        elif part == "prefactor":
             amp = amp._replace(prefactor=amp.prefactor * (1 + ExactScalar.eps()))
+        else:
+            amp = amp._replace(prefactor=amp.prefactor * 2)
         pot.amplitudes[(2,)] = amp
         return pot
 
     monkeypatch.setattr(disk, "disk_potential", perturbed)
     assert not integer_hbar_check(disk.disk_potential(4, 2))
+    assert not integer_hbar_polynomial_oracle(disk.disk_potential(4, 2))
+    assert not integer_hbar_oracle(4)
+
+
+@pytest.fixture
+def fresh_schur_caches():
+    """Empty the Schur memos before and after a test that perturbs the
+    character table, so that no other test reads a perturbed entry."""
+    memos = (schur_module.character, schur, scaled_schur)
+    for memo in memos:
+        memo.cache_clear()
+    yield
+    for memo in memos:
+        memo.cache_clear()
+
+
+def test_wrong_character_sign_fails_every_route(monkeypatch,
+                                                fresh_schur_caches):
+    # chi^(3,1)((2,1,1)) = 1 given the wrong sign: s_(3,1) no longer maps
+    # to s_(2,1,1) under omega, and the coefficient of p_2 p_1^2 at t^0
+    # gains an eps^-7 term
+    table = schur_module.character
+
+    def perturbed(lam, mu):
+        sign = -1 if (lam, mu) == ((3, 1), (2, 1, 1)) else 1
+        return sign * table(lam, mu)
+
+    assert table((3, 1), (2, 1, 1)) == 1
+    monkeypatch.setattr(schur_module, "character", perturbed)
+    monkeypatch.setattr(disk, "character", perturbed)
+    pot = disk_potential(4, 2)
+    assert not integer_hbar_check(pot)
+    assert not integer_hbar_polynomial_oracle(pot)
     assert not integer_hbar_oracle(4)
 
 
@@ -274,10 +337,75 @@ def test_hurwitz_oracle_matches_direct_enumeration():
                     hurwitz_oracle_direct(n, m, mu)
 
 
+def hurwitz_series(W, M):
+    """The counts as expanded Schur polynomials: map (n, m) to
+    sum_{|lambda|=n} (dim/n!) E_1(lambda)^m s_lambda(p), whose coefficient of
+    p_mu is the count of `hurwitz_oracle`."""
+    result = {}
+    for n in range(W + 1):
+        energies = [(lam, disk.eigenvalue_series(lam, 1)[1]
+                     .substitute(eps=1, u0=0).as_fraction())
+                    for lam in partitions_of(n)]
+        for m in range(M + 1):
+            acc = FockPolynomial.zero()
+            for lam, energy in energies:
+                coeff = energy ** m * Fraction(dim(lam), factorial(n))
+                acc = acc + schur(lam) * coeff
+            result[(n, m)] = acc
+    return result
+
+
+def hurwitz_series_mismatches(W, M):
+    """The (n, m, mu) at which `hurwitz_series` disagrees with the oracle."""
+    return [(n, m, mu) for (n, m), poly in hurwitz_series(W, M).items() if n
+            for mu in partitions_of(n)
+            if poly.coefficient(mono_from_partition(mu))
+            != ExactScalar.from_rational(hurwitz_oracle(n, m, mu))]
+
+
 def test_hurwitz_series_against_oracle():
     report = hurwitz_match_report(4, 4)
     assert report["mismatches"] == []
     assert report["checked"] > 0
+
+
+def test_hurwitz_character_sum_agrees_with_series_oracle():
+    # both routes match the brute-force count at every (n, m, mu)
+    report = hurwitz_match_report(6, 6)
+    assert report == {"checked": 7 * sum(len(partitions_of(n))
+                                         for n in range(1, 7)),
+                      "mismatches": []}
+    assert hurwitz_series_mismatches(6, 6) == []
+
+
+@pytest.mark.parametrize("shift", [1, Fraction(1, 2)],
+                         ids=["off-by-one", "half"])
+def test_wrong_e1_fails_both_hurwitz_routes(shift, monkeypatch):
+    # E_1((3,)) = 3 shifted to 4, or to the non-integer 7/2: the counts at
+    # (n, m) = (3, 1) and (3, 2) change.  Truncating 7/2 to 3 would hide
+    # the second, so this also fails a rounded e_1.
+    series = disk.eigenvalue_series
+
+    def perturbed(lam, K):
+        values = series(lam, K)
+        if lam == (3,):
+            values = {**values, 1: values[1] + shift}
+        return values
+
+    monkeypatch.setattr(disk, "eigenvalue_series", perturbed)
+    mismatches = hurwitz_match_report(3, 2)["mismatches"]
+    assert {entry[:2] for entry in mismatches} == {(3, 1), (3, 2)}
+    assert hurwitz_series_mismatches(3, 2)
+
+
+def test_hurwitz_mismatch_entry_shape(monkeypatch):
+    # one entry per failing (n, m, mu): the computed count as text, the
+    # oracle's as a Fraction
+    series = disk.eigenvalue_series
+    monkeypatch.setattr(disk, "eigenvalue_series", lambda lam, K: {
+        **series(lam, K), 1: series(lam, K)[1] + Fraction(1, 2)})
+    mismatches = hurwitz_match_report(1, 1)["mismatches"]
+    assert mismatches == [(1, 1, (1,), "1/2", Fraction(0))]
 
 
 EIGENVALUE_ORACLES = ("eigenvalue_closed_form", "eigenvalue_frobenius_form",

@@ -32,6 +32,7 @@ ALLOWED = {
     "partitions.b_sign_exponent": CRITERION,
     "partitions.syt_count": CRITERION,
     "fock.FockPolynomial.is_homogeneous": CRITERION,
+    "fock.FockPolynomial.coefficient": CRITERION,
     "fock.FockPolynomial.sorted_terms": FAILURE,
     "fock.FockPolynomial.render": FAILURE,
     "fock.FockPolynomial.__repr__": DUNDER,
