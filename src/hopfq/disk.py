@@ -294,33 +294,42 @@ def _transposition_transfer(n):
     return transfer
 
 
-def hurwitz_oracle(n, m, mu):
-    """Number of m-tuples of transpositions in S_n whose product has cycle
-    type mu, divided by n!.
+def hurwitz_distributions(n, M):
+    """[{mu: the number of m-tuples of transpositions in S_n whose product
+    has cycle type mu, divided by n!} for m = 0 .. M].
 
     Exhaustive by construction: the tuple count is accumulated as an exact
     distribution over cycle types, one transposition factor at a time (the
     per-step transition counts enumerate every transposition against a class
     representative, which is equivalent to iterating over all tuples).
+    Each step is taken once, from the distribution of the step before.
     """
+    counts = [{tuple([1] * n): 1}]
+    transfer = _transposition_transfer(n)
+    for _ in range(M):
+        nxt = {}
+        for t, c in counts[-1].items():
+            for t2, ways in transfer[t].items():
+                nxt[t2] = nxt.get(t2, 0) + c * ways
+        counts.append(nxt)
+    return [{mu: Fraction(c, factorial(n)) for mu, c in dist.items()}
+            for dist in counts]
+
+
+def hurwitz_oracle(n, m, mu):
+    """Number of m-tuples of transpositions in S_n whose product has cycle
+    type mu, divided by n!, read off `hurwitz_distributions`."""
     if n < 1:
         raise ValueError("n must be positive")
     mu = check_partition(tuple(mu))
     if size(mu) != n:
         raise ValueError("mu must be a partition of n")
-    counts = {tuple([1] * n): 1}
-    transfer = _transposition_transfer(n)
-    for _ in range(m):
-        nxt = {}
-        for t, c in counts.items():
-            for t2, ways in transfer[t].items():
-                nxt[t2] = nxt.get(t2, 0) + c * ways
-        counts = nxt
-    return Fraction(counts.get(mu, 0), factorial(n))
+    return hurwitz_distributions(n, m)[m].get(mu, Fraction(0))
 
 
 def hurwitz_match_report(W, M):
-    """Compare every count of `hurwitz_oracle`, n <= W and m <= M, with the
+    """Compare every count of `hurwitz_distributions`, n <= W and m <= M,
+    one distribution per n read for every m and mu, with the
     coefficient of beta^m/m! p^mu in the potential at u0 = 0, hbar = 1,
     t_1 = beta, other t = 0: the Frobenius character sum (Okounkov-
     Pandharipande, Ann. Math. 163, 2006) sum_{|lambda|=n} dim(lambda)
@@ -336,13 +345,14 @@ def hurwitz_match_report(W, M):
                     for lam in partitions_of(n)}
         # one denominator for the e_1 of degree n: 1, as E_1 sums contents
         den = lcm(*(e.denominator for e in energies.values()))
+        distributions = hurwitz_distributions(n, M)
         for m in range(M + 1):
             terms = [(lam, dim(lam) * (e * den).numerator ** m)
                      for lam, e in energies.items()]
             for mu in partitions_of(n):
                 got = Fraction(sum(w * character(lam, mu) for lam, w in terms),
                                den ** m * factorial(n) * centralizer_size(mu))
-                want = hurwitz_oracle(n, m, mu)
+                want = distributions[m].get(mu, Fraction(0))
                 checked += 1
                 if got != want:
                     mismatches.append((n, m, mu, str(got), want))

@@ -19,13 +19,21 @@ for that grading, so eps = 1 decides every eps.  The D-polynomials keep a
 symbolic eps; their coefficients meet a tau through `as_fraction()`.  On
 f = g, `hirota_apply` uses D^a f.f = 0 for odd |a| and takes each pair of
 equal Leibniz terms once.
+
+Every check is decided on `int` coefficients.  A Hirota residual
+P(D) tau.tau is quadratic in tau and linear in P, so the check scales tau
+once to L tau and P to L_P P, with L and L_P the lcm of their coefficient
+denominators: the residual is L^2 L_P times the rational one and vanishes
+exactly when it does.  The KP equation is put over one integer scale the
+same way (see `kp_equation_check`).  A failure entry divides the scale
+back out, so it reads as the rational residual.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from math import comb, factorial, lcm, perm, prod
 from operator import add
 
@@ -40,16 +48,17 @@ from .schur import centralizer_size, character, complete_homogeneous
 
 
 class Laurent(SparseSum):
-    """Laurent polynomial in v_0, v_1, ... over Fraction: a sparse map
-    exponent tuple -> coefficient.  Every exponent tuple of a tau has one
-    slot per t-variable t_0..t_K of its potential; a product of two
-    v-monomials whose tuples differ in length is refused.
+    """Laurent polynomial in v_0, v_1, ... over `Fraction`, or over `int`
+    inside the checks: a sparse map exponent tuple -> coefficient.  Every
+    exponent tuple of a tau has one slot per t-variable t_0..t_K of its
+    potential; a product of two v-monomials whose tuples differ in length
+    is refused.
     """
 
     __slots__ = ()
 
     def __mul__(self, other):
-        """Ring product with another Laurent, or scaling by a rational."""
+        """Ring product with another Laurent, or scaling by a number."""
         if isinstance(other, Laurent):
             return self.product(other, _add_exponents)
         return self.scaled(other)
@@ -128,10 +137,13 @@ class TruncatedTau(SparseSum):
         return all(not c or mono_weight(m) > self.valid_weight
                    for m, c in self.terms.items())
 
-    def max_residual_term(self):
+    def max_residual_term(self, scale=1):
+        """The lowest nonzero term within the valid weight, divided by the
+        integer scale the series was computed at."""
         for m, c in sorted(self.terms.items(),
                            key=lambda t: (mono_weight(t[0]), t[0])):
             if c and mono_weight(m) <= self.valid_weight:
+                c = c.scaled(Fraction(1, scale))
                 return f"{render_mono(m, 'p')}: {c.render()}"
         return None
 
@@ -151,26 +163,61 @@ def tau_from_disk(pot, active_k, u0, eps):
     u0, eps = Fraction(u0), Fraction(eps)
     if any(not 0 <= k <= pot.K for k in active_k):
         raise ValueError("active index outside the potential's 0..K")
-    exponents = {lam: [amp.exponents[k].substitute(eps=eps, u0=u0)
-                       .as_fraction() if k in active_k else Fraction(0)
+    exponents = {lam: [_rational(amp.exponents[k], eps, u0)
+                       if k in active_k else Fraction(0)
                        for k in range(pot.K + 1)]
                  for lam, amp in pot.amplitudes.items()}
     denominators = [lcm(*(row[k].denominator for row in exponents.values()))
                     for k in range(pot.K + 1)]
-    terms = {}
+    terms = {}  # p^mu -> {v-exponent: coefficient}
     for lam, amp in pot.amplitudes.items():
         vexp = tuple(int(q * d) for q, d in zip(exponents[lam], denominators))
-        prefactor = amp.prefactor.substitute(eps=eps, u0=u0).as_fraction()
-        for mu in partitions_of(sum(lam)):
-            chi = character(lam, mu)
-            if chi:
-                c = prefactor * chi / (centralizer_size(mu) * eps ** len(mu))
-                add_into(terms, mono_from_partition(mu), Laurent({vexp: c}))
-    return TruncatedTau(terms, pot.max_weight, eps)
+        prefactor = _rational(amp.prefactor, eps, u0)
+        for mono, c in _schur_terms(lam, eps):
+            add_into(terms.setdefault(mono, {}), vexp, prefactor * c)
+    return TruncatedTau({m: Laurent(c) for m, c in terms.items() if c},
+                        pot.max_weight, eps)
+
+
+@lru_cache(maxsize=None)
+def _rational(scalar, eps, u0):
+    """The ExactScalar at rational eps and u0, as a Fraction; the taus of
+    one potential at one point share these values."""
+    return scalar.substitute(eps=eps, u0=u0).as_fraction()
+
+
+@lru_cache(maxsize=None)
+def _schur_terms(lam, eps):
+    """The terms (p^mu, chi^lambda(mu) eps^{-l(mu)} / z_mu) of
+    s_lambda(p / eps) with a nonzero character."""
+    return [(mono_from_partition(mu),
+             Fraction(chi, centralizer_size(mu)) / eps ** len(mu))
+            for mu in partitions_of(sum(lam)) if (chi := character(lam, mu))]
+
+
+def _scale(values):
+    """The lcm of the denominators of the rationals in values: the least
+    positive integer that turns each of them into an integer."""
+    scale = lcm(*(q.denominator for q in values))
+    assert scale, "a zero scale would make every residual vanish"
+    return scale
+
+
+def _integer_tau(tau):
+    """(L, L tau) on int coefficients, L the lcm of tau's denominators."""
+    scale = _scale(q for c in tau.terms.values() for q in c.terms.values())
+    return scale, tau.remap(lambda m, c: (m, Laurent({
+        e: q.numerator * (scale // q.denominator)
+        for e, q in c.terms.items()})))
 
 
 # ---------------------------------------------------------------------------
 # Hirota operators (represented as FockPolynomials in symbols D_1, D_2, ...)
+
+
+def _top_weight(P):
+    """The largest weight of a D-monomial of P, which a residual loses."""
+    return max((mono_weight(m) for m in P.terms), default=0)
 
 
 def hirota_apply(P, f, g):
@@ -181,11 +228,10 @@ def hirota_apply(P, f, g):
     only up to the valid weight of the result.  When f is g, D-monomials of
     odd degree are skipped (D^a f.f = 0 for odd |a|), and the equal terms of
     the splits b and a-b are taken once, for b <= a-b, with the coefficient
-    doubled when b != a-b.
+    doubled when b != a-b.  An integral coefficient of P is taken as an
+    `int`, so an integer P on integer f and g multiplies integers only.
     """
-    valid = min(f.valid_weight, g.valid_weight)
-    if P.terms:
-        valid -= max(mono_weight(m) for m in P.terms)
+    valid = min(f.valid_weight, g.valid_weight) - _top_weight(P)
     diagonal = f is g
 
     @cache
@@ -199,6 +245,8 @@ def hirota_apply(P, f, g):
             continue
         top = tuple(a for _, a in dmono)
         coeff = coeff.as_fraction()  # refuses a symbolic eps
+        if coeff.denominator == 1:
+            coeff = coeff.numerator
         for choice in itertools.product(*(range(a + 1) for a in top)):
             fac = prod(map(comb, top, choice))
             if diagonal:
@@ -249,10 +297,20 @@ def _verdict(residual):
     return residual.is_zero_to_valid()
 
 
+def _integer_residual(P, itau):
+    """(P(D) tau.tau times L_P, L_P) on the integer tau itau, with L_P the
+    lcm of the denominators of P's coefficients."""
+    scale = _scale(c.as_fraction() for c in P.terms.values())
+    return hirota_apply(P.scaled(scale), itau, itau), scale
+
+
 def kp_bilinear_check(which, tau):
-    """Exact vanishing of a printed bilinear equation on tau; None when tau
-    is too short for the equation's D-weight."""
-    return _verdict(hirota_apply(printed_bilinear(which, tau.eps), tau, tau))
+    """Exact vanishing of a printed bilinear equation on tau, decided on
+    L^2 L_P times its residual; None when tau is too short for the
+    equation's D-weight."""
+    residual, _ = _integer_residual(printed_bilinear(which, tau.eps),
+                                    _integer_tau(tau)[1])
+    return _verdict(residual)
 
 
 # ---------------------------------------------------------------------------
@@ -303,36 +361,44 @@ def _drop_odd(P):
 
 def kp_hierarchy_check(tau, y_order=2, y_vars=4):
     """Every y-coefficient of the generating identity (total degree <=
-    y_order in y_1..y_{y_vars}) annihilates tau.tau up to its valid weight.
-    A coefficient whose residual is complete to no weight counts as skipped,
-    not checked.
+    y_order in y_1..y_{y_vars}) annihilates tau.tau up to its valid weight,
+    decided on the integer tau.  A coefficient whose residual is complete to
+    no weight counts as skipped, not checked.
 
     The pure y3 and y4 coefficients are additionally asserted (after
     dropping odd monomials) to be exact scalar multiples of the two printed
-    bilinear equations; the report records the factors.
+    bilinear equations; the report records the factors.  Each such
+    coefficient has the D-weight of its printed equation, so its residual
+    is a nonzero multiple of the printed one with the same valid weight:
+    `printed` maps 1 and 2 to the printed equations' verdicts read off it.
     """
     coeffs = generating_identity_coefficients(y_order, y_vars, tau.eps)
-    report = {"checked": 0, "skipped": 0, "failures": [], "factors": {}}
+    scale, itau = _integer_tau(tau)
+    report = {"checked": 0, "skipped": 0, "failures": [], "factors": {},
+              "printed": {}}
+    verdicts = {}
     for ymono, P in sorted(coeffs.items()):
-        residual = hirota_apply(P, tau, tau)
-        verdict = _verdict(residual)
+        residual, poly_scale = _integer_residual(P, itau)
+        verdicts[ymono] = verdict = _verdict(residual)
         report["checked" if verdict is not None else "skipped"] += 1
         if verdict is False:
-            report["failures"].append((ymono, residual.max_residual_term()))
+            report["failures"].append((ymono, residual.max_residual_term(
+                scale * scale * poly_scale)))
     # proportionality to the printed pair
     hbar = tau.eps ** 2
-    expectations = {
-        (0, 0, 1, 0): (printed_bilinear(1, tau.eps), hbar * Fraction(-1, 36)),
-        (0, 0, 0, 1): (printed_bilinear(2, tau.eps), hbar * Fraction(-1, 12)),
-    }
-    for ymono, (target, factor) in expectations.items():
+    expectations = {(0, 0, 1, 0): (1, hbar * Fraction(-1, 36)),
+                    (0, 0, 0, 1): (2, hbar * Fraction(-1, 12))}
+    for ymono, (which, factor) in expectations.items():
         if sum(ymono) > y_order or len(ymono) != y_vars:
             continue
-        got = _drop_odd(coeffs.get(ymono, FockPolynomial.zero()))
-        if got != target * factor:
+        target = printed_bilinear(which, tau.eps)
+        got = coeffs.get(ymono, FockPolynomial.zero())
+        if _drop_odd(got) != target * factor:
             report["failures"].append((ymono, "proportionality mismatch"))
-        else:
-            report["factors"][ymono] = str(factor)
+            continue
+        report["factors"][ymono] = str(factor)
+        if _top_weight(got) == _top_weight(target):
+            report["printed"][which] = verdicts[ymono]
     return report
 
 
@@ -340,40 +406,60 @@ def kp_hierarchy_check(tau, y_order=2, y_vars=4):
 # the PDE for the second logarithmic derivative
 
 
-def log_series(tau):
-    """log(tau / c0) where c0 is the constant coefficient (required to be a
-    single Laurent monomial).
+def _integer_log(tau):
+    """(S, S log(tau / c0)) on int coefficients, where c0 = c v^e is the
+    constant coefficient of the integer tau L tau (a single Laurent
+    monomial) and S = lcm(1..W) c^W, W the valid weight.
 
-    T = tau / c0 is split by p-weight, T_0 = 1, and the weight-w part of
-    L = log T follows from the Euler relation w T_w = sum_j j L_j T_{w-j}:
-    w L_w = w T_w - sum_{0<j<w} (j L_j) T_{w-j}.
+    tau' = v^{-e} L tau is split by p-weight, tau'_0 = c.  With T = tau'/c
+    and G_w the weight-w part of log T, the Euler relation
+    w T_w = sum_{0<j<=w} j G_j T_{w-j} gives N_w = c^w w G_w in integers:
+    N_w = w c^{w-1} tau'_w - sum_{0<j<w} N_j c^{w-j-1} tau'_{w-j}.  Then
+    S G_w = (lcm(1..W) / w) c^{W-w} N_w is an integer for every w <= W.
     """
-    c0 = tau.terms.get((), Laurent())
+    _, itau = _integer_tau(tau)
+    c0 = itau.terms.get((), Laurent())
     if len(c0.terms) != 1:
         raise ValueError("constant term is not a single monomial")
-    (vexp, coeff), = c0.terms.items()
-    inv = Laurent({tuple(-x for x in vexp): 1 / coeff})
-    W = tau.valid_weight
-    pieces = [tau.remap(lambda m, c: (m, c * inv) if mono_weight(m) == w
-                        else None) for w in range(W + 1)]  # T_w
-    euler = [None]  # w L_w
-    log = tau.scaled(0)
+    (vexp, c), = c0.terms.items()
+    shift = Laurent({tuple(-x for x in vexp): 1})
+    W = itau.valid_weight
+    pieces = [itau.remap(lambda m, x: (m, x * shift) if mono_weight(m) == w
+                         else None) for w in range(W + 1)]  # tau'_w
+    numerators = [None]  # N_w
     for w in range(1, W + 1):
-        euler.append(pieces[w].scaled(w))
+        n_w = pieces[w].scaled(w * c ** (w - 1))
         for j in range(1, w):
-            euler[w] = euler[w] - euler[j] * pieces[w - j]
-        log = log + euler[w].scaled(Fraction(1, w))
-    return log
+            n_w = n_w - (numerators[j] * pieces[w - j]).scaled(
+                c ** (w - j - 1))
+        numerators.append(n_w)
+    lam = lcm(*range(1, W + 1))
+    log = itau.scaled(0)
+    for w in range(1, W + 1):
+        log = log + numerators[w].scaled(lam // w * c ** (W - w))
+    return lam * c ** W, log
 
 
 def kp_equation_check(tau):
     """Residual of u_xt = u_yy + (u u_x + (hbar/12) u_xxx)_x for
     u = eps^2 d^2/dp_1^2 log tau, with x = p_1, y = p_2, t = p_3; None when
-    tau is too short (weight <= 5) for the residual to be complete anywhere."""
+    tau is too short (weight <= 5) for the residual to be complete anywhere.
+
+    Decided on integers: with (S, l) = `_integer_log(tau)`, U = l_xx and
+    hbar = a/b, u = hbar U / S, and the residual times 12 S^2 b / hbar is
+    12 b S (U_xt - U_yy) - 12 a (U U_x)_x - a S U_xxxx, complete to the
+    same weight and zero exactly when the residual is.  The residual is
+    complete to weight W - 6 (U_xt and U_xxxx), so the product U U_x is
+    taken only to weight W - 5.
+    """
     hbar = tau.eps ** 2
-    u = log_series(tau).derivative(((1, 2),)).scaled(hbar)
-    u_xt = u.derivative(((1, 1), (3, 1)))
-    u_yy = u.derivative(((2, 2),))
-    inner = u * u.derivative(((1, 1),)) + \
-        u.derivative(((1, 3),)).scaled(hbar * Fraction(1, 12))
-    return _verdict(u_xt - u_yy - inner.derivative(((1, 1),)))
+    a, b = hbar.numerator, hbar.denominator
+    scale, log = _integer_log(tau)
+    U = log.derivative(((1, 2),))
+    linear = U.derivative(((1, 1), (3, 1))) - U.derivative(((2, 2),))
+    head = TruncatedTau(U.terms, U.valid_weight - 3, U.eps)
+    residual = (linear.scaled(12 * b * scale)
+                - (head * U.derivative(((1, 1),))).derivative(((1, 1),))
+                .scaled(12 * a)
+                - U.derivative(((1, 4),)).scaled(a * scale))
+    return _verdict(residual)

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
+from operator import mul
 
 
 def add_into(terms, key, value):
@@ -301,12 +302,23 @@ def inv_s_series(order):
 def eigenvalue_inner_series(exponentials, order):
     """G(t) = 1/s(t) + t sum_e c_e e^{te} to the given order, for the
     exponential multiset {e: c}: every eigenvalue series is e^{z u0} G(eps z).
+
+    With the exponents written h_e / d over their lcm d, t e^{te} adds
+    c_e h_e^(n-1) / (d^(n-1) (n-1)!) at t^n, so each t^n gets one integer
+    power sum over one denominator.
     """
     inner = inv_s_series(order)
-    for e, c in exponentials.items():
-        # t * e^{t e} contributes c * e^(n-1) t^n / (n-1)!
-        for n in range(1, order + 1):
-            inner[n] += c * Fraction(e) ** (n - 1) / factorial(n - 1)
+    exponents = [(Fraction(e), c) for e, c in exponentials.items()]
+    d = lcm(*(e.denominator for e, _ in exponents))
+    numerators = [e.numerator * (d // e.denominator) for e, _ in exponents]
+    powers = [c for _, c in exponents]  # c_e h_e^(n-1)
+    den = 1  # d^(n-1) (n-1)!
+    for n in range(1, order + 1):
+        total = sum(powers)
+        if total:
+            inner[n] += Fraction(total, den)
+        powers = list(map(mul, powers, numerators))
+        den *= d * n
     return inner
 
 

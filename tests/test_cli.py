@@ -35,6 +35,11 @@ PINNED_STDOUT = {
         "ac2a47be0cd7176ed9029bdbdfea25677e4d1943dc22c2484c214c69a7c1cfee",
     ("verify", "hirota", "--weight", "8", "--no-cache", "--seed", "1"):
         "6fc9663a582f04f0d6576b96b815edfad5a3b28ae006e527d28f67f03c5c342e",
+    # kp_equation is skipped at W = 5 and checked from W = 6
+    ("verify", "hirota", "--weight", "5", "--no-cache", "--seed", "1"):
+        "99ec63b884593aefc95c47bcd6308470333a57c0a8eed7fc65bdef7594e19573",
+    ("verify", "hirota", "--weight", "6", "--no-cache", "--seed", "1"):
+        "5c038ce66902758e40510f9979a1f7442c1a51caa6c58887eb6620b6f2072c7d",
 }
 
 
@@ -233,6 +238,38 @@ def test_verify_hirota_counts_hierarchy_coefficients(capsys):
     counts = json.loads(out)["hirota"]["detail"]["hierarchy_y1_counts"]
     assert counts == {label: {"checked": 4, "skipped": 1}
                       for label in ("none", "t0", "t0t1")}
+
+
+def test_printed_pair_without_the_proportionality_is_applied_directly(
+        monkeypatch, capsys):
+    # the y3 and y4 residuals decide the printed pair; with the y3
+    # coefficient off by a factor, the hierarchy fails and bilinear 1 comes
+    # from `kp_bilinear_check`
+    from hopfq import kp
+    coefficients = kp.generating_identity_coefficients
+    calls = []
+
+    def bilinear(which, tau):
+        calls.append(which)
+        return kp.kp_bilinear_check(which, tau)
+
+    monkeypatch.setattr(cli, "kp_bilinear_check", bilinear)
+    argv = ["verify", "hirota", "--weight", "6", "--no-cache"]
+    code, _ = run(argv, capsys)
+    assert code == 0 and calls == []
+
+    def doubled_y3(*args):
+        coeffs = coefficients(*args)
+        coeffs[(0, 0, 1, 0)] = coeffs[(0, 0, 1, 0)].scaled(2)
+        return coeffs
+
+    monkeypatch.setattr(kp, "generating_identity_coefficients", doubled_y3)
+    code, out = run(argv, capsys)
+    assert code == 1 and calls == [1, 1, 1]
+    detail = json.loads(out)["hirota"]["detail"]
+    for label in ("none", "t0", "t0t1"):
+        assert detail[label] == {"bilinear1": True, "bilinear2": True,
+                                 "hierarchy_y1": False, "kp_equation": True}
 
 
 def test_tables_disk_text(capsys):

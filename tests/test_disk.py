@@ -4,7 +4,7 @@ import importlib
 import itertools
 import pkgutil
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -335,6 +335,19 @@ def test_hurwitz_oracle_matches_direct_enumeration():
             for mu in partitions_of(n):
                 assert hurwitz_oracle(n, m, mu) == \
                     hurwitz_oracle_direct(n, m, mu)
+
+
+def test_hurwitz_distributions_count_every_tuple():
+    # one distribution per m, each stepped from the one before: the
+    # (n choose 2)^m tuples are all counted, and the oracle reads them
+    for n in range(1, 6):
+        distributions = disk.hurwitz_distributions(n, 6)
+        assert len(distributions) == 7
+        for m, counts in enumerate(distributions):
+            assert sum(counts.values()) * factorial(n) == comb(n, 2) ** m
+            assert distributions[:m + 1] == disk.hurwitz_distributions(n, m)
+            for mu in partitions_of(n):
+                assert hurwitz_oracle(n, m, mu) == counts.get(mu, 0)
 
 
 def hurwitz_series(W, M):

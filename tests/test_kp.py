@@ -8,13 +8,93 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hopfq import kp
 from hopfq.disk import disk_potential
 from hopfq.fock import FockPolynomial, mono_degree, mono_weight
 from hopfq.kp import (Laurent, TruncatedTau, generating_identity_coefficients,
                       hirota_apply, kp_bilinear_check, kp_equation_check,
-                      kp_hierarchy_check, log_series, printed_bilinear,
-                      tau_from_disk)
+                      kp_hierarchy_check, printed_bilinear, tau_from_disk)
 from hopfq.scalars import ExactScalar
+
+# ---------------------------------------------------------------------------
+# the checks on the Fraction tau, with the rational log series: oracles of
+# the integer engine in `hopfq.kp`
+
+
+def log_series(tau, drop=None):
+    """log(tau / c0) where c0 is the constant coefficient (required to be a
+    single Laurent monomial).
+
+    T = tau / c0 is split by p-weight, T_0 = 1, and the weight-w part of
+    L = log T follows from the Euler relation w T_w = sum_j j L_j T_{w-j}:
+    w L_w = w T_w - sum_{0<j<w} (j L_j) T_{w-j}.  drop = (w, j) leaves that
+    one term out, as a deliberately broken recurrence.
+    """
+    c0 = tau.terms.get((), Laurent())
+    if len(c0.terms) != 1:
+        raise ValueError("constant term is not a single monomial")
+    (vexp, coeff), = c0.terms.items()
+    inv = Laurent({tuple(-x for x in vexp): 1 / coeff})
+    W = tau.valid_weight
+    pieces = [tau.remap(lambda m, c: (m, c * inv) if mono_weight(m) == w
+                        else None) for w in range(W + 1)]  # T_w
+    euler = [None]  # w L_w
+    log = tau.scaled(0)
+    for w in range(1, W + 1):
+        euler.append(pieces[w].scaled(w))
+        for j in range(1, w):
+            if (w, j) != drop:
+                euler[w] = euler[w] - euler[j] * pieces[w - j]
+        log = log + euler[w].scaled(Fraction(1, w))
+    return log
+
+
+def fraction_verdict(residual):
+    if residual.valid_weight < 0:
+        return None
+    return residual.is_zero_to_valid()
+
+
+def fraction_bilinear_check(which, tau):
+    return fraction_verdict(
+        hirota_apply(printed_bilinear(which, tau.eps), tau, tau))
+
+
+def fraction_hierarchy_check(tau, y_order=2, y_vars=4):
+    coeffs = kp.generating_identity_coefficients(y_order, y_vars, tau.eps)
+    report = {"checked": 0, "skipped": 0, "failures": [], "factors": {}}
+    for ymono, P in sorted(coeffs.items()):
+        residual = hirota_apply(P, tau, tau)
+        verdict = fraction_verdict(residual)
+        report["checked" if verdict is not None else "skipped"] += 1
+        if verdict is False:
+            report["failures"].append((ymono, residual.max_residual_term()))
+    hbar = tau.eps ** 2
+    expectations = {
+        (0, 0, 1, 0): (printed_bilinear(1, tau.eps), hbar * Fraction(-1, 36)),
+        (0, 0, 0, 1): (printed_bilinear(2, tau.eps), hbar * Fraction(-1, 12)),
+    }
+    for ymono, (target, factor) in expectations.items():
+        if sum(ymono) > y_order or len(ymono) != y_vars:
+            continue
+        got = coeffs.get(ymono, FockPolynomial.zero()).remap(
+            lambda m, c: None if mono_degree(m) % 2 else (m, c))
+        if got != target * factor:
+            report["failures"].append((ymono, "proportionality mismatch"))
+        else:
+            report["factors"][ymono] = str(factor)
+    return report
+
+
+def fraction_kp_equation_check(tau, log=None):
+    hbar = tau.eps ** 2
+    log = log_series(tau) if log is None else log
+    u = log.derivative(((1, 2),)).scaled(hbar)
+    u_xt = u.derivative(((1, 1), (3, 1)))
+    u_yy = u.derivative(((2, 2),))
+    inner = u * u.derivative(((1, 1),)) + \
+        u.derivative(((1, 3),)).scaled(hbar * Fraction(1, 12))
+    return fraction_verdict(u_xt - u_yy - inner.derivative(((1, 1),)))
 
 
 def truncated(tau):
@@ -364,3 +444,152 @@ def test_exponent_tuples_have_one_slot_per_t_variable():
         f * g
     with pytest.raises(ValueError):
         hirota_apply(printed_bilinear(1, f.eps), f, g)
+
+
+# ---------------------------------------------------------------------------
+# the integer engine against the Fraction oracles
+
+
+def oracle_taus(W):
+    """The three taus `verify hirota` builds, at (u0, eps) = (0, 1) and at
+    (1/3, 2)."""
+    pot = disk_potential(W, 1)
+    return [tau_from_disk(pot, active, u0, eps)
+            for u0, eps in [(0, Fraction(1)), (Fraction(1, 3), Fraction(2))]
+            for active in [set(), {0}, {0, 1}]]
+
+
+def assert_engines_agree(tau, y_order=2):
+    for which in (1, 2):
+        assert kp_bilinear_check(which, tau) is \
+            fraction_bilinear_check(which, tau)
+    report = kp_hierarchy_check(tau, y_order=y_order)
+    oracle = fraction_hierarchy_check(tau, y_order=y_order)
+    assert {key: report[key] for key in oracle} == oracle
+    assert kp_equation_check(tau) is fraction_kp_equation_check(tau)
+
+
+@pytest.mark.parametrize("W", [4, 6, 8])
+def test_integer_engine_agrees_with_the_fraction_oracles(W):
+    for tau in oracle_taus(W):
+        assert_engines_agree(tau)
+
+
+def test_integer_residuals_are_the_scaled_rational_ones():
+    # the residual of L_P P on L tau is L^2 L_P times that of P on tau, and
+    # the integer log is S log(tau / c0), term by term
+    for tau in oracle_taus(6):
+        scale, itau = kp._integer_tau(tau)
+        assert itau.terms == tau.scaled(scale).terms
+        polys = [printed_bilinear(1, tau.eps), printed_bilinear(2, tau.eps)]
+        polys += generating_identity_coefficients(2, 4, tau.eps).values()
+        for P in polys:
+            residual, poly_scale = kp._integer_residual(P, itau)
+            want = hirota_apply(P, tau, tau)
+            assert residual.valid_weight == want.valid_weight
+            assert residual.terms == want.scaled(
+                scale * scale * poly_scale).terms
+        S, log = kp._integer_log(tau)
+        assert log.terms == log_series(tau).scaled(S).terms
+        assert log.valid_weight == tau.valid_weight
+
+
+def test_the_printed_pair_is_read_off_the_hierarchy():
+    # the y3 and y4 residuals decide the printed pair, skipped ones included
+    for W in range(3, 9):
+        for tau in oracle_taus(W)[:3]:
+            printed = kp_hierarchy_check(tau, y_order=1)["printed"]
+            assert printed == {which: kp_bilinear_check(which, tau)
+                               for which in (1, 2)}
+
+
+def perturbed_tau(W=8):
+    """The {t0, t1} tau with 1/7 added to one coefficient of p1 p2."""
+    tau = tau_from_disk(disk_potential(W, 1), {0, 1}, 0, Fraction(1))
+    mono = ((1, 1), (2, 1))
+    vexp = min(tau.terms[mono].terms)
+    terms = dict(tau.terms)
+    terms[mono] = tau.terms[mono] + Laurent({vexp: Fraction(1, 7)})
+    return TruncatedTau(terms, tau.valid_weight, tau.eps)
+
+
+def test_a_perturbed_coefficient_fails_both_engines():
+    tau = perturbed_tau()
+    for which in (1, 2):
+        assert kp_bilinear_check(which, tau) is False
+        assert fraction_bilinear_check(which, tau) is False
+    report = kp_hierarchy_check(tau, y_order=1)
+    oracle = fraction_hierarchy_check(tau, y_order=1)
+    # a failure entry divides the scale back out: it reads as the oracle's
+    assert report["failures"] and report["failures"] == oracle["failures"]
+    assert report["printed"] == {1: False, 2: False}
+    assert kp_equation_check(tau) is False
+    assert fraction_kp_equation_check(tau) is False
+
+
+def test_a_wrong_proportionality_factor_fails_both_engines(monkeypatch):
+    # the y3 coefficient doubled is -hbar/18 times the printed equation
+    coefficients = kp.generating_identity_coefficients
+
+    def doubled_y3(*args):
+        coeffs = coefficients(*args)
+        coeffs[(0, 0, 1, 0)] = coeffs[(0, 0, 1, 0)].scaled(2)
+        return coeffs
+
+    monkeypatch.setattr(kp, "generating_identity_coefficients", doubled_y3)
+    tau = oracle_taus(6)[2]
+    for report in [kp_hierarchy_check(tau, y_order=1),
+                   fraction_hierarchy_check(tau, y_order=1)]:
+        assert report["failures"] == [((0, 0, 1, 0),
+                                       "proportionality mismatch")]
+        assert list(report["factors"]) == [(0, 0, 0, 1)]
+    assert kp_hierarchy_check(tau, y_order=1)["printed"] == {2: True}
+
+
+def test_a_dropped_recurrence_term_fails_both_engines(monkeypatch):
+    # log tau with the j = 2 term of w = 5 left out of the Euler recurrence
+    tau = oracle_taus(8)[2]
+    good, bad = log_series(tau), log_series(tau, drop=(5, 2))
+    assert fraction_kp_equation_check(tau, bad) is False
+    S, log = kp._integer_log(tau)
+    error = (good - bad).scaled(S)
+    error = error.remap(lambda m, c: (m, Laurent(
+        {e: q.numerator for e, q in c.terms.items() if q.denominator == 1})))
+    assert error.terms == (good - bad).scaled(S).terms  # integral
+    monkeypatch.setattr(kp, "_integer_log", lambda tau: (S, log - error))
+    assert kp_equation_check(tau) is False
+
+
+def test_a_zero_scale_is_refused(monkeypatch):
+    tau = oracle_taus(6)[2]
+    monkeypatch.setattr(kp, "lcm", lambda *values: 0)
+    for check in [lambda: kp_bilinear_check(1, tau),
+                  lambda: kp_hierarchy_check(tau, y_order=1),
+                  lambda: kp_equation_check(tau)]:
+        with pytest.raises(AssertionError, match="zero scale"):
+            check()
+
+
+def test_the_checks_multiply_integers(monkeypatch):
+    # every tau, partial, product and residual inside the checks holds int
+    # coefficients, the Fraction tau they are given excepted
+    tau = oracle_taus(8)[5]  # {t0, t1} at (1/3, 2)
+    seen = set()
+
+    def spy(fn):
+        def wrapper(*args):
+            result = fn(*args)
+            for series in (*args, result):
+                if isinstance(series, TruncatedTau) and series is not tau:
+                    seen.update(ring(series))
+            return result
+        return wrapper
+
+    for name in ("__mul__", "derivative", "remap", "scaled", "__add__"):
+        monkeypatch.setattr(TruncatedTau, name,
+                            spy(getattr(TruncatedTau, name)))
+    monkeypatch.setattr(kp, "hirota_apply", spy(kp.hirota_apply))
+    assert kp_bilinear_check(1, tau)
+    assert kp_hierarchy_check(tau, y_order=1)["failures"] == []
+    assert kp_equation_check(tau)
+    assert seen == {int}

@@ -1,12 +1,13 @@
 """Coefficient-ring arithmetic, Bernoulli numbers, and the s-series."""
 
 from fractions import Fraction
+from math import factorial
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfq.scalars import (ExactScalar, bernoulli, inv_s_series, lift,
-                           s_series)
+from hopfq.scalars import (ExactScalar, bernoulli, eigenvalue_inner_series,
+                           inv_s_series, lift, s_series)
 
 rationals = st.builds(Fraction, st.integers(-50, 50),
                       st.integers(1, 12))
@@ -99,6 +100,21 @@ def test_s_series_and_inverse():
     # 1/s coefficients are (2^{1-n} - 1) B_n / n!
     assert inv[2] == Fraction(-1, 24)
     assert inv[4] == Fraction(7, 5760)
+
+
+@given(st.dictionaries(rationals, st.integers(-3, 3), max_size=5),
+       st.integers(0, 9))
+@settings(max_examples=50, deadline=None)
+def test_eigenvalue_series_in_integer_power_sums(exponentials, order):
+    # one power sum over d^(n-1) (n-1)! per t^n is the sum of the rational
+    # powers c e^(n-1) / (n-1)!, one per exponent and n
+    want = inv_s_series(order)
+    for e, c in exponentials.items():
+        for n in range(1, order + 1):
+            want[n] += c * e ** (n - 1) / factorial(n - 1)
+    got = eigenvalue_inner_series(exponentials, order)
+    assert got == want
+    assert all(type(g) is Fraction for g in got)
 
 
 def test_lift_over_a_common_denominator():
