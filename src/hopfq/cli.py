@@ -241,20 +241,21 @@ def _suite_tasks(args):
         return all(ok is not False for ok in verdicts), report
 
     def fermion():
-        from .fermion import (dressed_fermion_check,
-                              state_for_partition_label, vacuum_amplitude)
+        from .fermion import (FermionVector, dressed_fermion_check,
+                              power_sum_states, state_for_partition_label)
         from .partitions import partitions_upto
         from .schur import character
         # the boson-fermion map sends |lambda> to s_lambda exactly when
-        # <0| alpha_mu |lambda> = chi^lambda(mu) for every mu of |lambda|
-        memo = {}
-        ok = all(vacuum_amplitude(mu, state_for_partition_label(lam), memo)
-                 == character(lam, mu)
-                 for lam in partitions_upto(W)
-                 for mu in partitions_of(sum(lam)))
+        # alpha_{-mu} |0> = sum_lambda chi^lambda(mu) |lambda> for every mu
+        labels = {lam: state_for_partition_label(lam)
+                  for lam in partitions_upto(W)}
+        ok = all(vector == FermionVector({
+                     labels[lam]: chi for lam in partitions_of(sum(mu))
+                     if (chi := character(lam, mu))})
+                 for mu, vector in power_sum_states(W).items())
         # the dressed-fermion identities run at fixed bounds, whatever W is
         energy, modes = 3, [Fraction(j, 2) for j in (-3, -1, 1, 3)]
-        ok = ok and all(dressed_fermion_check(k, energy) for k in modes)
+        ok = ok and dressed_fermion_check(modes, energy)
         return ok, {"effective_bounds": {"weight": W},
                     "dressed_fermion_bounds": {"energy": energy, "k": modes}}
 

@@ -1,4 +1,4 @@
-"""Disk potential, Fock-space pairing, degree slices, and Hurwitz counts.
+"""Disk potential, degree slices, and Hurwitz counts.
 
 The potential is a partition-indexed sum: each partition contributes
 eps^{-|lambda|} dim(lambda)/|lambda|! times an exponential whose t_k-slot
@@ -17,7 +17,7 @@ from functools import lru_cache
 from math import factorial, lcm
 from typing import NamedTuple
 
-from .fock import EMPTY, FockPolynomial, _lowering_factor, mono_degree
+from .fock import FockPolynomial
 from .hamiltonians import (eigenvalue_series,
                            hamiltonian_generating_coefficients,
                            verify_eigenvectors)
@@ -76,22 +76,27 @@ def integer_hbar_check(pot):
     powers cancel in every t-coefficient.  Each pair is compared once, from
     lambda >= lambda' (eps -> -eps is an involution).
 
-    At p^mu the polynomial part is prefactor chi^lambda(mu) times the unit
-    1 / (z_mu eps^{l(mu)}), which the flip multiplies by (-1)^{l(mu)}.  So
-    the flipped part of lambda is the part of lambda' exactly when
-    flip(prefactor_lambda) (-1)^{l(mu)} chi^lambda(mu) = prefactor_lambda'
-    chi^lambda'(mu) for every mu of |lambda|: the omega involution
-    chi^lambda'(mu) = (-1)^{|lambda| + l(mu)} chi^lambda(mu) (Macdonald
-    I.7), on the integer character table."""
+    At p^mu the polynomial part is P_lambda chi^lambda(mu) (P the prefactor)
+    times the unit 1 / (z_mu eps^{l(mu)}), which the flip multiplies by
+    (-1)^{l(mu)}.  So the pair matches exactly when (A) flip(P_lambda)
+    (-1)^{l(mu)} chi^lambda(mu) = P_lambda' chi^lambda'(mu) for every mu of
+    n = |lambda|.  The check decides (B) instead: flip(P_lambda) =
+    (-1)^n P_lambda' once, then the omega involution chi^lambda'(mu) =
+    (-1)^{n + l(mu)} chi^lambda(mu) (Macdonald I.7) on integers.  (B)
+    implies (A) by substitution.  Once omega holds, (A) at mu = 1^n reads
+    flip(P_lambda) (-1)^n dim(lambda) = P_lambda' dim(lambda); dim != 0 and
+    Q[u0][eps^{+-1}] has no zero divisors, so (A) implies (B).  So (B) is
+    never weaker than (A), and it needs no premise."""
     for lam, amp in pot.amplitudes.items():
         mate = transpose(lam)
         if lam < mate:
             continue
         twin = pot.amplitudes[mate]
-        flipped = _flip_eps(amp.prefactor)
-        if (any(flipped.scaled((-1) ** len(mu) * character(lam, mu))
-                != twin.prefactor.scaled(character(mate, mu))
-                for mu in partitions_of(size(lam)))
+        n = size(lam)
+        if (_flip_eps(amp.prefactor) != twin.prefactor * (-1) ** n
+                or any(character(mate, mu)
+                       != (-1) ** (n + len(mu)) * character(lam, mu)
+                       for mu in partitions_of(n))
                 or tuple(map(_flip_eps, amp.exponents)) != twin.exponents):
             return False
     return True
@@ -184,7 +189,7 @@ def verify_printed_expansion(report=None):
 
 
 # ---------------------------------------------------------------------------
-# Schroedinger-equation check and the pairing
+# Schroedinger-equation check
 
 
 def schroedinger_check(pot):
@@ -208,20 +213,6 @@ def schroedinger_check(pot):
     return not verify_eigenvectors(K, W, operators, series)["failures"]
 
 
-def fock_pairing(bra, ket):
-    """<bra(p), ket(q)>: substitute p_n -> hbar n d/dq_n in the bra, apply to
-    the ket, set q = 0.  Diagonal in monomials:
-    <p^mu, q^mu> = prod_k (hbar k)^{mu_k} mu_k!."""
-    acc = ExactScalar.zero()
-    for mono, b in bra.terms.items():
-        c = ket.terms.get(mono)
-        if c is None:
-            continue
-        acc = acc + b * c * ExactScalar.monomial(
-            _lowering_factor(EMPTY, mono), 2 * mono_degree(mono))
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # degree-graded partition sum over stable-map degrees
 
@@ -232,7 +223,9 @@ def p1_partition_function(D, K):
 
     Each coefficient is recomputed by pairing the disk amplitude against the
     plane wave e^{z q_1 / hbar} (coefficient of z^d) and the two routes are
-    asserted equal.
+    asserted equal.  The pairing is diagonal and <p_1^d, q_1^d> = d! hbar^d,
+    so it reads the p_1^d coefficient prefactor chi^lambda(1^d) / d!
+    eps^{-d} (Murnaghan-Nakayama; the closed form takes the hook length).
     """
     pot = disk_potential(D, K)
     slices = {d: [] for d in range(D + 1)}
@@ -240,10 +233,8 @@ def p1_partition_function(D, K):
         d = size(lam)
         coeff = ExactScalar.monomial(
             Fraction(dim(lam), factorial(d)) ** 2, -2 * d)
-        # pairing route: <prefactor s_lambda(p/eps), q_1^d / (d! hbar^d)>
-        ket = FockPolynomial.monomial(((1, d),) if d else ())
-        paired = fock_pairing(amp.polynomial_part(), ket) * \
-            ExactScalar.monomial(Fraction(1, factorial(d)), -2 * d)
+        paired = amp.prefactor * ExactScalar.monomial(
+            Fraction(character(lam, (1,) * d), factorial(d)), -d)
         if paired != coeff:
             raise AssertionError(
                 f"pairing route disagrees at {lam}: "

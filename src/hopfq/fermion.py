@@ -12,7 +12,7 @@ sign comes from `_flip`:
 - the bosonic modes alpha_n = sum_j psi_j psi*_{j+n} (n >= 1) commute, so the
   boson-fermion map <0| e^{K(q)} |lambda> has q^mu-coefficient
   <0| alpha_mu |lambda> / z_mu; it sends |lambda> to s_lambda exactly when
-  the integer <0| alpha_mu |lambda> equals chi^lambda(mu);
+  alpha_{-mu} |0> = sum_lambda chi^lambda(mu) |lambda> for every mu;
 - the dressed-fermion identities follow from e^{ad K} and the commutators
   [alpha_n, psi_k] = psi_{k-n}, [alpha_n, psi*_k] = -psi*_{k+n}, checked on
   the states swept together with [alpha_n, alpha_m] = 0;
@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .fock import FockPolynomial, mono_from_partition
-from .partitions import frobenius, partitions_of, partitions_upto
+from .partitions import frobenius, partitions_upto
 from .scalars import (ExactScalar, SparseSum, add_into,
                       eigenvalue_inner_series, lift)
 from .schur import centralizer_size
@@ -155,7 +155,7 @@ def state_of_partition(partition):
 
 
 def alpha(n, state):
-    """alpha_n = sum_j psi_j psi*_{j+n} (n >= 1) on one state, as
+    """alpha_n = sum_j psi_j psi*_{j+n} (n != 0) on one state, as
     {state: +-1}: every term moves an occupied slot m to the free slot
     m - n.  No term needs normal ordering, so this holds at every charge."""
     floor = min(state.removed, default=1)
@@ -171,31 +171,32 @@ def _apply_alpha(n, vector):
                 for state, c in vector.terms.items()), FermionVector())
 
 
-def vacuum_amplitude(mu, state, memo):
-    """The integer <0| alpha_mu |state>, applying alpha_{mu_1} first; memo
-    holds it per (state, suffix of mu) across the calls that share it."""
-    if not mu:
-        return int(state == VACUUM)
-    key = (state, mu)
-    if key not in memo:
-        memo[key] = sum(c * vacuum_amplitude(mu[1:], moved, memo)
-                        for moved, c in alpha(mu[0], state).items())
-    return memo[key]
+def power_sum_states(W):
+    """{mu: alpha_{-mu} |0>} for every partition mu with |mu| <= W, each
+    one alpha_{-mu_last} applied to the vector of mu without its last part
+    (the alpha_{-n} commute).  By the boson-fermion map the vector of mu is
+    sum_lambda chi^lambda(mu) |lambda> (Macdonald I.7)."""
+    vectors = {(): FermionVector.vacuum()}
+    for mu in partitions_upto(W)[1:]:
+        vectors[mu] = _apply_alpha(-mu[-1], vectors[mu[:-1]])
+    return vectors
 
 
 def boson_fermion_map(vector):
     """Phi(v) = <0| e^{K(q)} v with K = sum_{n >= 1} q_n alpha_n / n.  The
     alpha_n commute, so Phi(v) = sum_mu (q^mu / z_mu) <0| alpha_mu |v>, a
-    polynomial in q; only charge-zero states of energy |mu| contribute."""
-    memo, terms = {}, {}
-    for state, c in vector.terms.items():
-        if state.charge:
-            continue
-        for mu in partitions_of(state.energy()):
-            add_into(terms, mono_from_partition(mu), Fraction(
-                c * vacuum_amplitude(mu, state, memo), centralizer_size(mu)))
-    return FockPolynomial({mono: ExactScalar.from_rational(value)
-                           for mono, value in terms.items()})
+    polynomial in q; as alpha_n^dagger = alpha_{-n}, <0| alpha_mu |v> is
+    v's inner product with alpha_{-mu} |0> (charge 0, energy |mu|)."""
+    top = max((state.energy() for state in vector.terms if not state.charge),
+              default=0)
+    terms = {}
+    for mu, column in power_sum_states(top).items():
+        amplitude = sum(c * vector.terms.get(state, 0)
+                        for state, c in column.terms.items())
+        if amplitude:
+            terms[mono_from_partition(mu)] = ExactScalar.from_rational(
+                Fraction(amplitude, centralizer_size(mu)))
+    return FockPolynomial(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -215,21 +216,24 @@ def diagonal_operator_eigenvalue(partition):
     return counts
 
 
-def dressed_fermion_check(k, max_energy):
+def dressed_fermion_check(modes, max_energy):
     """Decide e^{K} psi_k e^{-K} = sum_{m >= 0} h_m(q) psi_{k-m} and
-    e^{K} psi*_k e^{-K} = sum_{m >= 0} h_m(-q) psi*_{k+m} on the span V of
-    the charge-zero states of energy <= E.
+    e^{K} psi*_k e^{-K} = sum_{m >= 0} h_m(-q) psi*_{k+m} for every k in
+    `modes`, on the span V of the charge-zero states of energy <= E.
 
     K maps V into itself, so by e^{K} X e^{-K} = sum_j (ad K)^j X / j! and
     exp(sum_n q_n z^n / n) = sum_m h_m z^m both identities hold on V once
     [alpha_n, psi_k'] = psi_{k'-n} and [alpha_n, psi*_k'] = -psi*_{k'+n}
     hold on V at every mode k' = k - s (psi) or k + s (psi*), s >= 0, the
-    expansion reaches.  These are checked for every slot some state of V can
-    toggle (at the others every term vanishes on V) and every
-    n <= E + |slot| (beyond, every term vanishes by energy).  The premise
+    expansion reaches: psi from the highest mode down, psi* from the lowest
+    up.  These are checked once, for every slot some state of V can toggle
+    (at the others every term vanishes on V) and every n <= E + |slot|
+    (beyond, every term vanishes by energy).  The premise
     [alpha_n, alpha_m] = 0 behind reading e^{K} monomial by monomial is
-    checked on V too; the check fails if it does not hold.
+    checked on V first; the check fails if it does not hold.
     """
+    if not modes:
+        raise ValueError("no mode to check")
     swept = [state_for_partition_label(lam)
              for lam in partitions_upto(max_energy)]
     states = [FermionVector.basis(state) for state in swept]
@@ -240,11 +244,11 @@ def dressed_fermion_check(k, max_energy):
                 return False
     floor = min(min(state.removed, default=1) for state in swept)
     top = max(max(state.added, default=0) for state in swept)
-    slot = _to_m(k)
-    for op, slots, step, sign in (
-            (psi, range(slot, floor - 1, -1), -1, 1),
-            (psi_star, range(slot, top + 1), 1, -1)):
-        for s in slots:
+    slots = [_to_m(k) for k in modes]
+    for op, span, step, sign in (
+            (psi, range(max(slots), floor - 1, -1), -1, 1),
+            (psi_star, range(min(slots), top + 1), 1, -1)):
+        for s in span:
             for n in range(1, max_energy + abs(s) + 1):
                 for v in states:
                     bracket = (_apply_alpha(n, op(_to_k(s), v))

@@ -36,6 +36,7 @@ from fractions import Fraction
 from functools import cache, lru_cache
 from math import comb, factorial, lcm, perm, prod
 from operator import add
+from types import MappingProxyType
 
 from .fock import (FockPolynomial, mono_degree, mono_from_partition,
                    mono_mul, mono_sub, mono_weight, render_mono)
@@ -323,10 +324,11 @@ def _d_tilde_substitution(j, e):
         mono, c * prod(k ** a for k, a in mono) * e ** mono_degree(mono)))
 
 
+@lru_cache(maxsize=None)
 def generating_identity_coefficients(y_order, y_vars=4, eps=None):
     """y-expansion of sum_j h_j(-2y) h_{j+1}(eps D-tilde) e^{eps sum y_k D_k}:
-    map from a y-exponent tuple (length y_vars, total degree <= y_order) to
-    the Hirota polynomial multiplying it."""
+    read-only map from a y-exponent tuple (length y_vars, total degree <=
+    y_order) to the Hirota polynomial multiplying it."""
     e = _eps_scalar(eps)
     out = {}
     max_y_weight = y_vars * y_order
@@ -351,7 +353,7 @@ def generating_identity_coefficients(y_order, y_vars=4, eps=None):
                               for k, a in enumerate(extra, start=1))
                 add_into(out, total,
                          hd * FockPolynomial.monomial(dmono, fac * scalar1))
-    return out
+    return MappingProxyType(out)
 
 
 def _drop_odd(P):

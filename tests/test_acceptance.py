@@ -132,8 +132,8 @@ def test_criterion_07_boson_fermion(report):
                         + psi_star(b, psi_star(a, v))).is_zero()
                 anti = psi(a, psi_star(b, v)) + psi_star(b, psi(a, v))
                 assert anti == (v if a == b else FermionVector.zero())
-    for j in (-5, -3, -1, 1, 3, 5):
-        assert dressed_fermion_check(Fraction(j, 2), 3)
+    assert dressed_fermion_check(
+        [Fraction(j, 2) for j in (-5, -3, -1, 1, 3, 5)], 3)
     K = 4
     for lam in partitions_upto(5):
         fer = fermionic_hamiltonian_eigenvalue_series(lam, K + 2)

@@ -40,6 +40,13 @@ PINNED_STDOUT = {
         "99ec63b884593aefc95c47bcd6308470333a57c0a8eed7fc65bdef7594e19573",
     ("verify", "hirota", "--weight", "6", "--no-cache", "--seed", "1"):
         "5c038ce66902758e40510f9979a1f7442c1a51caa6c58887eb6620b6f2072c7d",
+    ("verify", "fermion", "--weight", "6", "--no-cache"):
+        "2d840075755ca06c84f865c034542708ca9ca9d9d2076ad36fbddd977cc703b9",
+    ("verify", "p1", "--K", "3", "--weight", "6", "--no-cache"):
+        "78af08d3f8dd1a564fde4de34185a4b96af19c6c1248baca1534b24879a31a72",
+    ("tables", "p1", "--degree", "4", "--K", "2", "--u0", "0", "--hbar", "1",
+     "--format", "json"):
+        "6ff149705c85a258f3df1a7336d7d61bd47091e60032c00895aec859aae9be47",
 }
 
 
@@ -259,7 +266,7 @@ def test_printed_pair_without_the_proportionality_is_applied_directly(
     assert code == 0 and calls == []
 
     def doubled_y3(*args):
-        coeffs = coefficients(*args)
+        coeffs = dict(coefficients(*args))  # a copy: the memo is shared
         coeffs[(0, 0, 1, 0)] = coeffs[(0, 0, 1, 0)].scaled(2)
         return coeffs
 
@@ -270,6 +277,15 @@ def test_printed_pair_without_the_proportionality_is_applied_directly(
     for label in ("none", "t0", "t0t1"):
         assert detail[label] == {"bilinear1": True, "bilinear2": True,
                                  "hierarchy_y1": False, "kp_equation": True}
+
+
+def test_hirota_builds_the_generating_identity_once(capsys):
+    # the three taus share one eps, so they share one y-expansion
+    from hopfq import kp
+    kp.generating_identity_coefficients.cache_clear()
+    code, _ = run(["verify", "hirota", "--weight", "8", "--no-cache"], capsys)
+    assert code == 0
+    assert kp.generating_identity_coefficients.cache_info().misses == 1
 
 
 def test_tables_disk_text(capsys):

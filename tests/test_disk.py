@@ -10,12 +10,12 @@ import pytest
 
 import hopfq
 from hopfq import disk, hamiltonians
-from hopfq.disk import (_cycle_type, _flip_eps, disk_potential, fock_pairing,
+from hopfq.disk import (_cycle_type, _flip_eps, disk_potential,
                         hurwitz_match_report, hurwitz_oracle,
                         integer_hbar_check, p1_partition_function,
                         schroedinger_check, verify_printed_expansion)
-from hopfq.fock import (FockPolynomial, NormalOrderedOperator,
-                        mono_from_partition)
+from hopfq.fock import (EMPTY, FockPolynomial, NormalOrderedOperator,
+                        _lowering_factor, mono_degree, mono_from_partition)
 from hopfq.hamiltonians import verify_eigenvectors
 from hopfq.kp import tau_from_disk
 from hopfq.partitions import (dim, partitions_of, partitions_upto, size,
@@ -261,6 +261,24 @@ def test_transpose_break_fails_schroedinger_check(j, monkeypatch):
     assert schroedinger_check(disk_potential(6, 3))
 
 
+# ---------------------------------------------------------------------------
+# oracle: the Fock pairing of expanded polynomials
+
+
+def fock_pairing(bra, ket):
+    """<bra(p), ket(q)>: substitute p_n -> hbar n d/dq_n in the bra, apply to
+    the ket, set q = 0.  Diagonal in monomials:
+    <p^mu, q^mu> = prod_k (hbar k)^{mu_k} mu_k!."""
+    acc = ExactScalar.zero()
+    for mono, b in bra.terms.items():
+        c = ket.terms.get(mono)
+        if c is None:
+            continue
+        acc = acc + b * c * ExactScalar.monomial(
+            _lowering_factor(EMPTY, mono), 2 * mono_degree(mono))
+    return acc
+
+
 def test_fock_pairing_examples():
     p1, q1 = FockPolynomial.variable(1), FockPolynomial.variable(1)
     assert fock_pairing(p1, q1) == ExactScalar.hbar()
@@ -299,6 +317,20 @@ def test_p1_two_routes_agree():
     # degree-0 slice: only the vacuum with coefficient 1
     (lam, coeff, _), = slices[0]
     assert lam == () and coeff == ExactScalar.one()
+
+
+def test_p1_coefficient_is_the_full_pairing():
+    # the p_1^d coefficient that p1_partition_function reads (and asserts
+    # equal to the closed form) is the pairing of the whole expanded
+    # amplitude with q_1^d / (d! hbar^d)
+    pot = disk_potential(6, 1)
+    slices = p1_partition_function(6, 1)
+    for d, rows in slices.items():
+        ket = FockPolynomial.monomial(((1, d),) if d else ())
+        unit = ExactScalar.monomial(Fraction(1, factorial(d)), -2 * d)
+        for lam, coeff, _ in rows:
+            paired = fock_pairing(pot.amplitudes[lam].polynomial_part(), ket)
+            assert paired * unit == coeff
 
 
 def test_hurwitz_oracle_examples():

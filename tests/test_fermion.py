@@ -3,6 +3,7 @@
 from fractions import Fraction
 from math import factorial
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,14 +11,14 @@ import hopfq.fermion
 from hopfq.fermion import (VACUUM, FermionVector, WedgeState, _flip, alpha,
                            boson_fermion_map, diagonal_operator_eigenvalue,
                            dressed_fermion_check,
-                           fermionic_hamiltonian_eigenvalue_series, psi,
-                           psi_star, state_for_partition_label,
-                           state_of_partition)
-from hopfq.fock import FockPolynomial
+                           fermionic_hamiltonian_eigenvalue_series,
+                           power_sum_states, psi, psi_star,
+                           state_for_partition_label, state_of_partition)
+from hopfq.fock import FockPolynomial, mono_from_partition
 from hopfq.hamiltonians import eigenvalue_series, exponential_row_form
 from hopfq.partitions import b_sign_exponent, partitions_of, partitions_upto
-from hopfq.scalars import add_into
-from hopfq.schur import complete_homogeneous, schur
+from hopfq.scalars import ExactScalar, add_into
+from hopfq.schur import centralizer_size, complete_homogeneous, schur
 
 half_integers = st.integers(-4, 4).map(lambda n: Fraction(2 * n + 1, 2))
 labels = st.integers(0, 5).flatmap(
@@ -73,8 +74,29 @@ def test_diagonal_operator_eigenvalue_matches_row_form():
 
 
 def test_dressed_fermions():
-    for j in (-3, -1, 1, 3):
-        assert dressed_fermion_check(Fraction(j, 2), 3)
+    assert dressed_fermion_check([Fraction(j, 2) for j in (-3, -1, 1, 3)], 3)
+    with pytest.raises(ValueError):
+        dressed_fermion_check([], 3)
+
+
+@pytest.mark.parametrize("op, inner, outer", [
+    ("psi", Fraction(1, 2), Fraction(3, 2)),
+    ("psi_star", Fraction(-1, 2), Fraction(-3, 2))], ids=["psi", "psi_star"])
+def test_dressed_check_starts_at_the_outermost_mode(op, inner, outer,
+                                                     monkeypatch):
+    # op broken at the outer mode alone (psi at slot 2, psi* at slot -1):
+    # psi reaches it only from a mode at or above it, psi* only from one at
+    # or below, so one pass over several modes must start at the outermost
+    healthy = getattr(hopfq.fermion, op)
+
+    def broken(k, vector):
+        moved = healthy(k, vector)
+        return moved.scaled(-1) if k == outer else moved
+
+    monkeypatch.setattr(hopfq.fermion, op, broken)
+    assert dressed_fermion_check([inner], 3) is True
+    assert dressed_fermion_check([outer], 3) is False
+    assert dressed_fermion_check([inner, outer], 3) is False
 
 
 def test_fermionic_series_matches_bosonic_eigenvalues():
@@ -123,7 +145,7 @@ def test_dressed_check_refuses_noncommuting_modes(monkeypatch):
     monkeypatch.setattr(hopfq.fermion, "alpha", twisted)
     monkeypatch.setattr(hopfq.fermion, "psi", unreachable)
     monkeypatch.setattr(hopfq.fermion, "psi_star", unreachable)
-    assert dressed_fermion_check(Fraction(1, 2), 3) is False
+    assert dressed_fermion_check([Fraction(1, 2)], 3) is False
 
 
 # ---------------------------------------------------------------------------
@@ -235,5 +257,84 @@ def test_boson_fermion_map_agrees_with_the_oracle():
 def test_dressed_check_agrees_with_the_oracle():
     for j in (-5, -3, -1, 1, 3, 5):
         k = Fraction(j, 2)
-        assert dressed_fermion_check(k, 3) is oracle_dressed_fermion_check(k, 3)
-        assert dressed_fermion_check(k, 3)
+        assert dressed_fermion_check([k], 3) is \
+            oracle_dressed_fermion_check(k, 3)
+        assert dressed_fermion_check([k], 3)
+
+
+# ---------------------------------------------------------------------------
+# oracle: <0| alpha_mu |state>, alpha_{mu_1} applied first
+
+
+def vacuum_amplitude(mu, state, memo):
+    """The integer <0| alpha_mu |state>, applying alpha_{mu_1} first; memo
+    holds it per (state, suffix of mu) across the calls that share it."""
+    if not mu:
+        return int(state == VACUUM)
+    key = (state, mu)
+    if key not in memo:
+        memo[key] = sum(c * vacuum_amplitude(mu[1:], moved, memo)
+                        for moved, c in alpha(mu[0], state).items())
+    return memo[key]
+
+
+def test_power_sum_states_match_both_oracles():
+    # alpha_{-mu}|0> = sum_lambda <0| alpha_mu |lambda> |lambda>, read by
+    # the recursion above and off the e^{K(q)} expansion
+    vectors = power_sum_states(8)
+    assert list(vectors) == partitions_upto(8)
+    memo = {}
+    for n in range(9):
+        images = {lam: oracle_boson_fermion_map(
+            FermionVector.basis(state_for_partition_label(lam)))
+            for lam in partitions_of(n)}
+        for mu in partitions_of(n):
+            want = {}
+            for lam in partitions_of(n):
+                state = state_for_partition_label(lam)
+                amplitude = vacuum_amplitude(mu, state, memo)
+                assert images[lam].coefficient(mono_from_partition(mu)) == \
+                    ExactScalar.from_rational(
+                        Fraction(amplitude, centralizer_size(mu)))
+                if amplitude:
+                    want[state] = amplitude
+            assert vectors[mu].terms == want
+
+
+def charged_state(lam, charge):
+    """The wedge state occupying the slots lambda_i - i + 1 + charge."""
+    rows = lam + (0,) * (abs(charge) + 1)
+    occupied = {rows[i] - i + charge for i in range(len(rows))}
+    deepest = min(occupied)
+    return WedgeState(
+        tuple(sorted((m for m in occupied if m >= 1), reverse=True)),
+        tuple(m for m in range(0, deepest - 1, -1) if m not in occupied))
+
+
+def test_alpha_minus_n_is_the_adjoint_of_alpha_n():
+    # <t| alpha_n |s> = <s| alpha_{-n} |t> on every pair of states of
+    # charge -1..1 and energy <= 6; alpha_n keeps that set
+    states = [state for charge in (-1, 0, 1) for lam in partitions_upto(6)
+              if (state := charged_state(lam, charge)).energy() <= 6]
+    assert charged_state((2, 1), 0) == state_for_partition_label((2, 1))
+    assert {state.charge for state in states} == {-1, 0, 1}
+    for n in range(1, 7):
+        raised = {t: alpha(-n, t) for t in states}
+        for s in states:
+            assert alpha(n, s) == {t: c for t in states
+                                   if (c := raised[t].get(s, 0))}
+
+
+def test_boson_fermion_map_of_a_mixed_vector():
+    # energies 0, 1 and 3, rational coefficients and one state of charge 1,
+    # which the vacuum bra never meets
+    charged = psi(Fraction(7, 2), FermionVector.vacuum())
+    v = (FermionVector.basis(state_for_partition_label(()), Fraction(1, 2))
+         + FermionVector.basis(state_for_partition_label((1,)), -3)
+         + FermionVector.basis(state_for_partition_label((2, 1)), 2)
+         + charged.scaled(5))
+    want = (schur(()) * Fraction(1, 2) + schur((1,)) * -3
+            + schur((2, 1)) * 2)
+    assert boson_fermion_map(v) == want
+    assert boson_fermion_map(v) == oracle_boson_fermion_map(v)
+    assert boson_fermion_map(charged).is_zero()

@@ -532,7 +532,7 @@ def test_a_wrong_proportionality_factor_fails_both_engines(monkeypatch):
     coefficients = kp.generating_identity_coefficients
 
     def doubled_y3(*args):
-        coeffs = coefficients(*args)
+        coeffs = dict(coefficients(*args))  # a copy: the memo is shared
         coeffs[(0, 0, 1, 0)] = coeffs[(0, 0, 1, 0)].scaled(2)
         return coeffs
 

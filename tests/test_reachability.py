@@ -63,7 +63,6 @@ ALLOWED = {
     "kp.TruncatedTau.__eq__": DUNDER,
     "fermion.WedgeState.charge": CRITERION,
     "fermion.WedgeState.energy": CRITERION,
-    "fermion.FermionVector.vacuum": CRITERION,
     "fermion.state_of_partition": CRITERION,
     "fermion.boson_fermion_map": CRITERION,
     "fermion.diagonal_operator_eigenvalue": CRITERION,
