@@ -63,8 +63,8 @@ def _eps_value(args):
         num, den = args.hbar.numerator, args.hbar.denominator
         rn, rd = math.isqrt(num), math.isqrt(den)
         if rn * rn != num or rd * rd != den:
-            raise ValueError("--hbar must be the square of a rational; "
-                             "use --eps for other values")
+            raise ValueError("--hbar must be the square of a rational: "
+                             "eps = sqrt(hbar) must be rational")
         return Fraction(rn, rd)
     return None
 

@@ -21,8 +21,7 @@ from .fock import FockPolynomial
 from .hamiltonians import (eigenvalue_series,
                            hamiltonian_generating_coefficients,
                            verify_eigenvectors)
-from .partitions import (check_partition, dim, partitions_of, partitions_upto,
-                         size, transpose)
+from .partitions import dim, partitions_of, partitions_upto, size, transpose
 from .scalars import ExactScalar
 from .schur import centralizer_size, character, scaled_schur
 
@@ -305,17 +304,6 @@ def hurwitz_distributions(n, M):
         counts.append(nxt)
     return [{mu: Fraction(c, factorial(n)) for mu, c in dist.items()}
             for dist in counts]
-
-
-def hurwitz_oracle(n, m, mu):
-    """Number of m-tuples of transpositions in S_n whose product has cycle
-    type mu, divided by n!, read off `hurwitz_distributions`."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    mu = check_partition(tuple(mu))
-    if size(mu) != n:
-        raise ValueError("mu must be a partition of n")
-    return hurwitz_distributions(n, m)[m].get(mu, Fraction(0))
 
 
 def hurwitz_match_report(W, M):

@@ -8,25 +8,22 @@ rational exponents E_k/hbar over all partitions in range.  The truncated tau
 the v-variables that also carries its eps and the weight up to which it is
 complete.  Every v-exponent tuple of a tau has one slot per t-variable
 t_0..t_K of its potential, zero for an inactive t_k, so the taus of one
-potential multiply slot by slot; tuples of two lengths are refused.  Hirota
-operators, the generating bilinear identity expanded in y, and the
-second-log-derivative PDE are all checked identically in the v-variables.
+potential multiply slot by slot; tuples of two lengths are refused, once per
+Laurent product.
 
-The tau is built at rational u0 and nonzero rational eps, on `Fraction`
-coefficients.  At u0 = 0 with at most t0 active, eps enters it only as
+The tau is built at rational u0 and nonzero rational eps and returned on
+`int` coefficients, scaled once by the lcm L of its denominators (see
+`tau_from_disk`).  At u0 = 0 with at most t0 active, eps enters it only as
 p_k -> p_k eps^{-(k+1)}, and every Hirota polynomial here is homogeneous
 for that grading, so eps = 1 decides every eps.  The D-polynomials keep a
-symbolic eps; their coefficients meet a tau through `as_fraction()`.  On
-f = g, `hirota_apply` uses D^a f.f = 0 for odd |a| and takes each pair of
-equal Leibniz terms once.
+symbolic eps; their coefficients meet a tau through `as_fraction()`.
 
-Every check is decided on `int` coefficients.  A Hirota residual
-P(D) tau.tau is quadratic in tau and linear in P, so the check scales tau
-once to L tau and P to L_P P, with L and L_P the lcm of their coefficient
-denominators: the residual is L^2 L_P times the rational one and vanishes
-exactly when it does.  The KP equation is put over one integer scale the
-same way (see `kp_equation_check`).  A failure entry divides the scale
-back out, so it reads as the rational residual.
+Every condition is one Hirota form P(D) tau.tau on the tau as built, checked
+identically in the v-variables.  P is scaled to L_P P, L_P the lcm of its
+coefficient denominators, so a check multiplies integers only; the KP
+equation is put over one integer scale the same way (see
+`kp_equation_check`).  A failure entry divides L_P back out: it reads as the
+residual of the tau as built, L^2 times that of the `Fraction` tau.
 """
 
 from __future__ import annotations
@@ -49,11 +46,10 @@ from .schur import centralizer_size, character, complete_homogeneous
 
 
 class Laurent(SparseSum):
-    """Laurent polynomial in v_0, v_1, ... over `Fraction`, or over `int`
-    inside the checks: a sparse map exponent tuple -> coefficient.  Every
-    exponent tuple of a tau has one slot per t-variable t_0..t_K of its
-    potential; a product of two v-monomials whose tuples differ in length
-    is refused.
+    """Laurent polynomial in v_0, v_1, ... over `int` (a tau as built) or
+    `Fraction`: a sparse map exponent tuple -> coefficient.  Every exponent
+    tuple of a tau has one slot per t-variable t_0..t_K of its potential; a
+    product of two Laurents whose tuples differ in length is refused.
     """
 
     __slots__ = ()
@@ -61,6 +57,11 @@ class Laurent(SparseSum):
     def __mul__(self, other):
         """Ring product with another Laurent, or scaling by a number."""
         if isinstance(other, Laurent):
+            if self.terms and other.terms:
+                e1, e2 = next(iter(self.terms)), next(iter(other.terms))
+                if len(e1) != len(e2):
+                    raise ValueError(f"v-exponent tuples {e1} and {e2} "
+                                     "differ in length")
             return self.product(other, _add_exponents)
         return self.scaled(other)
 
@@ -77,8 +78,6 @@ class Laurent(SparseSum):
 
 def _add_exponents(e1, e2):
     """The exponent tuple of a product of two v-monomials."""
-    if len(e1) != len(e2):
-        raise ValueError(f"v-exponent tuples {e1} and {e2} differ in length")
     return tuple(map(add, e1, e2))
 
 
@@ -151,12 +150,19 @@ class TruncatedTau(SparseSum):
 
 def tau_from_disk(pot, active_k, u0, eps):
     """Substitute the t-exponentials of the disk potential by v-variables,
-    at rational u0 and nonzero rational eps.
+    at rational u0 and nonzero rational eps, and return L tau on `int`
+    coefficients, with L the lcm of the denominators of tau's coefficients.
 
     active_k lists which t-variables are kept (the rest are set to zero).
     The term of lambda contributes prefactor(lambda) chi^lambda(mu)
     eps^{-l(mu)} / z_mu to p^mu, with the prefactor read from the stored
     amplitude.
+
+    A KP tau is defined only up to a nonzero constant, and no check changes
+    under tau -> c tau for c != 0: a Hirota residual P(D) tau.tau scales by
+    c^2, the proportionality factors do not read tau, and `_integer_log`
+    takes log(tau / c0), which is the same for c tau.  So L tau is decided
+    exactly as tau is, on integers only.
     """
     if u0 is None or eps is None or not eps:
         raise ValueError("the tau is built at rational u0 and nonzero "
@@ -176,7 +182,10 @@ def tau_from_disk(pot, active_k, u0, eps):
         prefactor = _rational(amp.prefactor, eps, u0)
         for mono, c in _schur_terms(lam, eps):
             add_into(terms.setdefault(mono, {}), vexp, prefactor * c)
-    return TruncatedTau({m: Laurent(c) for m, c in terms.items() if c},
+    scale = _scale(q for c in terms.values() for q in c.values())
+    return TruncatedTau({m: Laurent({e: q.numerator * (scale // q.denominator)
+                                     for e, q in c.items()})
+                         for m, c in terms.items() if c},
                         pot.max_weight, eps)
 
 
@@ -204,14 +213,6 @@ def _scale(values):
     return scale
 
 
-def _integer_tau(tau):
-    """(L, L tau) on int coefficients, L the lcm of tau's denominators."""
-    scale = _scale(q for c in tau.terms.values() for q in c.terms.values())
-    return scale, tau.remap(lambda m, c: (m, Laurent({
-        e: q.numerator * (scale // q.denominator)
-        for e, q in c.terms.items()})))
-
-
 # ---------------------------------------------------------------------------
 # Hirota operators (represented as FockPolynomials in symbols D_1, D_2, ...)
 
@@ -221,52 +222,46 @@ def _top_weight(P):
     return max((mono_weight(m) for m in P.terms), default=0)
 
 
-def hirota_apply(P, f, g):
-    """P(D) f.g with D^a f.g = sum_b prod C(a_k, b_k) (-1)^{|a-b|}
-    (d^b f)(d^{a-b} g); valid to min validity minus the top D-weight.
+def hirota_apply(P, tau):
+    """P(D) tau.tau with D^a tau.tau = sum_b prod C(a_k, b_k) (-1)^{|a-b|}
+    (d^b tau)(d^{a-b} tau); valid to tau's valid weight minus the top
+    D-weight of P.
 
-    Each partial d^b f and d^b g is taken once per call, and each product
-    only up to the valid weight of the result.  When f is g, D-monomials of
-    odd degree are skipped (D^a f.f = 0 for odd |a|), and the equal terms of
-    the splits b and a-b are taken once, for b <= a-b, with the coefficient
-    doubled when b != a-b.  An integral coefficient of P is taken as an
-    `int`, so an integer P on integer f and g multiplies integers only.
+    D-monomials of odd degree are skipped (D^a tau.tau = 0 for odd |a|),
+    and the equal terms of the splits b and a-b are taken once, for
+    b <= a-b, with the coefficient doubled when b != a-b.  Each partial
+    d^b tau is taken once per call, and each product only up to the valid
+    weight of the result.  An integral coefficient of P is taken as an
+    `int`, so an integer P on an integer tau multiplies integers only.
     """
-    valid = min(f.valid_weight, g.valid_weight) - _top_weight(P)
-    diagonal = f is g
-
-    @cache
-    def partial(of_f, b):
-        # d^b f, or d^b g; on f = g every partial is one of f's
-        return (f if of_f else g).derivative(b)
-
-    residual = TruncatedTau({}, valid, f.eps)
+    valid = tau.valid_weight - _top_weight(P)
+    partial = cache(tau.derivative)
+    residual = TruncatedTau({}, valid, tau.eps)
     for dmono, coeff in P.terms.items():
-        if diagonal and mono_degree(dmono) % 2:
+        if mono_degree(dmono) % 2:
             continue
         top = tuple(a for _, a in dmono)
         coeff = coeff.as_fraction()  # refuses a symbolic eps
         if coeff.denominator == 1:
             coeff = coeff.numerator
         for choice in itertools.product(*(range(a + 1) for a in top)):
+            complement = tuple(a - c for a, c in zip(top, choice))
+            if choice > complement:
+                continue
             fac = prod(map(comb, top, choice))
-            if diagonal:
-                complement = tuple(a - c for a, c in zip(top, choice))
-                if choice > complement:
-                    continue
-                if choice < complement:
-                    fac *= 2
+            if choice < complement:
+                fac *= 2
             b = tuple((k, c) for (k, _), c in zip(dmono, choice) if c)
             rest = tuple((k, a - c) for (k, a), c in zip(dmono, choice)
                          if a > c)
             if mono_degree(rest) % 2:
                 fac = -fac
-            df, dg = partial(True, b), partial(diagonal, rest)
+            df, dg = partial(b), partial(rest)
             if len(df.terms) <= len(dg.terms):  # scale the smaller partial
                 df = df.scaled(coeff * fac)
             else:
                 dg = dg.scaled(coeff * fac)
-            residual = residual + TruncatedTau(df.terms, valid, f.eps) * dg
+            residual = residual + TruncatedTau(df.terms, valid, tau.eps) * dg
     return residual
 
 
@@ -298,19 +293,18 @@ def _verdict(residual):
     return residual.is_zero_to_valid()
 
 
-def _integer_residual(P, itau):
-    """(P(D) tau.tau times L_P, L_P) on the integer tau itau, with L_P the
-    lcm of the denominators of P's coefficients."""
+def _integer_residual(P, tau):
+    """(P(D) tau.tau times L_P, L_P), with L_P the lcm of the denominators
+    of P's coefficients: on integers when tau is on integers."""
     scale = _scale(c.as_fraction() for c in P.terms.values())
-    return hirota_apply(P.scaled(scale), itau, itau), scale
+    return hirota_apply(P.scaled(scale), tau), scale
 
 
 def kp_bilinear_check(which, tau):
     """Exact vanishing of a printed bilinear equation on tau, decided on
-    L^2 L_P times its residual; None when tau is too short for the
-    equation's D-weight."""
-    residual, _ = _integer_residual(printed_bilinear(which, tau.eps),
-                                    _integer_tau(tau)[1])
+    L_P times its residual; None when tau is too short for the equation's
+    D-weight."""
+    residual, _ = _integer_residual(printed_bilinear(which, tau.eps), tau)
     return _verdict(residual)
 
 
@@ -364,7 +358,7 @@ def _drop_odd(P):
 def kp_hierarchy_check(tau, y_order=2, y_vars=4):
     """Every y-coefficient of the generating identity (total degree <=
     y_order in y_1..y_{y_vars}) annihilates tau.tau up to its valid weight,
-    decided on the integer tau.  A coefficient whose residual is complete to
+    decided on tau as given.  A coefficient whose residual is complete to
     no weight counts as skipped, not checked.
 
     The pure y3 and y4 coefficients are additionally asserted (after
@@ -375,17 +369,16 @@ def kp_hierarchy_check(tau, y_order=2, y_vars=4):
     `printed` maps 1 and 2 to the printed equations' verdicts read off it.
     """
     coeffs = generating_identity_coefficients(y_order, y_vars, tau.eps)
-    scale, itau = _integer_tau(tau)
     report = {"checked": 0, "skipped": 0, "failures": [], "factors": {},
               "printed": {}}
     verdicts = {}
     for ymono, P in sorted(coeffs.items()):
-        residual, poly_scale = _integer_residual(P, itau)
+        residual, poly_scale = _integer_residual(P, tau)
         verdicts[ymono] = verdict = _verdict(residual)
         report["checked" if verdict is not None else "skipped"] += 1
         if verdict is False:
-            report["failures"].append((ymono, residual.max_residual_term(
-                scale * scale * poly_scale)))
+            report["failures"].append(
+                (ymono, residual.max_residual_term(poly_scale)))
     # proportionality to the printed pair
     hbar = tau.eps ** 2
     expectations = {(0, 0, 1, 0): (1, hbar * Fraction(-1, 36)),
@@ -409,24 +402,23 @@ def kp_hierarchy_check(tau, y_order=2, y_vars=4):
 
 
 def _integer_log(tau):
-    """(S, S log(tau / c0)) on int coefficients, where c0 = c v^e is the
-    constant coefficient of the integer tau L tau (a single Laurent
-    monomial) and S = lcm(1..W) c^W, W the valid weight.
+    """(S, S log(tau / c0)), where c0 = c v^e is the constant coefficient
+    of tau (a single Laurent monomial) and S = lcm(1..W) c^W, W the valid
+    weight; on int coefficients when tau is on int coefficients.
 
-    tau' = v^{-e} L tau is split by p-weight, tau'_0 = c.  With T = tau'/c
+    tau' = v^{-e} tau is split by p-weight, tau'_0 = c.  With T = tau'/c
     and G_w the weight-w part of log T, the Euler relation
     w T_w = sum_{0<j<=w} j G_j T_{w-j} gives N_w = c^w w G_w in integers:
     N_w = w c^{w-1} tau'_w - sum_{0<j<w} N_j c^{w-j-1} tau'_{w-j}.  Then
     S G_w = (lcm(1..W) / w) c^{W-w} N_w is an integer for every w <= W.
     """
-    _, itau = _integer_tau(tau)
-    c0 = itau.terms.get((), Laurent())
+    c0 = tau.terms.get((), Laurent())
     if len(c0.terms) != 1:
         raise ValueError("constant term is not a single monomial")
     (vexp, c), = c0.terms.items()
     shift = Laurent({tuple(-x for x in vexp): 1})
-    W = itau.valid_weight
-    pieces = [itau.remap(lambda m, x: (m, x * shift) if mono_weight(m) == w
+    W = tau.valid_weight
+    pieces = [tau.remap(lambda m, x: (m, x * shift) if mono_weight(m) == w
                          else None) for w in range(W + 1)]  # tau'_w
     numerators = [None]  # N_w
     for w in range(1, W + 1):
@@ -436,10 +428,12 @@ def _integer_log(tau):
                 c ** (w - j - 1))
         numerators.append(n_w)
     lam = lcm(*range(1, W + 1))
-    log = itau.scaled(0)
+    scale = lam * c ** W
+    assert scale, "a zero scale would make every residual vanish"
+    log = tau.scaled(0)
     for w in range(1, W + 1):
         log = log + numerators[w].scaled(lam // w * c ** (W - w))
-    return lam * c ** W, log
+    return scale, log
 
 
 def kp_equation_check(tau):

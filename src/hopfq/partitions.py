@@ -14,15 +14,6 @@ from typing import NamedTuple
 SYT_BOUND = 12
 
 
-def check_partition(parts):
-    parts = tuple(parts)
-    if any(p <= 0 for p in parts):
-        raise ValueError(f"parts must be positive: {parts}")
-    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-        raise ValueError(f"parts must be weakly decreasing: {parts}")
-    return parts
-
-
 def size(partition):
     return sum(partition)
 

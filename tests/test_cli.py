@@ -40,6 +40,8 @@ PINNED_STDOUT = {
         "99ec63b884593aefc95c47bcd6308470333a57c0a8eed7fc65bdef7594e19573",
     ("verify", "hirota", "--weight", "6", "--no-cache", "--seed", "1"):
         "5c038ce66902758e40510f9979a1f7442c1a51caa6c58887eb6620b6f2072c7d",
+    ("verify", "hirota", "--weight", "10", "--no-cache", "--seed", "1"):
+        "d4ac502bdb37f6185f0308d5192dc2d0f9ab00fe5d74b7761dfcb6f224b3541e",
     ("verify", "fermion", "--weight", "6", "--no-cache"):
         "2d840075755ca06c84f865c034542708ca9ca9d9d2076ad36fbddd977cc703b9",
     ("verify", "p1", "--K", "3", "--weight", "6", "--no-cache"):
@@ -423,9 +425,12 @@ def test_a_value_that_is_not_rational_is_a_usage_error(flag, capsys):
 
 
 def test_hbar_square_root_refusal(capsys):
-    code, _ = run(["tables", "p1", "--degree", "1", "--K", "1",
-                   "--hbar", "2"], capsys)
+    # no --eps value gives a non-square hbar, so the refusal names the reason
+    code = main(["tables", "p1", "--degree", "1", "--K", "1", "--hbar", "2"])
     assert code == 2
+    err = capsys.readouterr().err
+    assert "eps = sqrt(hbar) must be rational" in err
+    assert "--eps" not in err
 
 
 @pytest.mark.parametrize("argv", sorted(PINNED_STDOUT))

@@ -2,7 +2,7 @@
 
 import itertools
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -10,15 +10,50 @@ from hypothesis import strategies as st
 
 from hopfq import kp
 from hopfq.disk import disk_potential
-from hopfq.fock import FockPolynomial, mono_degree, mono_weight
+from hopfq.fock import (FockPolynomial, mono_degree, mono_from_partition,
+                        mono_weight)
 from hopfq.kp import (Laurent, TruncatedTau, generating_identity_coefficients,
                       hirota_apply, kp_bilinear_check, kp_equation_check,
                       kp_hierarchy_check, printed_bilinear, tau_from_disk)
-from hopfq.scalars import ExactScalar
+from hopfq.partitions import partitions_of
+from hopfq.scalars import ExactScalar, add_into
+from hopfq.schur import centralizer_size, character
 
 # ---------------------------------------------------------------------------
-# the checks on the Fraction tau, with the rational log series: oracles of
-# the integer engine in `hopfq.kp`
+# the tau on Fraction coefficients, the checks on unscaled D-polynomials and
+# the rational log series: oracles of the integer engine in `hopfq.kp`
+
+
+def fraction_tau(pot, active_k, u0, eps):
+    """The tau before `tau_from_disk` scales it to integers: the term of
+    lambda contributes prefactor(lambda) chi^lambda(mu) eps^{-l(mu)} / z_mu
+    to p^mu, on `Fraction` coefficients."""
+    u0, eps = Fraction(u0), Fraction(eps)
+
+    def value(scalar):
+        return scalar.substitute(eps=eps, u0=u0).as_fraction()
+
+    exponents = {lam: [value(amp.exponents[k]) if k in active_k
+                       else Fraction(0) for k in range(pot.K + 1)]
+                 for lam, amp in pot.amplitudes.items()}
+    denominators = [lcm(*(row[k].denominator for row in exponents.values()))
+                    for k in range(pot.K + 1)]
+    terms = {}
+    for lam, amp in pot.amplitudes.items():
+        vexp = tuple(int(q * d) for q, d in zip(exponents[lam], denominators))
+        prefactor = value(amp.prefactor)
+        for mu in partitions_of(sum(lam)):
+            chi = character(lam, mu)
+            add_into(terms.setdefault(mono_from_partition(mu), {}), vexp,
+                     prefactor * Fraction(chi, centralizer_size(mu))
+                     / eps ** len(mu))
+    return TruncatedTau({m: Laurent(c) for m, c in terms.items() if c},
+                        pot.max_weight, eps)
+
+
+def denominator_lcm(tau):
+    return lcm(*(q.denominator for c in tau.terms.values()
+                 for q in c.terms.values()))
 
 
 def log_series(tau, drop=None):
@@ -34,7 +69,7 @@ def log_series(tau, drop=None):
     if len(c0.terms) != 1:
         raise ValueError("constant term is not a single monomial")
     (vexp, coeff), = c0.terms.items()
-    inv = Laurent({tuple(-x for x in vexp): 1 / coeff})
+    inv = Laurent({tuple(-x for x in vexp): Fraction(1, coeff)})
     W = tau.valid_weight
     pieces = [tau.remap(lambda m, c: (m, c * inv) if mono_weight(m) == w
                         else None) for w in range(W + 1)]  # T_w
@@ -57,14 +92,14 @@ def fraction_verdict(residual):
 
 def fraction_bilinear_check(which, tau):
     return fraction_verdict(
-        hirota_apply(printed_bilinear(which, tau.eps), tau, tau))
+        hirota_apply(printed_bilinear(which, tau.eps), tau))
 
 
 def fraction_hierarchy_check(tau, y_order=2, y_vars=4):
     coeffs = kp.generating_identity_coefficients(y_order, y_vars, tau.eps)
     report = {"checked": 0, "skipped": 0, "failures": [], "factors": {}}
     for ymono, P in sorted(coeffs.items()):
-        residual = hirota_apply(P, tau, tau)
+        residual = hirota_apply(P, tau)
         verdict = fraction_verdict(residual)
         report["checked" if verdict is not None else "skipped"] += 1
         if verdict is False:
@@ -133,7 +168,7 @@ def power_sum_log_series(tau):
     """Reference for `log_series`: log(1 + r) = sum_m (-1)^{m+1} r^m / m
     with r = tau / c0 - 1, one full truncated product per power."""
     (vexp, coeff), = tau.terms[()].terms.items()
-    inv = Laurent({tuple(-x for x in vexp): 1 / coeff})
+    inv = Laurent({tuple(-x for x in vexp): Fraction(1, coeff)})
     one = TruncatedTau({(): Laurent({(0,) * len(vexp): Fraction(1)})},
                        tau.valid_weight, tau.eps)
     r = tau.scaled(inv) - one
@@ -176,12 +211,12 @@ def random_series():
 
 
 def test_trivial_tau_is_plane_wave():
-    # one exponent slot per t-variable t0, t1 of the potential
+    # 5! e^{p1}, with one exponent slot per t-variable t0, t1 of the potential
     pot = disk_potential(5, 1)
     tau = tau_from_disk(pot, set(), 0, Fraction(1))
     for d in range(6):
         mono = ((1, d),) if d else ()
-        assert tau.terms.get(mono, {}) == constant(Fraction(1, factorial(d)), 2)
+        assert tau.terms.get(mono, {}) == constant(120 // factorial(d), 2)
 
 
 def test_exponent_substitution_values():
@@ -209,26 +244,12 @@ def test_refusal_on_symbolic_exponent():
 @given(random_series())
 @settings(max_examples=30, deadline=None)
 def test_odd_hirota_vanishes_on_diagonal(f):
+    # the Leibniz sum of an odd D-monomial cancels on f.f, which is why
+    # `hirota_apply` skips it
     for mono in [((1, 1),), ((3, 1),), ((1, 2), (2, 1),)]:
         P = FockPolynomial.monomial(mono)
-        assert hirota_apply(P, f, f).is_zero_to_valid()
-
-
-def test_hirota_on_exponentials():
-    P = FockPolynomial.monomial(((1, 1),))
-    got = hirota_apply(P, exp_series(2, 6), exp_series(3, 6))
-    want = exp_series(5, 6).scaled(Fraction(2 - 3))
-    assert (got - want).is_zero_to_valid()
-
-
-@given(random_series(), random_series())
-@settings(max_examples=20, deadline=None)
-def test_hirota_bilinearity(f, g):
-    P = FockPolynomial.monomial(((2, 1),))
-    lhs = hirota_apply(P, f + g, f + g)
-    rhs = hirota_apply(P, f, f) + hirota_apply(P, f, g) + \
-        hirota_apply(P, g, f) + hirota_apply(P, g, g)
-    assert (lhs - rhs).is_zero_to_valid()
+        assert repeated_derivative_hirota(P, f, f).is_zero_to_valid()
+        assert not hirota_apply(P, f).terms
 
 
 def test_bilinear_checks_on_disk_tau():
@@ -285,20 +306,8 @@ def test_hirota_engine_agrees_with_repeated_derivatives_on_diagonal():
         polys += generating_identity_coefficients(y_order, 4, tau.eps).values()
         assert len(polys) == 2 + count
         for P in polys:
-            assert_same_tau(hirota_apply(P, tau, tau),
+            assert_same_tau(hirota_apply(P, tau),
                             repeated_derivative_hirota(P, tau, tau))
-
-
-def test_hirota_engine_agrees_with_repeated_derivatives_off_diagonal():
-    pot = disk_potential(6, 1)
-    f = tau_from_disk(pot, {0, 1}, 0, Fraction(1))
-    g = tau_from_disk(pot, {0}, 0, Fraction(1))
-    for P in [FockPolynomial.monomial(((1, 2), (2, 1))),
-              printed_bilinear(1, f.eps)]:
-        for left, right in [(f, g), (g, f)]:
-            got = hirota_apply(P, left, right)
-            assert not got.is_zero_to_valid()
-            assert_same_tau(got, repeated_derivative_hirota(P, left, right))
 
 
 def test_multi_index_derivative_is_the_chain_of_single_ones():
@@ -351,19 +360,16 @@ def test_hbar_grading_decides_every_eps():
     # with p_k -> p_k eps^{-(k+1)}: p^mu picks up eps^{-(|mu| + l(mu))}
     pot = disk_potential(6, 1)
     for active in [set(), {0}]:
-        unit = tau_from_disk(pot, active, 0, Fraction(1))
+        unit = fraction_tau(pot, active, 0, Fraction(1))
         for eps in [Fraction(1, 2), Fraction(2), Fraction(-3)]:
-            tau = tau_from_disk(pot, active, 0, eps)
-            assert tau.terms == {
+            assert fraction_tau(pot, active, 0, eps).terms == {
                 m: c * eps ** -(mono_weight(m) + mono_degree(m))
                 for m, c in unit.terms.items()}
+            tau = tau_from_disk(pot, active, 0, eps)
             assert kp_bilinear_check(1, tau) and kp_bilinear_check(2, tau)
             assert kp_hierarchy_check(tau, y_order=1)["failures"] == []
             assert kp_equation_check(tau)
-            # the tau, a Hirota product and the log stay on Fraction
-            P = FockPolynomial.monomial(((1, 1),))
-            for series in [tau, hirota_apply(P, tau, unit), log_series(tau)]:
-                assert series.terms and ring(series) == {Fraction}
+            assert ring(tau) == {int}
 
 
 def test_hirota_polynomials_are_graded():
@@ -382,19 +388,23 @@ def test_hirota_polynomials_are_graded():
     # a symbolic eps does not meet a tau
     tau = tau_from_disk(disk_potential(4, 1), set(), 0, Fraction(1))
     with pytest.raises(ValueError):
-        hirota_apply(printed_bilinear(1), tau, tau)
+        hirota_apply(printed_bilinear(1), tau)
 
 
 def test_perturbed_numeric_tau_fails_with_a_rendered_residual():
     # C_(2,1) doubled: the tau is no longer a KP tau, and the failure is
-    # rendered from Fraction coefficients
+    # rendered on the tau as built, L^2 = 720^2 times the Fraction tau's
     pot = disk_potential(6, 1)
     amp = pot.amplitudes[(2, 1)]
     pot.amplitudes[(2, 1)] = amp._replace(prefactor=amp.prefactor * 2)
     tau = tau_from_disk(pot, {0}, 0, Fraction(1))
+    rational = fraction_tau(pot, {0}, 0, Fraction(1))
+    assert denominator_lcm(rational) == 720
     assert kp_bilinear_check(1, tau) is False
-    residual = hirota_apply(printed_bilinear(1, tau.eps), tau, tau)
-    assert residual.max_residual_term() == "1: (-8) * v0^94"
+    P = printed_bilinear(1, tau.eps)
+    assert hirota_apply(P, rational).max_residual_term() == "1: (-8) * v0^94"
+    assert hirota_apply(P, tau).max_residual_term() == \
+        f"1: ({-8 * 720 ** 2}) * v0^94"
     failures = kp_hierarchy_check(tau, y_order=1)["failures"]
     assert failures and all(isinstance(t, str) and t for _, t in failures)
 
@@ -442,21 +452,23 @@ def test_exponent_tuples_have_one_slot_per_t_variable():
     g = tau_from_disk(pot, {0}, 0, Fraction(1))
     with pytest.raises(ValueError):
         f * g
-    with pytest.raises(ValueError):
-        hirota_apply(printed_bilinear(1, f.eps), f, g)
 
 
 # ---------------------------------------------------------------------------
 # the integer engine against the Fraction oracles
 
 
-def oracle_taus(W):
-    """The three taus `verify hirota` builds, at (u0, eps) = (0, 1) and at
-    (1/3, 2)."""
+def oracle_points(W):
+    """The arguments of the three taus `verify hirota` builds, at
+    (u0, eps) = (0, 1) and at (1/3, 2)."""
     pot = disk_potential(W, 1)
-    return [tau_from_disk(pot, active, u0, eps)
+    return [(pot, active, u0, eps)
             for u0, eps in [(0, Fraction(1)), (Fraction(1, 3), Fraction(2))]
             for active in [set(), {0}, {0, 1}]]
+
+
+def oracle_taus(W):
+    return [tau_from_disk(*point) for point in oracle_points(W)]
 
 
 def assert_engines_agree(tau, y_order=2):
@@ -475,23 +487,61 @@ def test_integer_engine_agrees_with_the_fraction_oracles(W):
         assert_engines_agree(tau)
 
 
+def test_the_tau_is_built_once_on_integers():
+    # tau_from_disk returns the Fraction tau times the lcm L of its
+    # denominators, every coefficient an int
+    scales = set()
+    for point in oracle_points(6):
+        tau, rational = tau_from_disk(*point), fraction_tau(*point)
+        scale = denominator_lcm(rational)
+        assert_same_tau(tau, rational.scaled(scale))
+        assert ring(tau) == {int}
+        scales.add(scale)
+    assert len(scales) > 1 and 1 not in scales
+
+
 def test_integer_residuals_are_the_scaled_rational_ones():
-    # the residual of L_P P on L tau is L^2 L_P times that of P on tau, and
-    # the integer log is S log(tau / c0), term by term
-    for tau in oracle_taus(6):
-        scale, itau = kp._integer_tau(tau)
-        assert itau.terms == tau.scaled(scale).terms
+    # on the tau as built, L tau, the residual of L_P P is L^2 L_P times
+    # that of P on the Fraction tau, and the integer log is S log(tau / c0)
+    # of either, term by term
+    for point in oracle_points(6):
+        tau, rational = tau_from_disk(*point), fraction_tau(*point)
+        scale = denominator_lcm(rational)
         polys = [printed_bilinear(1, tau.eps), printed_bilinear(2, tau.eps)]
         polys += generating_identity_coefficients(2, 4, tau.eps).values()
         for P in polys:
-            residual, poly_scale = kp._integer_residual(P, itau)
-            want = hirota_apply(P, tau, tau)
+            residual, poly_scale = kp._integer_residual(P, tau)
+            want = hirota_apply(P, rational)
             assert residual.valid_weight == want.valid_weight
             assert residual.terms == want.scaled(
                 scale * scale * poly_scale).terms
         S, log = kp._integer_log(tau)
+        assert log.terms == log_series(rational).scaled(S).terms
         assert log.terms == log_series(tau).scaled(S).terms
         assert log.valid_weight == tau.valid_weight
+
+
+def scale_blind_results(tau):
+    """What the checks report on tau, none of which reads its scale: the
+    bilinear and KP-equation verdicts, and the hierarchy's counts, failures
+    and printed pair."""
+    report = kp_hierarchy_check(tau, y_order=1)
+    return ([kp_bilinear_check(which, tau) for which in (1, 2)],
+            {key: report[key]
+             for key in ("checked", "skipped", "failures", "printed")},
+            kp_equation_check(tau))
+
+
+def test_the_checks_do_not_read_the_scale_of_tau():
+    # a KP tau is defined up to a nonzero constant: c tau is decided as tau
+    pot = disk_potential(8, 1)
+    taus = [tau_from_disk(pot, active, 0, Fraction(1))
+            for active in [set(), {0}, {0, 1}]]
+    taus += oracle_taus(8)[3:]
+    for tau in taus:
+        want = scale_blind_results(tau)
+        for c in (3, -1, Fraction(2, 3)):
+            assert scale_blind_results(tau.scaled(c)) == want
 
 
 def test_the_printed_pair_is_read_off_the_hierarchy():
@@ -520,7 +570,7 @@ def test_a_perturbed_coefficient_fails_both_engines():
         assert fraction_bilinear_check(which, tau) is False
     report = kp_hierarchy_check(tau, y_order=1)
     oracle = fraction_hierarchy_check(tau, y_order=1)
-    # a failure entry divides the scale back out: it reads as the oracle's
+    # a failure entry divides L_P back out: it reads as the oracle's
     assert report["failures"] and report["failures"] == oracle["failures"]
     assert report["printed"] == {1: False, 2: False}
     assert kp_equation_check(tau) is False
@@ -571,8 +621,8 @@ def test_a_zero_scale_is_refused(monkeypatch):
 
 
 def test_the_checks_multiply_integers(monkeypatch):
-    # every tau, partial, product and residual inside the checks holds int
-    # coefficients, the Fraction tau they are given excepted
+    # the tau as built, and every partial, product and residual inside the
+    # checks, holds int coefficients
     tau = oracle_taus(8)[5]  # {t0, t1} at (1/3, 2)
     seen = set()
 
@@ -580,7 +630,7 @@ def test_the_checks_multiply_integers(monkeypatch):
         def wrapper(*args):
             result = fn(*args)
             for series in (*args, result):
-                if isinstance(series, TruncatedTau) and series is not tau:
+                if isinstance(series, TruncatedTau):
                     seen.update(ring(series))
             return result
         return wrapper

@@ -5,8 +5,7 @@ from math import factorial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfq.partitions import (b_sign_exponent, check_partition, dim,
-                              frobenius, hooks,
+from hopfq.partitions import (b_sign_exponent, dim, frobenius, hooks,
                               partitions_of, partitions_upto, render, size,
                               syt_count, transpose)
 
@@ -19,15 +18,6 @@ def test_partition_counts():
     counts = [len(partitions_of(n)) for n in range(11)]
     assert counts == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
     assert len(partitions_upto(4)) == 1 + 1 + 2 + 3 + 5
-
-
-def test_check_partition_rejects_bad_input():
-    for bad in [(1, 2), (2, 0), (-1,), (2, 1, 1, 2)]:
-        try:
-            check_partition(bad)
-            assert False, bad
-        except ValueError:
-            pass
 
 
 @given(small_partitions)

@@ -27,7 +27,6 @@ BENCH = "named by bench/"
 ALLOWED = {
     "scalars.ExactScalar.__rsub__": DUNDER,
     "scalars.ExactScalar.__repr__": DUNDER,
-    "partitions.check_partition": CRITERION,
     "partitions.frobenius": CRITERION,
     "partitions.b_sign_exponent": CRITERION,
     "partitions.syt_count": CRITERION,
@@ -56,7 +55,6 @@ ALLOWED = {
     "hamiltonians.exponential_frobenius_form": CRITERION,
     "hamiltonians._matrix_failures": FAILURE,
     "hamiltonians._render_at_unit": FAILURE,
-    "disk.hurwitz_oracle": CRITERION,
     "kp.kp_bilinear_check": CRITERION,
     "kp.Laurent.render": FAILURE,
     "kp.TruncatedTau.max_residual_term": FAILURE,
