@@ -8,9 +8,9 @@ every rendering and dump is reproducible byte-for-byte.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .partitions import partitions_of
 from .scalars import ExactScalar, SparseSum, add_into
@@ -148,16 +148,6 @@ def _lowering_factor(rest, beta):
     return factor
 
 
-@lru_cache(maxsize=None)
-def _contraction_weights(a, b, k):
-    # p_k^b q_k^a = sum_j j! C(a,j) C(b,j) (hbar k)^j q_k^(a-j) p_k^(b-j)
-    out = []
-    for j in range(min(a, b) + 1):
-        coeff = Fraction(factorial(j) * comb(a, j) * comb(b, j) * k ** j)
-        out.append((j, ExactScalar.monomial(coeff, eps_power=2 * j)))
-    return tuple(out)
-
-
 class NormalOrderedOperator(SparseSum):
     """Normally ordered operator: sparse map (alpha, beta) -> ExactScalar.
 
@@ -211,57 +201,42 @@ class NormalOrderedOperator(SparseSum):
         return FockPolynomial(result)
 
     def compose(self, other, max_weight=None):
-        """Normally ordered product self . other.
+        """Normally ordered product self . other, by Wick's rule
+        p_k^b q_k^a = sum_j j! C(a,j) C(b,j) (hbar k)^j q_k^(a-j) p_k^(b-j).
 
-        apply(compose(A, B), f) == apply(A, apply(B, f)) for every f whose
-        weight the truncation admits.  When max_weight is given, output terms
-        whose annihilation weight exceeds it are dropped; such terms kill
-        every polynomial of weight <= max_weight, so the truncated composite
-        acts identically there.
+        For terms (a1, b1, c1) of self and (a2, b2, c2) of other, a
+        contraction pattern gamma = {(k, j_k)} picks j_k in 0..min(a, b) for
+        each mode k in both b1 and a2, a = a2[k], b = b1[k], and adds
+        c1 c2 prod_k j_k! C(a, j_k) C(b, j_k) k^j_k eps^(2|gamma|) to
+        q^(a1 + a2 - gamma) p^(b1 - gamma + b2).
+
+        apply(compose(A, B), f) == apply(A, apply(B, f)) for every f the
+        truncation admits: given max_weight, terms of annihilation weight
+        above it are dropped (they kill every polynomial of weight <=
+        max_weight), as are pairs whose full contraction leaves more.
         """
         result = {}
+        right = [(a2, b2, mono_weight(b2), c2)
+                 for (a2, b2), c2 in other.terms.items()]
         for (a1, b1), c1 in self.terms.items():
-            b1d = dict(b1)
-            w_b1 = mono_weight(b1)
-            for (a2, b2), c2 in other.terms.items():
-                if max_weight is not None:
-                    # cheapest bound: full contraction of b1 against a2
-                    max_contract = sum(
-                        k * min(m, b1d.get(k, 0)) for k, m in a2 if k in b1d)
-                    if w_b1 + mono_weight(b2) - max_contract > max_weight:
-                        continue
-                # contract b1 (p-part of the left factor) against a2
-                options = []
-                a2_rest = []
-                b1_rest = dict(b1d)
-                for k, a in a2:
-                    b = b1d.get(k, 0)
-                    if b:
-                        options.append((k, a, b))
-                    else:
-                        a2_rest.append((k, a))
+            b1d, w_b1 = dict(b1), mono_weight(b1)
+            for a2, b2, w_b2, c2 in right:
+                shared = [(k, a, b1d[k]) for k, a in a2 if k in b1d]
+                if max_weight is not None and w_b1 + w_b2 - sum(
+                        k * min(a, b) for k, a, b in shared) > max_weight:
+                    continue
                 base = c1 * c2
-                partial = [(a2_rest, dict(b1_rest), base)]
-                for k, a, b in options:
-                    nxt = []
-                    for alpha_acc, beta_acc, coeff in partial:
-                        for j, w in _contraction_weights(a, b, k):
-                            alpha2 = list(alpha_acc)
-                            if a - j:
-                                alpha2.append((k, a - j))
-                            beta2 = dict(beta_acc)
-                            if b - j:
-                                beta2[k] = b - j
-                            else:
-                                del beta2[k]
-                            nxt.append((alpha2, beta2, coeff * w))
-                    partial = nxt
-                for alpha_acc, beta_acc, coeff in partial:
-                    alpha = mono_mul(a1, tuple(sorted(alpha_acc)))
-                    beta = mono_mul(b2, tuple(sorted(beta_acc.items())))
+                for js in itertools.product(
+                        *(range(min(a, b) + 1) for _, a, b in shared)):
+                    gamma = [(k, j) for (k, _, _), j in zip(shared, js) if j]
+                    beta = mono_mul(mono_sub(b1, gamma), b2)
                     if max_weight is not None and mono_weight(beta) > max_weight:
                         continue
-                    add_into(result, (alpha, beta), coeff)
+                    weight = prod(factorial(j) * comb(a, j) * comb(b, j) * k ** j
+                                  for (k, a, b), j in zip(shared, js))
+                    add_into(result, (mono_mul(a1, mono_sub(a2, gamma)), beta),
+                             base * ExactScalar.monomial(weight, 2 * sum(js))
+                             if gamma else base)
         return NormalOrderedOperator(result)
 
     def commutator(self, other, max_weight=None):

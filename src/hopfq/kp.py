@@ -322,7 +322,10 @@ def _d_tilde_substitution(j, e):
 def generating_identity_coefficients(y_order, y_vars=4, eps=None):
     """y-expansion of sum_j h_j(-2y) h_{j+1}(eps D-tilde) e^{eps sum y_k D_k}:
     read-only map from a y-exponent tuple (length y_vars, total degree <=
-    y_order) to the Hirota polynomial multiplying it."""
+    y_order) to the even part of the Hirota polynomial multiplying it.
+
+    D^a f.f = 0 for odd |a|, so only the even part is a condition on a tau;
+    a coefficient with no even part is omitted."""
     e = _eps_scalar(eps)
     out = {}
     max_y_weight = y_vars * y_order
@@ -347,26 +350,24 @@ def generating_identity_coefficients(y_order, y_vars=4, eps=None):
                               for k, a in enumerate(extra, start=1))
                 add_into(out, total,
                          hd * FockPolynomial.monomial(dmono, fac * scalar1))
-    return MappingProxyType(out)
-
-
-def _drop_odd(P):
-    """Remove odd-total-degree D-monomials (they annihilate any f.f)."""
-    return P.remap(lambda m, c: None if mono_degree(m) % 2 else (m, c))
+    even = {y: P.remap(lambda m, c: None if mono_degree(m) % 2 else (m, c))
+            for y, P in out.items()}
+    return MappingProxyType({y: P for y, P in even.items() if P})
 
 
 def kp_hierarchy_check(tau, y_order=2, y_vars=4):
     """Every y-coefficient of the generating identity (total degree <=
     y_order in y_1..y_{y_vars}) annihilates tau.tau up to its valid weight,
-    decided on tau as given.  A coefficient whose residual is complete to
-    no weight counts as skipped, not checked.
+    decided on tau as given.  Only coefficients with an even part are
+    formed (`generating_identity_coefficients`); one whose residual is
+    complete to no weight counts as skipped, not checked.
 
-    The pure y3 and y4 coefficients are additionally asserted (after
-    dropping odd monomials) to be exact scalar multiples of the two printed
-    bilinear equations; the report records the factors.  Each such
-    coefficient has the D-weight of its printed equation, so its residual
-    is a nonzero multiple of the printed one with the same valid weight:
-    `printed` maps 1 and 2 to the printed equations' verdicts read off it.
+    The pure y3 and y4 coefficients are additionally asserted to be exact
+    scalar multiples of the two printed bilinear equations; the report
+    records the factors.  Each is then a nonzero multiple of its printed
+    equation, so its residual is a nonzero multiple of the printed one with
+    the same valid weight: `printed` maps 1 and 2 to the printed
+    equations' verdicts read off it.
     """
     coeffs = generating_identity_coefficients(y_order, y_vars, tau.eps)
     report = {"checked": 0, "skipped": 0, "failures": [], "factors": {},
@@ -388,12 +389,11 @@ def kp_hierarchy_check(tau, y_order=2, y_vars=4):
             continue
         target = printed_bilinear(which, tau.eps)
         got = coeffs.get(ymono, FockPolynomial.zero())
-        if _drop_odd(got) != target * factor:
+        if got != target * factor:
             report["failures"].append((ymono, "proportionality mismatch"))
             continue
         report["factors"][ymono] = str(factor)
-        if _top_weight(got) == _top_weight(target):
-            report["printed"][which] = verdicts[ymono]
+        report["printed"][which] = verdicts[ymono]
     return report
 
 

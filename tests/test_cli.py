@@ -34,14 +34,14 @@ PINNED_STDOUT = {
     ("verify", "disk", "--K", "3", "--weight", "6", "--no-cache"):
         "ac2a47be0cd7176ed9029bdbdfea25677e4d1943dc22c2484c214c69a7c1cfee",
     ("verify", "hirota", "--weight", "8", "--no-cache", "--seed", "1"):
-        "6fc9663a582f04f0d6576b96b815edfad5a3b28ae006e527d28f67f03c5c342e",
+        "834f99979eb112d0941c137371f8331b8449066b3c09f3450a399ff5aa404256",
     # kp_equation is skipped at W = 5 and checked from W = 6
     ("verify", "hirota", "--weight", "5", "--no-cache", "--seed", "1"):
-        "99ec63b884593aefc95c47bcd6308470333a57c0a8eed7fc65bdef7594e19573",
+        "a03b7242ece5868890ca86fd0fa3927bf1972974d4d12ea19aba72e13b4b118c",
     ("verify", "hirota", "--weight", "6", "--no-cache", "--seed", "1"):
-        "5c038ce66902758e40510f9979a1f7442c1a51caa6c58887eb6620b6f2072c7d",
+        "69e2b79ef420f4163f2ef700b197dea7c05144bd18c02c8b756bff5b9126e161",
     ("verify", "hirota", "--weight", "10", "--no-cache", "--seed", "1"):
-        "d4ac502bdb37f6185f0308d5192dc2d0f9ab00fe5d74b7761dfcb6f224b3541e",
+        "c118ae62cbaaf744ccc3d0af25cfc643f124c7a0ffc373de58b713240de77703",
     ("verify", "fermion", "--weight", "6", "--no-cache"):
         "2d840075755ca06c84f865c034542708ca9ca9d9d2076ad36fbddd977cc703b9",
     ("verify", "p1", "--K", "3", "--weight", "6", "--no-cache"):
@@ -233,11 +233,15 @@ def test_verify_hirota_reports_vacuous_checks_as_skipped(capsys):
         assert hirota["detail"][label] == {
             "bilinear1": True, "bilinear2": "skipped",
             "hierarchy_y1": True, "kp_equation": "skipped"}
-    code, out = run(["verify", "hirota", "--weight", "0", "--no-cache"],
-                    capsys)
-    assert code == 0
-    hirota = json.loads(out)["hirota"]
-    assert hirota["skipped"] is True and "passed" not in hirota
+    # below W = 4 no check is complete to any weight (the y-coefficients
+    # with no even part, empty by construction, are not formed): the suite
+    # is skipped, not passed
+    for W in ("0", "1", "2", "3"):
+        code, out = run(["verify", "hirota", "--weight", W, "--no-cache"],
+                        capsys)
+        assert code == 0
+        hirota = json.loads(out)["hirota"]
+        assert hirota["skipped"] is True and "passed" not in hirota
 
 
 def test_verify_hirota_counts_hierarchy_coefficients(capsys):
@@ -245,7 +249,9 @@ def test_verify_hirota_counts_hierarchy_coefficients(capsys):
                     capsys)
     assert code == 0
     counts = json.loads(out)["hirota"]["detail"]["hierarchy_y1_counts"]
-    assert counts == {label: {"checked": 4, "skipped": 1}
+    # y3 (D-weight 4) is checked, y4 (D-weight 5) skipped; the y-order 1
+    # coefficients with no even part are not formed
+    assert counts == {label: {"checked": 1, "skipped": 1}
                       for label in ("none", "t0", "t0t1")}
 
 

@@ -1,5 +1,6 @@
 """Fock polynomials and normally ordered operators."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from hopfq.fock import (FockPolynomial, NormalOrderedOperator, mono_degree,
                         mono_weight, naive_hamiltonian, weight_basis)
+from hopfq.hamiltonians import hamiltonian
 from hopfq.scalars import ExactScalar
 
 monos = st.lists(st.tuples(st.integers(1, 4), st.integers(1, 3)),
@@ -42,6 +44,34 @@ def test_single_contraction():
     expected = NormalOrderedOperator.term(((2, 1),), ((2, 1),)) + \
         NormalOrderedOperator.identity(ExactScalar.monomial(2, 2))
     assert p.compose(q) == expected
+
+
+# (p-part, q-part, normally ordered product as (alpha, beta, c, hbar power))
+WICK = [
+    # p_1^2 q_1^2 = q_1^2 p_1^2 + 4 hbar q_1 p_1 + 2 hbar^2
+    (((1, 2),), ((1, 2),), [(((1, 2),), ((1, 2),), 1, 0),
+                            (((1, 1),), ((1, 1),), 4, 1), ((), (), 2, 2)]),
+    # p_3^2 q_3^3 = q_3^3 p_3^2 + 18 hbar q_3^2 p_3 + 54 hbar^2 q_3
+    (((3, 2),), ((3, 3),), [(((3, 3),), ((3, 2),), 1, 0),
+                            (((3, 2),), ((3, 1),), 18, 1),
+                            (((3, 1),), (), 54, 2)]),
+    # p_1 p_2 q_1 q_2 = q_1 q_2 p_1 p_2 + 2 hbar q_1 p_1 + hbar q_2 p_2
+    #                   + 2 hbar^2
+    (((1, 1), (2, 1)), ((1, 1), (2, 1)), [
+        (((1, 1), (2, 1)), ((1, 1), (2, 1)), 1, 0),
+        (((1, 1),), ((1, 1),), 2, 1), (((2, 1),), ((2, 1),), 1, 1),
+        ((), (), 2, 2)]),
+]
+
+
+def test_wick_values():
+    # a wrong j!, binomial, k^j or eps^(2j) changes one of these coefficients
+    for beta, alpha, terms in WICK:
+        got = NormalOrderedOperator.term((), beta).compose(
+            NormalOrderedOperator.term(alpha, ()))
+        assert got == sum((NormalOrderedOperator.term(
+            a, b, ExactScalar.monomial(c, eps_power=2 * h))
+            for a, b, c, h in terms), NormalOrderedOperator.zero())
 
 
 def test_apply_matches_differential_action():
@@ -82,6 +112,37 @@ def test_compose_max_weight_consistency():
     pruned = a.compose(b, max_weight=4)
     for f in [FockPolynomial.monomial(m) for m in weight_basis(4)]:
         assert full.apply(f) == pruned.apply(f)
+
+
+@given(small_operators(), small_operators())
+@settings(max_examples=40, deadline=None)
+def test_compose_max_weight_drops_only_high_annihilation_terms(a, b):
+    full = a.compose(b)
+    for W in range(7):
+        assert a.compose(b, W) == NormalOrderedOperator({
+            key: c for key, c in full.terms.items()
+            if mono_weight(key[1]) <= W})
+
+
+def compose_sweep():
+    for W in range(5):
+        for n in range(-1, 4):
+            for m in range(-1, 4):
+                a, b = naive_hamiltonian(n, W), naive_hamiltonian(m, W)
+                yield a.compose(b).to_json()
+                yield a.compose(b, W).to_json()
+    for n, m in [(0, 1), (1, 2), (2, 3), (3, 1)]:
+        a, b = hamiltonian(n, 5), hamiltonian(m, 5)
+        yield a.compose(b).to_json()
+        yield a.transpose().compose(b, 4).to_json()
+
+
+def test_compose_products_are_pinned():
+    # products of naive (W <= 4) and corrected (W = 5) Hamiltonians; no CLI
+    # output pins compose, so this guards its exact coefficients
+    digest = hashlib.sha256(json.dumps(list(compose_sweep())).encode())
+    assert digest.hexdigest() == (
+        "f3bf5d93c49509a26525bf605e9c6e9cc124fb3e795fdaf1e4a198c35393cde8")
 
 
 def test_operator_json_roundtrip():

@@ -35,7 +35,6 @@ ALLOWED = {
     "fock.FockPolynomial.sorted_terms": FAILURE,
     "fock.FockPolynomial.render": FAILURE,
     "fock.FockPolynomial.__repr__": DUNDER,
-    "fock._contraction_weights": CRITERION,
     "fock.NormalOrderedOperator.identity": CRITERION,
     "fock.NormalOrderedOperator.term": CRITERION,
     "fock.NormalOrderedOperator.coefficient": CRITERION,
