@@ -23,7 +23,7 @@ from .hamiltonians import (eigenvalue_series,
                            verify_eigenvectors)
 from .partitions import dim, partitions_of, partitions_upto, size, transpose
 from .scalars import ExactScalar
-from .schur import centralizer_size, character, scaled_schur
+from .schur import centralizer_size, character, character_table, scaled_schur
 
 
 class DiskAmplitude(NamedTuple):
@@ -92,10 +92,12 @@ def integer_hbar_check(pot):
             continue
         twin = pot.amplitudes[mate]
         n = size(lam)
+        index, rows = character_table(n)
         if (_flip_eps(amp.prefactor) != twin.prefactor * (-1) ** n
-                or any(character(mate, mu)
-                       != (-1) ** (n + len(mu)) * character(lam, mu)
-                       for mu in partitions_of(n))
+                or any(chi_mate != (-1) ** (n + len(mu)) * chi
+                       for mu, chi, chi_mate in zip(partitions_of(n),
+                                                    rows[index[lam]],
+                                                    rows[index[mate]]))
                 or tuple(map(_flip_eps, amp.exponents)) != twin.exponents):
             return False
     return True
@@ -325,11 +327,12 @@ def hurwitz_match_report(W, M):
         # one denominator for the e_1 of degree n: 1, as E_1 sums contents
         den = lcm(*(e.denominator for e in energies.values()))
         distributions = hurwitz_distributions(n, M)
+        columns = list(zip(partitions_of(n), *character_table(n)[1]))
         for m in range(M + 1):
-            terms = [(lam, dim(lam) * (e * den).numerator ** m)
-                     for lam, e in energies.items()]
-            for mu in partitions_of(n):
-                got = Fraction(sum(w * character(lam, mu) for lam, w in terms),
+            weights = [dim(lam) * (e * den).numerator ** m
+                       for lam, e in energies.items()]
+            for mu, *column in columns:
+                got = Fraction(sum(w * chi for w, chi in zip(weights, column)),
                                den ** m * factorial(n) * centralizer_size(mu))
                 want = distributions[m].get(mu, Fraction(0))
                 checked += 1

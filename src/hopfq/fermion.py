@@ -7,7 +7,8 @@ strictly decreasing wedge order so every insertion or removal counts its
 transpositions exactly.  Charge-zero states are in bijection with partitions
 (Maya diagrams), and the whole module serves as an independent oracle for the
 Schur eigenbasis.  Every coefficient is an integer or a rational, and every
-sign comes from `_flip`:
+sign counts occupied slots: those above a toggled slot (`_flip`), or those
+between the two slots of a move (`alpha`):
 
 - the bosonic modes alpha_n = sum_j psi_j psi*_{j+n} (n >= 1) commute, so the
   boson-fermion map <0| e^{K(q)} |lambda> has q^mu-coefficient
@@ -72,6 +73,14 @@ class WedgeState(NamedTuple):
             above += -m - sum(1 for r in self.removed if r > m)
         return above
 
+    def between(self, lo, hi):
+        """Number of occupied slots m with lo < m < hi."""
+        count = sum(1 for a in self.added if lo < a < hi)
+        if lo < 0:
+            count += min(hi - 1, 0) - lo - sum(1 for r in self.removed
+                                               if lo < r < hi)
+        return count
+
 
 VACUUM = WedgeState((), ())
 
@@ -112,15 +121,18 @@ def _toggle(slots, m):
     return tuple(sorted(slots + (m,), reverse=True))
 
 
+def _toggled(state, m):
+    """The state with slot m toggled."""
+    if m >= 1:
+        return WedgeState(_toggle(state.added, m), state.removed)
+    return WedgeState(state.added, _toggle(state.removed, m))
+
+
 def _flip(state, coeff, m):
     """The term coeff |state> with slot m toggled: (new state, coefficient),
     the sign (-1)^(number of occupied slots above m) carried by the
     coefficient."""
-    if state.position(m) % 2:
-        coeff = -coeff
-    if m >= 1:
-        return WedgeState(_toggle(state.added, m), state.removed), coeff
-    return WedgeState(state.added, _toggle(state.removed, m)), coeff
+    return _toggled(state, m), -coeff if state.position(m) % 2 else coeff
 
 
 def psi(k, vector):
@@ -157,18 +169,25 @@ def state_of_partition(partition):
 def alpha(n, state):
     """alpha_n = sum_j psi_j psi*_{j+n} (n != 0) on one state, as
     {state: +-1}: every term moves an occupied slot m to the free slot
-    m - n.  No term needs normal ordering, so this holds at every charge."""
+    m - n.  No term needs normal ordering, so this holds at every charge.
+    The sign is (-1)^(number of occupied slots strictly between m and
+    m - n): psi*_m and then psi_{m-n} each count the occupied slots above
+    their own slot, and with m emptied the two counts differ by exactly
+    those between."""
     floor = min(state.removed, default=1)
     # a sea slot m can only move to a vacated slot, so m - n >= floor
     sea = (m for m in range(0, floor + n - 1, -1) if m not in state.removed)
-    return dict(_flip(*_flip(state, 1, m), m - n)
-                for m in state.added + tuple(sea)
-                if not state.occupied(m - n))
+    return {_toggled(_toggled(state, m), m - n):
+            (-1) ** state.between(*sorted((m, m - n)))
+            for m in state.added + tuple(sea) if not state.occupied(m - n)}
 
 
 def _apply_alpha(n, vector):
-    return sum((FermionVector(alpha(n, state)).scaled(c)
-                for state, c in vector.terms.items()), FermionVector())
+    terms = {}
+    for state, c in vector.terms.items():
+        for moved, sign in alpha(n, state).items():
+            add_into(terms, moved, sign * c)
+    return FermionVector(terms)
 
 
 def power_sum_states(W):

@@ -34,7 +34,7 @@ from .fock import (EMPTY, FockPolynomial, NormalOrderedOperator,
 from .partitions import frobenius, partitions_of
 from .scalars import (ExactScalar, add_into, bernoulli,
                       eigenvalue_inner_series, inv_s_series, lift, s_series)
-from .schur import centralizer_size, character
+from .schur import centralizer_size, character_table
 
 
 def _numerators(coeffs):
@@ -368,7 +368,7 @@ def _schur_vectors(w):
     vecs[a] is w! s_lambda(q) on the basis of V_w, the integer vector
     chi^lambda(mu) w!/z_mu."""
     parts = partitions_of(w)
-    chi = [[character(lam, mu) for mu in parts] for lam in parts]
+    chi = character_table(w)[1]
     weights = [factorial(w) // centralizer_size(mu) for mu in parts]
     return parts, chi, [list(map(mul, row, weights)) for row in chi]
 

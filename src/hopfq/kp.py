@@ -39,7 +39,7 @@ from .fock import (FockPolynomial, mono_degree, mono_from_partition,
                    mono_mul, mono_sub, mono_weight, render_mono)
 from .partitions import partitions_of
 from .scalars import ExactScalar, SparseSum, add_into
-from .schur import centralizer_size, character, complete_homogeneous
+from .schur import centralizer_size, character_table, complete_homogeneous
 
 # ---------------------------------------------------------------------------
 # Laurent coefficients in the v-variables
@@ -200,9 +200,11 @@ def _rational(scalar, eps, u0):
 def _schur_terms(lam, eps):
     """The terms (p^mu, chi^lambda(mu) eps^{-l(mu)} / z_mu) of
     s_lambda(p / eps) with a nonzero character."""
+    index, rows = character_table(sum(lam))
     return [(mono_from_partition(mu),
              Fraction(chi, centralizer_size(mu)) / eps ** len(mu))
-            for mu in partitions_of(sum(lam)) if (chi := character(lam, mu))]
+            for mu, chi in zip(partitions_of(sum(lam)), rows[index[lam]])
+            if chi]
 
 
 def _scale(values):

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 from math import factorial, prod
+from operator import add, itemgetter, sub
 
 from .fock import FockPolynomial, mono_from_partition
 from .partitions import partitions_of, size, transpose
@@ -41,34 +43,82 @@ def complete_homogeneous(k, num_vars=None):
 
 
 @lru_cache(maxsize=None)
-def _rim_hooks(partition, r):
-    """(sign, smaller) for every rim hook of length r of the partition:
-    smaller is what is left once it is stripped, sign is (-1)^height.
-
-    On the beta-set {lambda_i + l - i} (l = l(lambda)), stripping a rim hook
-    of length r moves one bead b to a free place b - r >= 0; its height is
-    the number of beads strictly between."""
-    l = len(partition)
-    beta = {p + l - 1 - i for i, p in enumerate(partition)}
-    hooks = []
-    for b in beta:
-        if b >= r and b - r not in beta:
-            height = sum(b - r < c < b for c in beta)
-            moved = sorted(beta - {b} | {b - r}, reverse=True)
-            smaller = (c - (l - 1 - i) for i, c in enumerate(moved))
-            hooks.append(((-1) ** height, tuple(p for p in smaller if p)))
-    return tuple(hooks)
+def _maya_index(n):
+    """The position of each partition of n in partitions_of(n), keyed by its
+    Maya mask sum_i 2^(lambda_i + l - i), i = 1..l: one bead per row.  The
+    lowest bead sits at lambda_l >= 1, so bit 0 is clear: the canonical mask
+    of the partition."""
+    return {sum(1 << p + len(lam) - 1 - i for i, p in enumerate(lam)): a
+            for a, lam in enumerate(partitions_of(n))}
 
 
 @lru_cache(maxsize=None)
+def character_table(n):
+    """(index, rows) for S_n: rows[a][b] = chi^lambda(mu) with lambda =
+    parts[a] and mu = parts[b], parts = partitions_of(n), and index maps
+    parts[a] to a.  Built once per n, row by row, from the tables of
+    smaller n.
+
+    A row is the Murnaghan-Nakayama rule chi^lambda(mu) = sum over the rim
+    hooks of length r = mu_1 of (-1)^height chi^(lambda - hook)(mu without
+    mu_1), the second factor read from the n - r table.  On the abacus a rim
+    hook of length r is a bead moved r places down to a free place, and its
+    height is the number of beads it jumps (James and Kerber, The
+    Representation Theory of the Symmetric Group, 2.7; Macdonald I.7).  The
+    beads are the set bits of the Maya mask m (`_maya_index`), and every
+    place below bit 0 is taken, so a bead at b can move only to a free
+    place b - r >= 0: the movable beads are (m & ~(m << r)) >> r << r.  For
+    the bead L = 1 << b and stop = L >> r, the place b - r is free, so the
+    height is the number of set bits of m & (L - stop), and lambda - hook
+    is m ^ L ^ stop with its trailing 1 bits, which stand for empty rows,
+    stripped by m >> ((~m & (m + 1)).bit_length() - 1): its key in the
+    n - r table.
+
+    The mu with mu_1 = r are r followed by the partitions of n - r with
+    parts <= r, in the order of partitions_of(n - r), where they are the
+    last columns: so the block of a row at mu_1 = r sums tails of rows of
+    the n - r table."""
+    parts = partitions_of(n)
+    index = {lam: a for a, lam in enumerate(parts)}
+    if not n:
+        return index, ((1,),)
+    blocks = []
+    for r, group in groupby(parts, itemgetter(0)):
+        sub_rows = character_table(n - r)[1]
+        start = len(sub_rows) - sum(1 for _ in group)
+        blocks.append((r, _maya_index(n - r), sub_rows, start))
+    rows = []
+    for m in _maya_index(n):
+        row = []
+        for r, sub_index, sub_rows, start in blocks:
+            beads = (m & ~(m << r)) >> r << r
+            block = [0] * (len(sub_rows) - start)
+            while beads:
+                bead = beads & -beads
+                beads ^= bead
+                stop = bead >> r
+                smaller = m ^ bead ^ stop
+                smaller >>= (~smaller & smaller + 1).bit_length() - 1
+                tail = sub_rows[sub_index[smaller]][start:]
+                odd = (m & (bead - stop)).bit_count() & 1
+                block = list(map(sub if odd else add, block, tail))
+            row += block
+        rows.append(tuple(row))
+    return index, tuple(rows)
+
+
 def character(partition, cycle_type):
-    """chi^lambda(mu) by the Murnaghan-Nakayama rule: strip rim hooks of
-    lengths mu_1, mu_2, ... off lambda, each with sign (-1)^height."""
-    if not cycle_type:
-        return int(not partition)
-    rest = cycle_type[1:]
-    return sum(sign * character(smaller, rest)
-               for sign, smaller in _rim_hooks(partition, cycle_type[0]))
+    """chi^lambda(mu), read from `character_table`.  Raises ValueError
+    unless lambda and mu are partitions of one size."""
+    n, k = size(partition), size(cycle_type)
+    if n != k:
+        raise ValueError(f"chi^lambda(mu) needs |lambda| = |mu|, not {n} "
+                         f"and {k}")
+    index, rows = character_table(n)
+    for p in (partition, cycle_type):
+        if p not in index:
+            raise ValueError(f"{p!r} is not a partition of {n}")
+    return rows[index[partition]][index[cycle_type]]
 
 
 def centralizer_size(cycle_type):
@@ -80,11 +130,12 @@ def centralizer_size(cycle_type):
 def schur(partition):
     """s_lambda = sum_mu chi^lambda(mu) q^mu / z_mu over the mu with
     |mu| = |lambda| and chi^lambda(mu) != 0."""
+    n = size(partition)
+    index, rows = character_table(n)
     return FockPolynomial({
         mono_from_partition(mu): ExactScalar.from_rational(
             Fraction(chi, centralizer_size(mu)))
-        for mu in partitions_of(size(partition))
-        if (chi := character(partition, mu))})
+        for mu, chi in zip(partitions_of(n), rows[index[partition]]) if chi})
 
 
 @lru_cache(maxsize=None)

@@ -485,15 +485,28 @@ def test_off_diagonal_perturbation_fails_only_as_matrix():
         assert f["difference"] == diff.render()
 
 
+def break_character_table(monkeypatch, how):
+    """Point the sweep at a copy of the character table broken as named:
+    "singular" replaces the row of (1, 1) by that of (2), and "wrong"
+    changes chi^(2,1)(1^3) = 2 to 3."""
+    table = hamiltonians.character_table
+
+    def broken(n):
+        index, rows = table(n)
+        rows = [list(row) for row in rows]
+        if how == "singular" and n == 2:
+            rows[index[(1, 1)]] = rows[index[(2,)]]
+        if how == "wrong" and n == 3:
+            rows[index[(2, 1)]][index[(1, 1, 1)]] += 1
+        return index, rows
+
+    monkeypatch.setattr(hamiltonians, "character_table", broken)
+
+
 def test_singular_character_table_fails_only_as_basis(monkeypatch):
     # the row of (1, 1) replaced by that of (2): both vectors of V_2 are
     # then s_(2), an eigenvector of every H_n, but they span a line
-    table = hamiltonians.character
-
-    def singular(lam, mu):
-        return table((2,) if lam == (1, 1) else lam, mu)
-
-    monkeypatch.setattr(hamiltonians, "character", singular)
+    break_character_table(monkeypatch, "singular")
     report = verify_commutativity(3, 6)
     assert _kinds(report) == {"basis"}
     assert [(f["weight"], f["partitions"], f["product"], f["expected"])
@@ -569,12 +582,7 @@ def test_eigenvalue_perturbations_fail_in_both_engines(name, monkeypatch):
 def test_wrong_character_fails_as_an_eigenvector(monkeypatch):
     # chi^(2,1)(1^3) = 2 changed to 3: the vector read off the table is then
     # 3! (s_(2,1) + q1^3 / 6), an eigenvector of H_{-1} and H_0 only
-    table = hamiltonians.character
-
-    def perturbed(lam, mu):
-        return table(lam, mu) + ((lam, mu) == ((2, 1), (1, 1, 1)))
-
-    monkeypatch.setattr(hamiltonians, "character", perturbed)
+    break_character_table(monkeypatch, "wrong")
     ops = hamiltonian_generating_coefficients(3, 5)
     report = verify_eigenvectors(3, 5, ops)
     assert [(f.get("premise"), f["k"], f["partition"])
@@ -733,14 +741,7 @@ def test_packed_sweep_agrees_with_per_vector_sweep_on_broken_tables(
         table, monkeypatch):
     # the two broken character tables of the tests above: one entry of
     # (2, 1) changed, and the row of (1, 1) replaced by that of (2)
-    character = hamiltonians.character
-
-    def broken(lam, mu):
-        if table == "singular":
-            return character((2,) if lam == (1, 1) else lam, mu)
-        return character(lam, mu) + ((lam, mu) == ((2, 1), (1, 1, 1)))
-
-    monkeypatch.setattr(hamiltonians, "character", broken)
+    break_character_table(monkeypatch, table)
     ops = hamiltonian_generating_coefficients(3, 6)
     _, commute = sweeps_agree(monkeypatch, verify_commutativity, 3, 6, ops)
     _, eigen = sweeps_agree(monkeypatch, verify_eigenvectors, 3, 6, ops)
