@@ -243,16 +243,15 @@ def _suite_tasks(args):
     def fermion():
         from .fermion import (FermionVector, dressed_fermion_check,
                               power_sum_states, state_for_partition_label)
-        from .partitions import partitions_upto
-        from .schur import character
+        from .schur import character_table
         # the boson-fermion map sends |lambda> to s_lambda exactly when
-        # alpha_{-mu} |0> = sum_lambda chi^lambda(mu) |lambda> for every mu
-        labels = {lam: state_for_partition_label(lam)
-                  for lam in partitions_upto(W)}
-        ok = all(vector == FermionVector({
-                     labels[lam]: chi for lam in partitions_of(sum(mu))
-                     if (chi := character(lam, mu))})
-                 for mu, vector in power_sum_states(W).items())
+        # alpha_{-mu} |0> is the column of mu in the character table
+        vectors = power_sum_states(W)  # every mu with |mu| <= W
+        labels = {lam: state_for_partition_label(lam) for lam in vectors}
+        ok = all(vectors[mu] == FermionVector({
+                     labels[lam]: chi for lam, chi in zip(parts, col) if chi})
+                 for n, parts in enumerate(map(partitions_of, range(W + 1)))
+                 for mu, col in zip(parts, zip(*character_table(n)[1])))
         # the dressed-fermion identities run at fixed bounds, whatever W is
         energy, modes = 3, [Fraction(j, 2) for j in (-3, -1, 1, 3)]
         ok = ok and dressed_fermion_check(modes, energy)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial
 from typing import NamedTuple
 
 from .fock import FockPolynomial
@@ -22,7 +22,7 @@ from .hamiltonians import (eigenvalue_series,
                            hamiltonian_generating_coefficients,
                            verify_eigenvectors)
 from .partitions import dim, partitions_of, partitions_upto, size, transpose
-from .scalars import ExactScalar
+from .scalars import ExactScalar, _numerators
 from .schur import centralizer_size, character, character_table, scaled_schur
 
 
@@ -325,12 +325,11 @@ def hurwitz_match_report(W, M):
                     .substitute(eps=1, u0=0).as_fraction()
                     for lam in partitions_of(n)}
         # one denominator for the e_1 of degree n: 1, as E_1 sums contents
-        den = lcm(*(e.denominator for e in energies.values()))
+        nums, den = _numerators(energies.values())
         distributions = hurwitz_distributions(n, M)
         columns = list(zip(partitions_of(n), *character_table(n)[1]))
         for m in range(M + 1):
-            weights = [dim(lam) * (e * den).numerator ** m
-                       for lam, e in energies.items()]
+            weights = [dim(lam) * x ** m for lam, x in zip(energies, nums)]
             for mu, *column in columns:
                 got = Fraction(sum(w * chi for w, chi in zip(weights, column)),
                                den ** m * factorial(n) * centralizer_size(mu))

@@ -74,12 +74,8 @@ class WedgeState(NamedTuple):
         return above
 
     def between(self, lo, hi):
-        """Number of occupied slots m with lo < m < hi."""
-        count = sum(1 for a in self.added if lo < a < hi)
-        if lo < 0:
-            count += min(hi - 1, 0) - lo - sum(1 for r in self.removed
-                                               if lo < r < hi)
-        return count
+        """Number of occupied slots m with lo < m < hi, for lo < hi."""
+        return self.position(lo) - self.position(hi - 1)
 
 
 VACUUM = WedgeState((), ())

@@ -25,23 +25,16 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, inf, lcm, prod
+from math import comb, factorial, gcd, inf, lcm, prod
 from operator import itemgetter, lshift, mul
 
 from .fock import (EMPTY, FockPolynomial, NormalOrderedOperator,
                    _lowering_factor, mono_degree, mono_from_partition,
                    mono_mul, mono_weight, weight_basis)
 from .partitions import frobenius, partitions_of
-from .scalars import (ExactScalar, add_into, bernoulli,
+from .scalars import (ExactScalar, _numerators, add_into, bernoulli,
                       eigenvalue_inner_series, inv_s_series, lift, s_series)
 from .schur import centralizer_size, character_table
-
-
-def _numerators(coeffs):
-    """(nums, den): the integer numerators of the rationals coeffs over
-    their least common denominator den."""
-    den = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 def _mode_series(modes, top, s_even, memo):
@@ -213,8 +206,8 @@ def exponential_frobenius_form(partition):
 
 
 # ---------------------------------------------------------------------------
-# verification sweeps: the generating series fixes how H_n depends on u0 and
-# eps, so both sweeps assert that structure and then work at u0 = 0, eps = 1
+# verification: the generating series fixes how H_n depends on u0 and eps,
+# so both verifiers assert that structure, then sweep at u0 = 0, eps = 1
 
 
 def _is_antiderivative(x, below):
@@ -254,13 +247,18 @@ def _lift_failures(chain, length, below):
     return failures
 
 
-def _premise_failures(operators):
-    """Entries for every term of `operators` (H_{-1}, H_0, ...) that breaks
-    premise (a) or (b): `_lift_failures` on each (alpha, beta) chain, with
-    no grade fitting a term of wt(alpha) != wt(beta), the rest of (a).
-    Pairs with the same modes and alpha! beta! share their coefficient
-    objects, so the helper runs once per chain of objects, length and base
-    case (identity or not), and only the broken pairs are sorted."""
+def _premise_failures(operators, W, count):
+    """(entries, scales, by_weight) from one walk over the terms of
+    `operators` (H_{-1}, H_0, ...).  entries: every term that breaks
+    premise (a) or (b), from `_lift_failures` on each (alpha, beta) chain,
+    with no grade fitting a term of wt(alpha) != wt(beta), the rest of (a).
+    by_weight[wt][beta][alpha] lists (i, value) over the i < count with a
+    nonzero value of operators[i] at u0 = 0, eps = 1 (the sum of its
+    u0-free terms), for wt(alpha) = wt(beta) = wt <= W; L_i = scales[i]
+    is the lcm of those values' denominators.  Pairs with the same modes
+    and alpha! beta! share their coefficient objects, so a chain is read
+    once per chain of objects, length and base case (identity or not), and
+    only the broken pairs are sorted."""
     zero, one = ExactScalar.zero(), ExactScalar.one()
     identity = (EMPTY, EMPTY)
     chains = {identity: [zero] * len(operators)}
@@ -273,6 +271,8 @@ def _premise_failures(operators):
     shapes = {m: (mono_weight(m), mono_degree(m))
               for m in {m for pair in chains for m in pair}}
     memo, broken = {}, []
+    by_weight = [defaultdict(dict) for _ in range(W + 1)]
+    denominators = [set() for _ in range(count)]
     for pair, chain in chains.items():
         (wa, la), (wb, lb) = shapes[pair[0]], shapes[pair[1]]
         length = la + lb if wa == wb else inf
@@ -281,85 +281,69 @@ def _premise_failures(operators):
         key = (*map(id, chain), length, below is one)
         found = memo.get(key)
         if found is None:
-            found = memo[key] = _lift_failures(chain, length, below)
-        if found:
-            broken.append((pair, chain, found))
-    broken.sort(key=itemgetter(0))
-    return [{"premise": premise, "n": n,
-             "alpha": [list(km) for km in alpha],
-             "beta": [list(km) for km in beta],
-             "coefficient": chain[n + 1].render(), **extra}
-            for (alpha, beta), chain, found in broken
-            for premise, n, extra in found]
-
-
-def _terms_by_weight(operators, bases, index):
-    """(scales, by_weight): L_i = scales[i] is the lcm of the denominators
-    of operators[i] at u0 = 0, eps = 1, and by_weight[wt] lists
-    (beta, its index, [(alpha's index, [(i, L_i times the value)])]) over
-    the terms with a nonzero value and wt(alpha) = wt(beta) = wt, for wt
-    up to the last basis.  Each coefficient object's u0 = 0 value is read
-    once, and the terms are grouped by beta."""
-    weight = {m: w for w, basis in enumerate(bases) for m in basis}
-    # id of a coefficient (held by its operator) -> its u0 = 0, eps = 1 value
-    at_zero = {}
-    groups = {}  # beta -> {alpha: [(i, value)]}
-    denominators = [set() for _ in operators]
-    for i, op in enumerate(operators):
-        for (alpha, beta), c in op.terms.items():
-            wt = weight.get(beta)
-            # a term that changes the weight breaks (a) and is reported there
-            if wt is None or weight.get(alpha) != wt:
-                continue
-            v = at_zero.get(id(c))
-            if v is None:
+            values = []
+            for i, c in enumerate(chain[:count]):
+                if not c.terms:  # no term of operators[i] at this pair
+                    continue
                 # generated coefficients have one u0-free term, no sum
-                free = [val for (_, u), val in c.terms.items() if not u]
-                v = at_zero[id(c)] = free[0] if len(free) == 1 else sum(free)
-            if v:
-                groups.setdefault(beta, {}).setdefault(alpha, []).append(
-                    (i, v))
+                free = [v for (_, u), v in c.terms.items() if not u]
+                v = free[0] if len(free) == 1 else sum(free)
+                if v:
+                    values.append((i, v))
+            found = memo[key] = _lift_failures(chain, length, below), values
+        failures, values = found
+        if failures:
+            broken.append((pair, chain, failures))
+        # a term that changes the weight breaks (a) and is reported there
+        if values and wa == wb <= W:
+            by_weight[wa][pair[1]][pair[0]] = values
+            for i, v in values:
                 denominators[i].add(v.denominator)
-    scales = [lcm(*dens) for dens in denominators]
-    by_weight = [[] for _ in bases]
-    for beta, group in groups.items():
-        wt = weight[beta]
-        by_weight[wt].append((beta, index[wt][beta], [
-            (index[wt][alpha], [(i, v.numerator * (scales[i] // v.denominator))
-                                for i, v in vals])
-            for alpha, vals in group.items()]))
-    return scales, by_weight
+    broken.sort(key=itemgetter(0))
+    entries = [{"premise": premise, "n": n,
+                "alpha": [list(km) for km in alpha],
+                "beta": [list(km) for km in beta],
+                "coefficient": chain[n + 1].render(), **extra}
+               for (alpha, beta), chain, failures in broken
+               for premise, n, extra in failures]
+    return entries, [lcm(*dens) for dens in denominators], by_weight
 
 
-def _sparse_rows(operators, W):
-    """(scales, bases, rows): bases[w] is the monomial basis of V_w, and
-    rows[w][i] lists the sparse rows (columns, values) of L_i R_i on V_w,
-    with R_i the matrix of operators[i] at u0 = 0, eps = 1 (column mu holds
-    the image of q^mu) and L_i = scales[i] the lcm of R_i's denominators.
-    The lowering factor and the column of each (beta, rest) serve every
-    alpha and operator that has that beta; one weight is built at a time."""
-    bases = [weight_basis(w) for w in range(W + 1)]
+def _sparse_rows(scales, by_weight):
+    """(bases, rows): bases[w] is the monomial basis of V_w, and rows[w][i]
+    lists the sparse rows (columns, values) of L_i R_i on V_w, with R_i the
+    matrix of the values by_weight[wt][beta][alpha] of operator i (column
+    mu holds the image of q^mu) and L_i = scales[i].  The lowering factor
+    and the column of each (beta, rest) serve every alpha and operator that
+    has that beta; one weight is built at a time."""
+    bases = [weight_basis(w) for w in range(len(by_weight))]
     index = [{m: r for r, m in enumerate(basis)} for basis in bases]
-    scales, by_weight = _terms_by_weight(operators, bases, index)
+    # per weight: (beta, its index, [(alpha's index, [(i, L_i value)])])
+    terms = [[(beta, index[wt][beta], [
+        (index[wt][alpha], [(i, v.numerator * (scales[i] // v.denominator))
+                            for i, v in values])
+        for alpha, values in alphas.items()])
+        for beta, alphas in group.items()]
+        for wt, group in enumerate(by_weight)]
     rows = []
     for w, basis in enumerate(bases):
-        mat = [[defaultdict(int) for _ in basis] for _ in operators]
-        for wt, betas in enumerate(by_weight[:w + 1]):
+        mat = [[defaultdict(int) for _ in basis] for _ in scales]
+        for wt, betas in enumerate(terms[:w + 1]):
             rests = bases[w - wt]
             # the index in V_w of q^rest q^gamma, per rest, per gamma in V_wt
             products = [[index[w][mono_mul(rest, gamma)]
                          for gamma in bases[wt]] for rest in rests]
-            for beta, b, terms in betas:
+            for beta, b, alphas in betas:
                 for rest, places in zip(rests, products):
                     factor = _lowering_factor(rest, beta)
                     col = places[b]
-                    for a, vals in terms:
+                    for a, values in alphas:
                         r = places[a]
-                        for i, v in vals:
+                        for i, v in values:
                             mat[i][r][col] += v * factor
         rows.append([[(tuple(row), tuple(row.values())) for row in op_mat]
                      for op_mat in mat])
-    return scales, bases, rows
+    return bases, rows
 
 
 def _schur_vectors(w):
@@ -374,14 +358,12 @@ def _schur_vectors(w):
 
 
 def _digit_bits(bound):
-    """The digit width B of a packed check whose digits are at most `bound`
-    in magnitude: every digit is then below 2^(B-2)."""
+    """The width B for digits of magnitude <= bound: each is below 2^(B-2)."""
     return bound.bit_length() + 2
 
 
 def _pack(digits, shifts):
-    """sum_l digits[l] 2^shifts[l]: the digits Kronecker-packed into one
-    integer."""
+    """sum_l digits[l] 2^shifts[l]: the digits Kronecker-packed in one int."""
     return sum(map(lshift, digits, shifts))
 
 
@@ -422,62 +404,53 @@ def _basis_failures(w, parts, chi, vecs, packed, shifts):
     return failures
 
 
-def _render_at_unit(basis, values, scale):
-    """The vector `values` / `scale` on `basis` as a rendered polynomial."""
-    return FockPolynomial({
-        m: ExactScalar.from_rational(Fraction(x, scale))
-        for m, x in zip(basis, values) if x}).render()
-
-
 def _matrix_failures(w, basis, parts, vecs, images, scale, ratios, where):
-    """(lambda's index, entry) for each v = vecs[lambda] with R v != e v,
-    from the images R v and e = num / den, (num, den) = ratios[lambda]:
-    `where` with lambda and R s - e s at u0 = 0, eps = 1 as "difference"."""
+    """(lambda's index, entry) for each v = vecs[lambda] with A v != e v,
+    from the images A v of A = scale R and e = num / den, (num, den) =
+    ratios[lambda]: `where` with lambda and R s - (e / scale) s at u0 = 0,
+    eps = 1 as "difference", s = v / w!."""
     for a, (vec, image, (num, den)) in enumerate(zip(vecs, images, ratios)):
         diff = [x * den - num * y for x, y in zip(image, vec)]
         if any(diff):
+            whole = scale * den * factorial(w)
             yield a, {**where, "partition": list(parts[a]),
-                      "difference": _render_at_unit(
-                          basis, diff, scale * den * factorial(w))}
+                      "difference": FockPolynomial({
+                          m: ExactScalar.from_rational(Fraction(x, whole))
+                          for m, x in zip(basis, diff) if x}).render()}
 
 
-def _schur_sweep(operators, W, eigenvalues=None):
-    """(failures, basis_dims, checked): test R_i v = e v as the integer
-    vector x den - num y, e = num / den, for R_i the matrix of operators[i]
-    at u0 = 0, eps = 1 and v = w! s_lambda(q), w <= W.  With `eigenvalues`
-    None, e is read off an entry of v and premise (c) is asserted; else
+def _schur_sweep(scales, bases, rows, eigenvalues=None):
+    """(failures, basis_dims): for every v = w! s_lambda(q) on bases[w] and
+    every A = rows[w][i] = L_i R_i (R_i an operator's matrix at u0 = 0,
+    eps = 1, L_i = scales[i]), read e = (A v)_p / v_p at v's pivot p, its
+    last nonzero entry (dim lambda at q_1^w), and test A v = e v.  When
     eigenvalues(lambda) gives (entries for lambda's broken eigenvalue
-    premises, the eigenvalue of each R_i).  A failure gives R_i s - e s at
-    u0 = 0, eps = 1 as "difference", with the e the check tested.
+    premises, e_i(lambda) per i), also test e = L_i e_i(lambda) by
+    cross-multiplication; without it, premise (c) is asserted instead.  A
+    failure gives R_i s - (e / L_i) s at u0 = 0, eps = 1 as "difference",
+    with the e the check tested: the read one, or L_i e_i(lambda).
 
     The vectors of one weight are checked together, by Kronecker
-    substitution.  With A = L_i R_i in integers, e_lambda = num_lambda /
-    den_lambda over one den_lambda that every operator shares and
-      U_c = sum_lambda den_lambda v_lambda[c] 2^(B lambda),
-      T_j = sum_lambda num_lambda v_lambda[j] 2^(B lambda),
-    (A U)_j - T_j = sum_lambda d_lambda 2^(B lambda) with the digits
-    d_lambda = den_lambda (A v_lambda)_j - num_lambda v_lambda[j], so U is
-    packed once per weight.  In commute mode num and den are the entries of
-    A v_lambda and v_lambda at q_1^w (v_lambda is dim lambda != 0 there;
-    the last nonzero entry in general); in eigen mode den_lambda is the lcm
-    of the denominators of the L_i e_i(lambda).  For S the largest row sum
-    of |A| on V_w and M the largest |v_lambda[c]|, every |d_lambda| is at
-    most (den_lambda S + |num_lambda|) M, 2 S M^2 in commute mode.  B is
-    two bits wider than the bound, so |d| < 2^(B-2), and a sum of
-    d_l 2^(B l) with every |d_l| < 2^(B-1) vanishes only when every d_l
-    does, as its top nonzero term outweighs the rest.  So A U = T exactly
-    when A v_lambda = e_lambda v_lambda for every lambda.  The digits of
-    A V, V_c = sum_lambda v_lambda[c] 2^(B lambda), are the (A v_lambda)_j,
-    at most S M: one dot product of its q_1^w row gives every num_lambda,
-    and a (w, i) that fails is unpacked into the images A v_lambda.  Every
-    row with v_lambda[j] != 0 gives the same verdict, so the entries, in
-    their order (per weight, per lambda: eigenvalue premises, then R_0,
-    R_1, ...), are those of the vector-by-vector sweep.  The basis check is
-    packed on V too; its digits are at most (max|chi|^2 + 1) w!, as
-    sum_mu w!/z_mu = w!."""
-    scales, bases, rows = _sparse_rows(operators, W)
+    substitution.  The digits of A V, V_c = sum_lambda v_lambda[c]
+    2^(B lambda), are the (A v_lambda)_j, at most S M for S the largest row
+    sum of |A| on V_w and M the largest |v_lambda[c]|: the pivot row's dot
+    product reads every ratio, and a failing (w, i) is unpacked into the
+    images A v_lambda.  The basis check is packed on V too, with digits at
+    most (max|chi|^2 + 1) w!, as sum_mu w!/z_mu = w!.  With lambda's ratios
+    written num_lambda / den_lambda over one den_lambda for every operator,
+      U_c = sum_lambda den_lambda v_lambda[c] 2^(C lambda),
+      T_j = sum_lambda num_lambda v_lambda[j] 2^(C lambda),
+    and (A U)_j - T_j = sum_lambda d_lambda 2^(C lambda), whose digits
+    d_lambda = den_lambda (A v_lambda)_j - num_lambda v_lambda[j] are at
+    most (|den_lambda| S + |num_lambda|) M; U is packed once per weight.  B
+    and C are two bits wider than their bounds, and a sum of d_l 2^(C l)
+    with every |d_l| < 2^(C-1) vanishes only when every d_l does, as its
+    top nonzero term outweighs the rest.  So A U = T exactly when every
+    A v_lambda = e_lambda v_lambda.  Every row with v_lambda[j] != 0 gives
+    the same verdict, so the entries, in their order (per weight, per
+    lambda: eigenvalue premises, then R_0, R_1, ...), are those of the
+    vector-by-vector sweep."""
     failures = []
-    checked = 0
     for w, basis in enumerate(bases):
         parts, chi, vecs = _schur_vectors(w)
         count = len(parts)
@@ -485,50 +458,60 @@ def _schur_sweep(operators, W, eigenvalues=None):
         size = max(max(map(abs, col)) for col in cols)
         width = max((sum(map(abs, vals)) for op_rows in rows[w]
                      for _, vals in op_rows), default=0)
-        if eigenvalues is None:
-            reads = [max((r for r, x in enumerate(vec) if x), default=0)
-                     for vec in vecs]
-            dens = [vec[r] for vec, r in zip(vecs, reads)]
-            top = max(abs(x) for row in chi for x in row)
-            bound = max(2 * width * size * size,
-                        (top * top + 1) * factorial(w))
-            premises = [[]] * count
-        else:
-            premises, values = zip(*map(eigenvalues, parts))
-            nums, dens = zip(*(_numerators(list(map(mul, e, scales)))
-                               for e in values))
-            bound = size * max(den * width + max(map(abs, row))
-                               for row, den in zip(nums, dens))
-            nums = list(zip(*nums))  # nums[i][lambda]
-        bits = _digit_bits(bound)
+        top = max(abs(x) for row in chi for x in row)
+        bits = _digit_bits(max(width * size, (top * top + 1) * factorial(w)))
         shifts = range(0, bits * count, bits)
         packed = [_pack(col, shifts) for col in cols]
-        scaled = [_pack(map(mul, dens, col), shifts) for col in cols]
         if eigenvalues is None:
             failures += _basis_failures(w, parts, chi, vecs, packed, shifts)
+        premises, values = (zip(*map(eigenvalues, parts)) if eigenvalues
+                            else ([[]] * count, None))
+        pivots = [max((r for r, x in enumerate(vec) if x), default=0)
+                  for vec in vecs]
+        reads = [{r: _unpack(_dot(op_rows[r], packed), bits, count)
+                  for r in set(pivots)} for op_rows in rows[w]]
+        # per lambda, its ratios over one denominator v_p / g, g the gcd of
+        # v_p and every (A v)_p (1 when all are 0, as for v = 0)
+        heads = [[read[r][a] for read in reads] for a, r in enumerate(pivots)]
+        gcds = [gcd(v[r], *h) or 1 for v, r, h in zip(vecs, pivots, heads)]
+        nums = [[x // g for x in h] for h, g in zip(heads, gcds)]
+        dens = [v[r] // g for v, r, g in zip(vecs, pivots, gcds)]
+        u_bits = _digit_bits(size * max(
+            abs(den) * width + max(map(abs, row), default=0)
+            for row, den in zip(nums, dens)))
+        u_shifts = range(0, u_bits * count, u_bits)
+        scaled = [_pack(map(mul, dens, col), u_shifts) for col in cols]
         broken = [[] for _ in parts]  # per lambda, for R_0, R_1, ...
-        for i, op_rows in enumerate(rows[w]):
-            checked += count
-            if eigenvalues is None:
-                read = {r: _unpack(_dot(op_rows[r], packed), bits, count)
-                        for r in set(reads)}
-                row_nums = [read[r][a] for a, r in enumerate(reads)]
-            else:
-                row_nums = nums[i]
-            targets = [_pack(map(mul, row_nums, col), shifts) for col in cols]
-            if [_dot(row, scaled) for row in op_rows] == targets:
+        for i, (op_rows, row_nums) in enumerate(zip(rows[w], zip(*nums))):
+            read = list(zip(row_nums, dens))
+            tested = [(scales[i] * e[i].numerator, e[i].denominator)
+                      for e in values] if eigenvalues else read
+            targets = [_pack(map(mul, row_nums, col), u_shifts)
+                       for col in cols]
+            if (all(x * d == n * y for (x, y), (n, d) in zip(read, tested))
+                    and [_dot(row, scaled) for row in op_rows] == targets):
                 continue
             images = zip(*(_unpack(_dot(row, packed), bits, count)
                            for row in op_rows))
-            where = ({"n": i - 1, "weight": w} if eigenvalues is None
-                     else {"k": i - 1})
-            for a, entry in _matrix_failures(
-                    w, basis, parts, vecs, images, scales[i],
-                    zip(row_nums, dens), where):
+            where = {"k": i - 1} if eigenvalues else {"n": i - 1, "weight": w}
+            for a, entry in _matrix_failures(w, basis, parts, vecs, images,
+                                             scales[i], tested, where):
                 broken[a].append(entry)
         for entries, more in zip(premises, broken):
             failures += entries + more
-    return failures, [len(basis) for basis in bases], checked
+    return failures, [len(basis) for basis in bases]
+
+
+def _verify(operators, W, count, eigenvalues=None):
+    """Both verifiers' report: every operator's premise entries, then the
+    Schur sweep of the first `count` to weight W, from one term walk."""
+    premises, scales, by_weight = _premise_failures(operators, W, count)
+    failures, basis_dims = _schur_sweep(
+        scales, *_sparse_rows(scales, by_weight), eigenvalues)
+    return {"pairs_checked": count * sum(basis_dims), "weight_bound": W,
+            "failures": premises + failures,
+            "operator_terms": sum(len(op.terms) for op in operators),
+            "basis_dims": basis_dims}
 
 
 def verify_commutativity(N, W, operators=None):
@@ -553,12 +536,9 @@ def verify_commutativity(N, W, operators=None):
         raise ValueError("commutativity needs N >= 0 (at least one pair)")
     if operators is None:
         operators = hamiltonian_generating_coefficients(N, W)
-    premises = _premise_failures(operators)  # first: a lower peak RSS
-    failures, basis_dims, _ = _schur_sweep(operators, W)
-    return {"pairs_checked": len(operators) * (len(operators) - 1) // 2,
-            "weight_bound": W, "failures": premises + failures,
-            "operator_terms": sum(len(op.terms) for op in operators),
-            "basis_dims": basis_dims}
+    report = _verify(operators, W, len(operators))
+    report["pairs_checked"] = len(operators) * (len(operators) - 1) // 2
+    return report
 
 
 def verify_eigenvectors(K, W, operators=None, series=None):
@@ -573,7 +553,8 @@ def verify_eigenvectors(K, W, operators=None, series=None):
     identity holds exactly when R_k s_lambda(q) = e_k(lambda) s_lambda(q),
     with R_k H_k's matrix at u0 = 0, eps = 1 and e_k(lambda) the eps^(k+2)
     coefficient of E_k(lambda).  The sweep is that of
-    `verify_commutativity`, with e_k(lambda) in place of the pivot's ratio.
+    `verify_commutativity`, plus a comparison of each ratio it reads with
+    e_k(lambda).
     """
     if K < 0:
         raise ValueError("the eigen check needs K >= 0: H_{-1} = u0 Id "
@@ -590,10 +571,4 @@ def verify_eigenvectors(K, W, operators=None, series=None):
                  in _lift_failures(chain, 0, ExactScalar.one())],
                 [x.terms.get((k + 2, 0), 0) for k, x in values.items()])
 
-    premises = _premise_failures(operators)
-    failures, basis_dims, checked = _schur_sweep(operators[:K + 2], W,
-                                                 eigenvalues)
-    return {"pairs_checked": checked, "weight_bound": W,
-            "failures": premises + failures,
-            "operator_terms": sum(len(op.terms) for op in operators),
-            "basis_dims": basis_dims}
+    return _verify(operators, W, min(K + 2, len(operators)), eigenvalues)

@@ -38,7 +38,7 @@ from types import MappingProxyType
 from .fock import (FockPolynomial, mono_degree, mono_from_partition,
                    mono_mul, mono_sub, mono_weight, render_mono)
 from .partitions import partitions_of
-from .scalars import ExactScalar, SparseSum, add_into
+from .scalars import ExactScalar, SparseSum, _numerators, add_into
 from .schur import centralizer_size, character_table, complete_homogeneous
 
 # ---------------------------------------------------------------------------
@@ -182,9 +182,9 @@ def tau_from_disk(pot, active_k, u0, eps):
         prefactor = _rational(amp.prefactor, eps, u0)
         for mono, c in _schur_terms(lam, eps):
             add_into(terms.setdefault(mono, {}), vexp, prefactor * c)
-    scale = _scale(q for c in terms.values() for q in c.values())
-    return TruncatedTau({m: Laurent({e: q.numerator * (scale // q.denominator)
-                                     for e, q in c.items()})
+    # L times each coefficient, in the order the terms are read back
+    nums = iter(_numerators(q for c in terms.values() for q in c.values())[0])
+    return TruncatedTau({m: Laurent({e: next(nums) for e in c})
                          for m, c in terms.items() if c},
                         pot.max_weight, eps)
 
@@ -205,14 +205,6 @@ def _schur_terms(lam, eps):
              Fraction(chi, centralizer_size(mu)) / eps ** len(mu))
             for mu, chi in zip(partitions_of(sum(lam)), rows[index[lam]])
             if chi]
-
-
-def _scale(values):
-    """The lcm of the denominators of the rationals in values: the least
-    positive integer that turns each of them into an integer."""
-    scale = lcm(*(q.denominator for q in values))
-    assert scale, "a zero scale would make every residual vanish"
-    return scale
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +290,7 @@ def _verdict(residual):
 def _integer_residual(P, tau):
     """(P(D) tau.tau times L_P, L_P), with L_P the lcm of the denominators
     of P's coefficients: on integers when tau is on integers."""
-    scale = _scale(c.as_fraction() for c in P.terms.values())
+    _, scale = _numerators(c.as_fraction() for c in P.terms.values())
     return hirota_apply(P.scaled(scale), tau), scale
 
 

@@ -36,6 +36,15 @@ def add_into(terms, key, value):
         del terms[key]
 
 
+def _numerators(values):
+    """(nums, den): the rationals `values` as integer numerators over their
+    least common denominator den, which is asserted nonzero."""
+    values = list(values)
+    den = lcm(*(q.denominator for q in values))
+    assert den, "a zero scale would turn every value into 0"
+    return [q.numerator * (den // q.denominator) for q in values], den
+
+
 class SparseSum:
     """Finite sum of terms: a sparse map key -> coefficient with no zero
     coefficients.  Subclasses fix the key type and the coefficient ring and
@@ -308,10 +317,8 @@ def eigenvalue_inner_series(exponentials, order):
     power sum over one denominator.
     """
     inner = inv_s_series(order)
-    exponents = [(Fraction(e), c) for e, c in exponentials.items()]
-    d = lcm(*(e.denominator for e, _ in exponents))
-    numerators = [e.numerator * (d // e.denominator) for e, _ in exponents]
-    powers = [c for _, c in exponents]  # c_e h_e^(n-1)
+    numerators, d = _numerators(map(Fraction, exponentials))
+    powers = list(exponentials.values())  # c_e h_e^(n-1)
     den = 1  # d^(n-1) (n-1)!
     for n in range(1, order + 1):
         total = sum(powers)

@@ -1,5 +1,7 @@
 """Quantum Hamiltonians, eigenvalues, and verification sweeps."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 from math import factorial, lcm
@@ -614,18 +616,45 @@ def test_commutativity_at_weight_14():
 
 
 # ---------------------------------------------------------------------------
-# the per-vector sweep: R_i v for each v = w! s_lambda(q) on its own, one
-# dot product per row, as the oracle of the Kronecker-packed sweep
+# the per-vector sweep: R_i v for each v = w! s_lambda(q) on its own, with
+# R_i read off `NormalOrderedOperator.apply`, as the oracle of the
+# Kronecker-packed sweep on the rows of the term walk
+
+
+def unit_matrices(operators, W):
+    """mats[i][w]: the matrix of operators[i] on V_w at u0 = 0, eps = 1, as
+    rows of Fractions, column mu read off the image of q^mu under
+    `NormalOrderedOperator.apply`; a term that changes the weight maps V_w
+    to another weight, outside these rows."""
+    bases = [weight_basis(w) for w in range(W + 1)]
+    out = []
+    for op in operators:
+        mats = []
+        for basis in bases:
+            cols = []
+            for mu in basis:
+                image = op.apply(FockPolynomial.monomial(mu))
+                cols.append([image.coefficient(m).substitute(eps=1, u0=0)
+                             .as_fraction() for m in basis])
+            mats.append(list(zip(*cols)))
+        out.append(mats)
+    return out
+
+
+def _render_unit(basis, values):
+    return FockPolynomial({m: ExactScalar.from_rational(x)
+                           for m, x in zip(basis, values) if x}).render()
 
 
 def per_vector_sweep(operators, W, eigenvalues=None):
-    """(failures, basis_dims, checked) of `hamiltonians._schur_sweep`, each
-    Schur vector multiplied out alone and every orthogonality relation
+    """(failures, basis_dims) of the Schur sweep of `operators`:
+    each Schur vector multiplied out alone by each matrix of
+    `unit_matrices`, in Fractions, and every orthogonality relation
     formed."""
-    scales, bases, rows = hamiltonians._sparse_rows(operators, W)
+    mats = unit_matrices(operators, W)
     failures = []
-    checked = 0
-    for w, basis in enumerate(bases):
+    for w in range(W + 1):
+        basis = weight_basis(w)
         parts, chi, vecs = hamiltonians._schur_vectors(w)
         if eigenvalues is None:
             for a, vec in enumerate(vecs):
@@ -642,41 +671,50 @@ def per_vector_sweep(operators, W, eigenvalues=None):
                 entries, values = eigenvalues(lam)
                 failures += entries
             p = max((r for r, x in enumerate(vec) if x), default=0)
-            for i, op_rows in enumerate(rows[w]):
-                checked += 1
-                image = [sum(map(mul, vals, map(vec.__getitem__, cols)))
-                         for cols, vals in op_rows]
-                if eigenvalues is None:
-                    num, den = image[p], vec[p]
+            for i, op_mats in enumerate(mats):
+                image = [sum(map(mul, row, vec)) for row in op_mats[w]]
+                if eigenvalues is None:  # the ratio at the pivot
+                    e = image[p] / vec[p] if vec[p] else 0
                 else:
-                    e = values[i] * scales[i]
-                    num, den = e.numerator, e.denominator
-                diff = [x * den - num * y for x, y in zip(image, vec)]
+                    e = values[i]
+                diff = [(x - e * y) / factorial(w) for x, y in zip(image, vec)]
                 if any(diff):
                     where = ({"n": i - 1, "weight": w} if eigenvalues is None
                              else {"k": i - 1})
                     failures.append({**where, "partition": list(lam),
-                                     "difference": hamiltonians._render_at_unit(
-                                         basis, diff,
-                                         scales[i] * den * factorial(w))})
-    return failures, [len(basis) for basis in bases], checked
+                                     "difference": _render_unit(basis, diff)})
+    return failures, [len(weight_basis(w)) for w in range(W + 1)]
 
 
-def sweeps_agree(monkeypatch, verify, *args, **kwargs):
-    """verify(*args, **kwargs) with every sweep it makes run by both the
-    packed and the per-vector engine, asserted equal; returns the report
-    and the sweep's failures."""
-    packed_sweep = hamiltonians._schur_sweep
+def packed_sweep(operators, W, eigenvalues=None):
+    """The packed sweep of every operator, on the rows of the term walk."""
+    _, scales, by_weight = hamiltonians._premise_failures(
+        operators, W, len(operators))
+    return hamiltonians._schur_sweep(
+        scales, *hamiltonians._sparse_rows(scales, by_weight), eigenvalues)
+
+
+PACKED_SWEEP = hamiltonians._schur_sweep  # before any test wraps it
+
+
+def sweeps_agree(monkeypatch, verify, K, W, operators=None):
+    """verify(K, W, operators) with the sweep it makes checked against the
+    per-vector sweep of the operators it sweeps; returns the report and
+    the sweep's failures."""
+    if operators is None:
+        operators = hamiltonian_generating_coefficients(K, W)
     sweeps = []
 
-    def both(operators, W, eigenvalues=None):
-        packed = packed_sweep(operators, W, eigenvalues)
-        assert packed == per_vector_sweep(operators, W, eigenvalues)
+    def both(scales, bases, rows, eigenvalues=None):
+        packed = PACKED_SWEEP(scales, bases, rows, eigenvalues)
+        assert len(bases) == W + 1
+        assert packed == per_vector_sweep(operators[:len(rows[0])], W,
+                                          eigenvalues)
         sweeps.append(packed)
         return packed
 
     monkeypatch.setattr(hamiltonians, "_schur_sweep", both)
-    report = verify(*args, **kwargs)
+    report = verify(K, W, operators)
     assert len(sweeps) == 1
     return report, sweeps[0][0]
 
@@ -780,7 +818,7 @@ def test_packed_sweep_agrees_with_per_vector_sweep_on_random_operators(seed):
     rng = random.Random(seed)
     W = 6
     ops = [_random_operator(rng, W, density) for density in (0.2, 0.5, 1)]
-    commute = hamiltonians._schur_sweep(ops, W)
+    commute = packed_sweep(ops, W)
     assert commute == per_vector_sweep(ops, W)
     assert len(commute[0]) > len(partitions_upto(W))
     ratios = {lam: [Fraction(rng.randint(-999, 999), rng.randint(1, 9))
@@ -789,48 +827,52 @@ def test_packed_sweep_agrees_with_per_vector_sweep_on_random_operators(seed):
     def eigenvalues(lam):
         return [], ratios[lam]
 
-    eigen = hamiltonians._schur_sweep(ops, W, eigenvalues)
+    eigen = packed_sweep(ops, W, eigenvalues)
     assert eigen == per_vector_sweep(ops, W, eigenvalues)
     assert len(eigen[0]) > len(partitions_upto(W))
 
 
 def test_digit_bound_covers_every_digit(monkeypatch):
-    # the bound each weight's width is taken from, against the largest
-    # digit den (R_i v)_j - num v_j that the check forms, in both modes
+    # the two bounds each weight's widths are taken from, against the
+    # largest digits formed: (A v)_j and the basis products on V, then
+    # den (A v)_j - num v_j, with the ratios num / den read off the pivot
+    # over one den per lambda; the eigenvalues tested do not enter them
     rng = random.Random(7)
     W = 6
     ops = [_random_operator(rng, W, density) for density in (0.3, 1)]
     ratios = {lam: [Fraction(rng.randint(-999, 999), rng.randint(1, 9))
                     for _ in ops] for lam in partitions_upto(W)}
-    scales, _, rows = hamiltonians._sparse_rows(ops, W)
     digit_bits = hamiltonians._digit_bits
-    for eigen in (False, True):
+    runs = []
+    for eigenvalues in (None, lambda lam: ([], ratios[lam])):
         bounds = []
         monkeypatch.setattr(hamiltonians, "_digit_bits",
                             lambda bound: bounds.append(bound)
                             or digit_bits(bound))
-        hamiltonians._schur_sweep(ops, W, (lambda lam: ([], ratios[lam]))
-                                  if eigen else None)
-        assert len(bounds) == W + 1
-        for w, bound in enumerate(bounds):
-            _, _, vecs = hamiltonians._schur_vectors(w)
-            worst = 0
-            for i, op_rows in enumerate(rows[w]):
-                for lam, vec in zip(partitions_of(w), vecs):
-                    image = [sum(map(mul, vals, map(vec.__getitem__, cols)))
-                             for cols, vals in op_rows]
-                    if eigen:
-                        # every operator's e over one denominator per lambda
-                        es = [e * scale for e, scale in zip(ratios[lam],
-                                                            scales)]
-                        den = lcm(*(e.denominator for e in es))
-                        num = es[i].numerator * (den // es[i].denominator)
-                    else:
-                        r = max(j for j, x in enumerate(vec) if x)
-                        num, den = image[r], vec[r]
-                    worst = max(worst, *(abs(den * x - num * y)
-                                         for x, y in zip(image, vec)))
-            assert worst <= bound
+        packed_sweep(ops, W, eigenvalues)
+        runs.append(bounds)
+    assert runs[0] == runs[1]
+    assert len(bounds) == 2 * (W + 1)
+    mats = integer_matrices(ops, W)
+    for w in range(W + 1):
+        _, chi, vecs = hamiltonians._schur_vectors(w)
+        # images[i][lambda]: A_i v_lambda
+        images = [[[sum(map(mul, row, vec)) for row in mat[w]]
+                   for vec in vecs] for mat in mats]
+        reach = max(abs(x) for per_op in images for image in per_op
+                    for x in image)
+        products = max(abs(sum(map(mul, vec, row)))
+                       for vec in vecs for row in chi)
+        assert max(reach, products) <= bounds[2 * w]
+        worst = 0
+        for a, vec in enumerate(vecs):
+            p = max(j for j, x in enumerate(vec) if x)
+            es = [Fraction(per_op[a][p], vec[p]) for per_op in images]
+            den = lcm(*(e.denominator for e in es))
+            for e, per_op in zip(es, images):
+                worst = max(worst, *(abs(den * x - e * den * y)
+                                     for x, y in zip(per_op[a], vec)))
+        assert worst <= bounds[2 * w + 1]
 
 
 @pytest.mark.parametrize("bits", [2, 3, 8, 61, 64])
@@ -901,3 +943,46 @@ def test_premise_memo_keeps_the_identity_apart():
         ("grading", -1, [[7, 1]], [[7, 1]]),
         ("u0_expansion", -1, [[7, 1]], [[7, 1]])] + [
         ("grading", n, [[7, 1]], [[7, 1]]) for n in range(4)]
+
+
+# ---------------------------------------------------------------------------
+# the failure entries of both verifiers, pinned: content, key order and entry
+# order as the sweep rendered them before it read every eigenvalue off a pivot
+
+FAILURE_ENTRIES_SHA256 = (
+    "6c315e444599fe3c97e2e61495945dd35212546359c609d01d46c0cb87c14cac")
+
+
+def _all_failure_entries(monkeypatch):
+    """The failure lists of `verify_commutativity(3, 6)` and
+    `verify_eigenvectors(3, 6)` on every operator perturbation above, on
+    a q1 p1 coefficient of two u0-free terms (its value at u0 = 0 is their
+    sum), on each eigenvalue perturbation and on each broken table."""
+    generate = hamiltonian_generating_coefficients
+    cases = [_perturbed(generate(3, 6), *PERTURBATIONS[name][:2])
+             for name in sorted(PERTURBATIONS)]
+    cases.append(_perturbed(generate(3, 6), 3, ExactScalar.monomial(1, 3)
+                            + ExactScalar.monomial(2, 5)))
+    cases += [_off_diagonal(generate(3, 6)), _eigenvalue_shift(generate(3, 6))]
+    entries = []
+    for ops in cases:
+        entries.append(verify_commutativity(3, 6, ops)["failures"])
+        entries.append(verify_eigenvectors(3, 6, ops)["failures"])
+    for name in sorted(EIGENVALUE_PERTURBATIONS):
+        series = {lam: eigenvalue_series(lam, 3) for lam in partitions_upto(6)}
+        series[(2, 1)][3] = series[(2, 1)][3] + EIGENVALUE_PERTURBATIONS[name]
+        entries.append(verify_eigenvectors(3, 6, series=series)["failures"])
+    for table in ("wrong", "singular"):
+        with monkeypatch.context() as patch:
+            break_character_table(patch, table)
+            entries.append(verify_commutativity(3, 6)["failures"])
+            entries.append(verify_eigenvectors(3, 6)["failures"])
+    return entries
+
+
+def test_failure_entries_are_pinned(monkeypatch):
+    entries = _all_failure_entries(monkeypatch)
+    assert [len(failures) for failures in entries] == [
+        1, 1, 28, 29, 1, 1, 29, 30, 29, 30, 9, 9, 0, 30, 1, 1, 6, 3, 1, 2]
+    digest = hashlib.sha256(json.dumps(entries).encode()).hexdigest()
+    assert digest == FAILURE_ENTRIES_SHA256

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfq import kp
+from hopfq import kp, scalars
 from hopfq.disk import disk_potential
 from hopfq.fock import (FockPolynomial, mono_degree, mono_from_partition,
                         mono_weight)
@@ -626,8 +626,10 @@ def test_a_dropped_recurrence_term_fails_both_engines(monkeypatch):
 
 
 def test_a_zero_scale_is_refused(monkeypatch):
+    # L_P comes from `scalars._numerators`, S from `kp._integer_log`
     tau = oracle_taus(6)[2]
-    monkeypatch.setattr(kp, "lcm", lambda *values: 0)
+    for module in (kp, scalars):
+        monkeypatch.setattr(module, "lcm", lambda *values: 0)
     for check in [lambda: kp_bilinear_check(1, tau),
                   lambda: kp_hierarchy_check(tau, y_order=1),
                   lambda: kp_equation_check(tau)]:

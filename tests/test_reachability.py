@@ -53,7 +53,6 @@ ALLOWED = {
     "hamiltonians.eigenvalue_frobenius_form": CRITERION,
     "hamiltonians.exponential_frobenius_form": CRITERION,
     "hamiltonians._matrix_failures": FAILURE,
-    "hamiltonians._render_at_unit": FAILURE,
     "kp.kp_bilinear_check": CRITERION,
     "kp.Laurent.render": FAILURE,
     "kp.TruncatedTau.max_residual_term": FAILURE,
