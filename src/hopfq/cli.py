@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 141 SIGPIPE.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import json
 import math
@@ -459,6 +460,11 @@ def build_parser():
 
 
 def main(argv=None):
+    if not gc.get_freeze_count():
+        # what the interpreter and the imports made lives until exit: keep
+        # it out of every collection, teardown's too.  Once per process, so
+        # a caller of main() never pins the garbage of an earlier call.
+        gc.freeze()
     args, unread = build_parser().parse_known_args(argv)
     if unread:
         # refused through the chosen command, so its usage shows its options

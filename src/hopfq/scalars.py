@@ -308,6 +308,13 @@ def inv_s_series(order):
     return coeffs
 
 
+@lru_cache(maxsize=None)
+def _inv_s_memo(order):
+    """`inv_s_series(order)`, built once per order.  A tuple, because the
+    cache hands the same object to every caller."""
+    return tuple(inv_s_series(order))
+
+
 def eigenvalue_inner_series(exponentials, order):
     """G(t) = 1/s(t) + t sum_e c_e e^{te} to the given order, for the
     exponential multiset {e: c}: every eigenvalue series is e^{z u0} G(eps z).
@@ -316,7 +323,7 @@ def eigenvalue_inner_series(exponentials, order):
     c_e h_e^(n-1) / (d^(n-1) (n-1)!) at t^n, so each t^n gets one integer
     power sum over one denominator.
     """
-    inner = inv_s_series(order)
+    inner = list(_inv_s_memo(order))
     numerators, d = _numerators(map(Fraction, exponentials))
     powers = list(exponentials.values())  # c_e h_e^(n-1)
     den = 1  # d^(n-1) (n-1)!

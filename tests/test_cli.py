@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, exit codes, cache, determinism."""
 
+import gc
 import hashlib
 import json
 import os
@@ -370,6 +371,39 @@ def test_closed_stdout_exits_141_without_a_traceback():
         env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
     os.close(write)
     assert (proc.returncode, proc.stderr) == (141, "")
+
+
+# one `main` call in a fresh interpreter, as the `hopfq` script makes it;
+# the last line is the collector's state before and after
+FRESH_MAIN = """
+import gc, json
+from hopfq.cli import main
+threshold = gc.get_threshold()
+main(["verify", "hurwitz", "--n", "3", "--m", "2", "--no-cache"])
+print(json.dumps([gc.get_freeze_count(), gc.isenabled(), threshold,
+                  gc.get_threshold()]))
+"""
+
+
+def test_main_freezes_the_import_heap_and_keeps_the_collector():
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_MAIN], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
+    assert proc.returncode == 0, proc.stderr
+    frozen, enabled, before, after = json.loads(proc.stdout.splitlines()[-1])
+    assert frozen > 0
+    assert enabled
+    assert after == before
+
+
+def test_a_second_main_call_freezes_nothing_more(capsys):
+    # freezing on every call would pin the garbage of the calls before it
+    argv = ["verify", "hurwitz", "--n", "3", "--m", "2", "--no-cache"]
+    assert main(argv) == 0
+    frozen = gc.get_freeze_count()
+    assert main(argv) == 0
+    assert frozen > 0
+    assert gc.get_freeze_count() == frozen
 
 
 # bounds under which a check would run nothing (or spurious failures)

@@ -9,7 +9,7 @@ from operator import mul
 
 import pytest
 
-from hopfq import fock, hamiltonians
+from hopfq import fock, hamiltonians, scalars
 from hopfq.fock import (FockPolynomial, NormalOrderedOperator,
                         mono_from_partition, mono_mul, mono_weight,
                         naive_hamiltonian, weight_basis)
@@ -142,6 +142,17 @@ def test_eigenvalue_series_matches_closed_forms():
             closed = eigenvalue_closed_form(k, lam)
             assert series[k] == closed, (lam, k)
             assert eigenvalue_frobenius_form(k, lam) == closed, (lam, k)
+
+
+def test_eigenvalue_series_shares_one_inverse_series(monkeypatch):
+    # every lambda reads the same memoised 1/s(t); none may alter it, so
+    # each series equals the one built on a fresh 1/s(t)
+    lams = list(partitions_upto(8))
+    memoised = [eigenvalue_series(lam, K) for K in (1, 7, 16) for lam in lams]
+    monkeypatch.setattr(scalars, "_inv_s_memo",
+                        lambda order: tuple(inv_s_series(order)))
+    assert [eigenvalue_series(lam, K)
+            for K in (1, 7, 16) for lam in lams] == memoised
 
 
 def test_eigenvalue_series_refuses_indices_out_of_range():

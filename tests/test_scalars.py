@@ -6,8 +6,9 @@ from math import factorial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfq.scalars import (ExactScalar, bernoulli, eigenvalue_inner_series,
-                           inv_s_series, lift, s_series)
+from hopfq.scalars import (ExactScalar, _inv_s_memo, bernoulli,
+                           eigenvalue_inner_series, inv_s_series, lift,
+                           s_series)
 
 rationals = st.builds(Fraction, st.integers(-50, 50),
                       st.integers(1, 12))
@@ -100,6 +101,11 @@ def test_s_series_and_inverse():
     # 1/s coefficients are (2^{1-n} - 1) B_n / n!
     assert inv[2] == Fraction(-1, 24)
     assert inv[4] == Fraction(7, 5760)
+
+
+def test_inverse_series_memo_is_the_fresh_series():
+    for order in range(19):
+        assert _inv_s_memo(order) == tuple(inv_s_series(order))
 
 
 @given(st.dictionaries(rationals, st.integers(-3, 3), max_size=5),
