@@ -1,14 +1,15 @@
 """Charge-graded fermionic Fock space as a semi-infinite wedge.
 
 Half-integer mode indices k are stored through m = k + 1/2 (an integer); the
-vacuum occupies every m <= 0.  A wedge state is the pair of finite deviations
-(added occupied slots with m >= 1, removed vacuum slots with m <= 0), kept in
-strictly decreasing wedge order so every insertion or removal counts its
-transpositions exactly.  Charge-zero states are in bijection with partitions
-(Maya diagrams), and the whole module serves as an independent oracle for the
-Schur eigenbasis.  Every coefficient is an integer or a rational, and every
-sign counts occupied slots: those above a toggled slot (`_flip`), or those
-between the two slots of a move (`alpha`):
+vacuum occupies every m <= 0.  A wedge state is its charge and one Maya
+bitmask: bit i stands for slot f + i, where f is the lowest free slot and
+every slot below f is occupied, so bit 0 is always clear and each state has
+exactly one form.  Charge-zero states are in bijection with partitions
+(Maya diagrams), and the whole module serves as an independent oracle for
+the Schur eigenbasis.  Every coefficient is an integer or a rational, and
+every sign is the parity of one popcount of the mask: of the occupied slots
+above a toggled slot (`_flip`), or of those between the two slots of a move
+(`alpha`):
 
 - the bosonic modes alpha_n = sum_j psi_j psi*_{j+n} (n >= 1) commute, so the
   boson-fermion map <0| e^{K(q)} |lambda> has q^mu-coefficient
@@ -21,7 +22,8 @@ between the two slots of a move (`alpha`):
   Maya diagram.
 
 The expansion of e^{K(q)} with polynomial coefficients, which these
-identities replace, is kept in the tests as their oracle.
+identities replace, is kept in the tests as their oracle, on a wedge of
+sorted slot tuples that shares no move or sign code with this one.
 """
 
 from __future__ import annotations
@@ -49,46 +51,44 @@ def _to_k(m):
 
 
 class WedgeState(NamedTuple):
-    """Occupied slots = ({m <= 0} minus removed) union added."""
+    """Occupied slots = {m < f} union {f + i : bit i of mask}, where
+    f = charge + 1 - popcount(mask) is the lowest free slot."""
 
-    added: tuple    # decreasing, all >= 1
-    removed: tuple  # decreasing, all <= 0
+    charge: int
+    mask: int   # bit 0 clear
 
     @property
-    def charge(self):
-        return len(self.added) - len(self.removed)
+    def floor(self):
+        return self.charge + 1 - self.mask.bit_count()
 
     def energy(self):
-        return sum(self.added) - sum(self.removed)
+        """Sum of the occupied slots >= 1 less that of the vacated ones <= 0:
+        the mask's slots less those of the vacuum from f on, f(f - 1)/2."""
+        f = self.floor
+        return f * (f - 1) // 2 + sum(
+            f + i for i in range(self.mask.bit_length()) if self.mask >> i & 1)
 
     def occupied(self, m):
-        if m >= 1:
-            return m in self.added
-        return m not in self.removed
-
-    def position(self, m):
-        """Number of occupied slots strictly above m."""
-        above = sum(1 for a in self.added if a > m)
-        if m <= 0:
-            above += -m - sum(1 for r in self.removed if r > m)
-        return above
-
-    def between(self, lo, hi):
-        """Number of occupied slots m with lo < m < hi, for lo < hi."""
-        return self.position(lo) - self.position(hi - 1)
+        f = self.floor
+        return m < f or self.mask >> (m - f) & 1 == 1
 
 
-VACUUM = WedgeState((), ())
+def _state(charge, mask):
+    """The state of this charge and mask, the mask's trailing ones (occupied
+    slots just above the sea) stripped into the sea."""
+    return WedgeState(charge, mask >> ((~mask & (mask + 1)).bit_length() - 1))
+
+
+VACUUM = WedgeState(0, 0)
 
 
 def state_for_partition_label(partition):
-    """The wedge state whose Maya diagram is the given partition."""
-    occupied = [partition[i - 1] - i + 1 for i in range(1, len(partition) + 1)]
-    added = tuple(sorted((m for m in occupied if m >= 1), reverse=True))
-    vacated = {-i + 1 for i in range(1, len(partition) + 1)}
-    kept = {m for m in occupied if m <= 0}
-    removed = tuple(sorted(vacated - kept, reverse=True))
-    return WedgeState(added, removed)
+    """The wedge state whose Maya diagram is the given partition: row i of l
+    occupies slot lambda_i - i + 1, bit lambda_i + l - i above the lowest
+    free slot 1 - l."""
+    rows = len(partition)
+    return WedgeState(0, sum(1 << (part + rows - i)
+                             for i, part in enumerate(partition, 1)))
 
 
 class FermionVector(SparseSum):
@@ -110,25 +110,16 @@ class FermionVector(SparseSum):
 # generator actions
 
 
-def _toggle(slots, m):
-    """The decreasing tuple slots with m removed if present, else inserted."""
-    if m in slots:
-        return tuple(s for s in slots if s != m)
-    return tuple(sorted(slots + (m,), reverse=True))
-
-
-def _toggled(state, m):
-    """The state with slot m toggled."""
-    if m >= 1:
-        return WedgeState(_toggle(state.added, m), state.removed)
-    return WedgeState(state.added, _toggle(state.removed, m))
-
-
 def _flip(state, coeff, m):
     """The term coeff |state> with slot m toggled: (new state, coefficient),
     the sign (-1)^(number of occupied slots above m) carried by the
     coefficient."""
-    return _toggled(state, m), -coeff if state.position(m) % 2 else coeff
+    f, mask = state.floor, state.mask
+    if m < f:   # pad the sea slots m..f-1 into the mask
+        mask, f = (mask << (f - m)) | ((1 << (f - m)) - 1), m
+    mask ^= 1 << (m - f)
+    odd = (mask >> (m - f + 1)).bit_count() % 2
+    return _state(f - 1 + mask.bit_count(), mask), -coeff if odd else coeff
 
 
 def psi(k, vector):
@@ -170,12 +161,20 @@ def alpha(n, state):
     m - n): psi*_m and then psi_{m-n} each count the occupied slots above
     their own slot, and with m emptied the two counts differ by exactly
     those between."""
-    floor = min(state.removed, default=1)
-    # a sea slot m can only move to a vacated slot, so m - n >= floor
-    sea = (m for m in range(0, floor + n - 1, -1) if m not in state.removed)
-    return {_toggled(_toggled(state, m), m - n):
-            (-1) ** state.between(*sorted((m, m - n)))
-            for m in state.added + tuple(sea) if not state.occupied(m - n)}
+    charge, mask = state
+    if n < 0:   # pad -n sea slots, the only ones that can rise to a free slot
+        mask = (mask << -n) | ((1 << -n) - 1)
+        movable = mask & ~(mask >> -n)
+    else:       # no bead below bit n may sink into the sea
+        movable = mask & ~(mask << n) & -(1 << n)
+    gap, terms = (1 << (abs(n) - 1)) - 1, {}
+    while movable:
+        bead = movable & -movable
+        movable ^= bead
+        m = bead.bit_length() - 1
+        between = (mask >> (min(m, m - n) + 1) & gap).bit_count()
+        terms[_state(charge, mask ^ bead ^ (1 << (m - n)))] = (-1) ** between
+    return terms
 
 
 def _apply_alpha(n, vector):
@@ -223,11 +222,11 @@ def diagonal_operator_eigenvalue(partition):
     slot by slot; returned as a canonical map exponent -> integer coefficient
     representing sum c_e e^{z e}."""
     state = state_for_partition_label(tuple(partition))
-    counts = {}
-    for m in state.added:        # occupied positive slots: +e^{kz}
-        add_into(counts, _to_k(m), 1)
-    for m in state.removed:      # vacated negative slots: -e^{kz}
-        add_into(counts, _to_k(m), -1)
+    f, counts = state.floor, {}
+    for m in range(f, f + state.mask.bit_length()):
+        # occupied positive slots: +e^{kz}; vacated sea slots: -e^{kz}
+        if state.occupied(m) != (m <= 0):
+            add_into(counts, _to_k(m), 1 if m > 0 else -1)
     return counts
 
 
@@ -257,8 +256,8 @@ def dressed_fermion_check(modes, max_energy):
             if any(_apply_alpha(n, _apply_alpha(m, v))
                    != _apply_alpha(m, _apply_alpha(n, v)) for v in states):
                 return False
-    floor = min(min(state.removed, default=1) for state in swept)
-    top = max(max(state.added, default=0) for state in swept)
+    floor = min(state.floor for state in swept)
+    top = max(state.floor + state.mask.bit_length() - 1 for state in swept)
     slots = [_to_m(k) for k in modes]
     for op, span, step, sign in (
             (psi, range(max(slots), floor - 1, -1), -1, 1),

@@ -50,3 +50,29 @@ def test_every_metric_is_summarised():
     assert got["wall_s"]["change_won"] == [True, True]
     assert got["setup_s"]["change_won"] == [False, False]
     assert got["setup_s"]["median"] == {"parent": 1.0, "change": 1.5}
+
+
+def test_each_run_records_wall_time_net_of_its_setup():
+    result = {"metrics": {"wall_s": {"value": 0.75, "unit": "s"},
+                          "setup_s": {"value": 0.5, "unit": "s"},
+                          "peak_rss_mb": {"value": 25.0, "unit": "MB"}}}
+    assert bench_pairs.run_metrics(result) == {
+        "wall_s": 0.75, "setup_s": 0.5, "peak_rss_mb": 25.0, "net_s": 0.25}
+
+
+def test_net_time_separates_setup_drift_from_the_workload():
+    # the change side's setup drifted up by 0.25 in pairs 3 and 4: wall_s
+    # loses those pairs, net_s wins every one
+    setups = {"parent": [0.5] * 6, "change": [0.5, 0.5, 0.75, 0.75, 0.5, 0.5]}
+    nets = {"parent": [0.5] * 6, "change": [0.375] * 6}
+    side_runs = {side: [bench_pairs.run_metrics({"metrics": {
+        "wall_s": {"value": setup + net}, "setup_s": {"value": setup}}})
+        for setup, net in zip(setups[side], nets[side])] for side in setups}
+    got = bench_pairs.summarize(side_runs["parent"], side_runs["change"])
+    assert got["wall_s"]["change_won"] == [True, True, False, False, True,
+                                          True]
+    assert got["net_s"]["change_won"] == [True] * 6
+    assert got["net_s"]["wins"] == 6
+    assert got["net_s"]["median"] == {"parent": 0.5, "change": 0.375}
+    assert got["net_s"]["quartiles"] == {"parent": (0.5, 0.5),
+                                         "change": (0.375, 0.375)}

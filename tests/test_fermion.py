@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from math import factorial
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -149,22 +150,160 @@ def test_dressed_check_refuses_noncommuting_modes(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# oracle: e^{K(q)} expanded on wedge states with FockPolynomial coefficients
+# oracle: the wedge on two sorted slot tuples, sharing no move or sign code
+# with the bitmask wedge of hopfq.fermion; states cross over by their slots
+
+
+class TupleWedge(NamedTuple):
+    """Occupied slots = ({m <= 0} minus removed) union added."""
+
+    added: tuple    # decreasing, all >= 1
+    removed: tuple  # decreasing, all <= 0
+
+    @property
+    def charge(self):
+        return len(self.added) - len(self.removed)
+
+    def energy(self):
+        return sum(self.added) - sum(self.removed)
+
+    def occupied(self, m):
+        if m >= 1:
+            return m in self.added
+        return m not in self.removed
+
+    def position(self, m):
+        """Number of occupied slots strictly above m."""
+        above = sum(1 for a in self.added if a > m)
+        if m <= 0:
+            above += -m - sum(1 for r in self.removed if r > m)
+        return above
+
+    def floor(self):
+        """The lowest free slot."""
+        floor = min(self.removed, default=1)
+        while floor in self.added:
+            floor += 1
+        return floor
+
+    def top(self):
+        """The highest occupied slot above the sea, or 0."""
+        return max(self.added, default=0)
+
+
+def _toggle(slots, m):
+    """The decreasing tuple slots with m removed if present, else inserted."""
+    if m in slots:
+        return tuple(s for s in slots if s != m)
+    return tuple(sorted(slots + (m,), reverse=True))
+
+
+def oracle_flip(wedge, m):
+    """(wedge with slot m toggled, parity of the occupied slots above m)."""
+    if m >= 1:
+        moved = TupleWedge(_toggle(wedge.added, m), wedge.removed)
+    else:
+        moved = TupleWedge(wedge.added, _toggle(wedge.removed, m))
+    return moved, wedge.position(m) % 2
+
+
+def to_tuples(state):
+    """The TupleWedge of a WedgeState: bit i of its mask is slot f + i, and
+    every slot below the lowest free slot f is occupied."""
+    floor = state.charge + 1 - bin(state.mask).count("1")
+    bits = {floor + i for i, bit in enumerate(reversed(bin(state.mask)[2:]))
+            if bit == "1"}
+    occupied = bits | set(range(1, floor))
+    return TupleWedge(
+        tuple(sorted((m for m in occupied if m >= 1), reverse=True)),
+        tuple(m for m in range(0, floor - 1, -1) if m not in bits))
+
+
+def to_state(wedge):
+    """The WedgeState of a TupleWedge."""
+    floor = wedge.floor()
+    return WedgeState(wedge.charge, sum(
+        1 << (m - floor) for m in range(floor, wedge.top() + 1)
+        if wedge.occupied(m)))
 
 
 def shift_operator(n, vector):
-    """sum_j :psi_j psi*_{j+n}: for n >= 1 (the q_n-component of K)."""
+    """sum_j psi_j psi*_{j+n} for n != 0 (normal ordered for n >= 1, the
+    q_n-component of K): every occupied slot m with m - n free moves there;
+    only the occupied slots at or above floor - |n| can reach a free slot."""
     result = {}
     for state, c in vector.terms.items():
-        sources = list(state.added)
-        sources += [m for m in range(0, min(state.removed, default=1) - 1 - n,
-                                     -1)
-                    if m not in state.removed]
-        for src in sources:
-            dst = src - n
-            if not state.occupied(dst):
-                add_into(result, *_flip(*_flip(state, c, src), dst))
+        wedge = to_tuples(state)
+        for src in range(wedge.floor() - abs(n), wedge.top() + 1):
+            if wedge.occupied(src) and not wedge.occupied(src - n):
+                moved, odd = oracle_flip(wedge, src)
+                moved, odd_too = oracle_flip(moved, src - n)
+                add_into(result, to_state(moved), -c if odd ^ odd_too else c)
     return FermionVector(result)
+
+
+def oracle_toggle(k, vector, occupied):
+    """psi*_k (occupied=True) or psi_k (occupied=False): slot k + 1/2
+    toggled in every state where it is occupied, or free."""
+    m = int(k + Fraction(1, 2))
+    result = {}
+    for state, c in vector.terms.items():
+        wedge = to_tuples(state)
+        if wedge.occupied(m) == occupied:
+            moved, odd = oracle_flip(wedge, m)
+            add_into(result, to_state(moved), -c if odd else c)
+    return FermionVector(result)
+
+
+def oracle_psi(k, vector):
+    return oracle_toggle(k, vector, occupied=False)
+
+
+def oracle_psi_star(k, vector):
+    return oracle_toggle(k, vector, occupied=True)
+
+
+def charged_state(lam, charge):
+    """The wedge state occupying the slots lambda_i - i + 1 + charge."""
+    rows = lam + (0,) * (abs(charge) + 1)
+    occupied = {rows[i] - i + charge for i in range(len(rows))}
+    deepest = min(occupied)
+    return to_state(TupleWedge(
+        tuple(sorted((m for m in occupied if m >= 1), reverse=True)),
+        tuple(m for m in range(0, deepest - 1, -1) if m not in occupied)))
+
+
+def states_of_charge(charges, max_energy):
+    return [state for charge in charges for lam in partitions_upto(max_energy)
+            if (state := charged_state(lam, charge)).energy() <= max_energy]
+
+
+def test_the_tuple_wedge_reads_every_mask_state_alike():
+    for lam in partitions_upto(8):
+        assert charged_state(lam, 0) == state_for_partition_label(lam)
+    states = states_of_charge(range(-2, 3), 6)
+    assert {state.charge for state in states} == set(range(-2, 3))
+    for state in states:
+        wedge = to_tuples(state)
+        assert to_state(wedge) == state
+        assert (wedge.charge, wedge.energy()) == (state.charge,
+                                                  state.energy())
+        for m in range(wedge.floor() - 2, wedge.top() + 3):
+            assert state.occupied(m) == wedge.occupied(m)
+
+
+def test_flip_agrees_with_the_tuple_wedge():
+    # every slot from two below the lowest free one, which the mask pads
+    # with sea slots, to two above the top one, beyond the mask
+    for state in states_of_charge(range(-2, 3), 6):
+        wedge = to_tuples(state)
+        for m in range(wedge.floor() - 2, wedge.top() + 3):
+            moved, odd = oracle_flip(wedge, m)
+            assert _flip(state, 1, m) == (to_state(moved), -1 if odd else 1)
+
+
+# ---------------------------------------------------------------------------
+# oracle: e^{K(q)} expanded on wedge states with FockPolynomial coefficients
 
 
 def _min_energy(charge):
@@ -213,18 +352,18 @@ def oracle_boson_fermion_map(vector):
 def oracle_dressed_fermion_check(k, max_energy):
     """e^{K} psi_k e^{-K} = sum_m h_m(q) psi_{k-m} (and the psi* form with
     h_m(-q)) by expanding both sides on each state of energy <= E."""
-    m_slot = hopfq.fermion._to_m(k)
+    m_slot = int(k + Fraction(1, 2))
     for lam in partitions_upto(max_energy):
-        state = state_for_partition_label(lam)
+        state = charged_state(lam, 0)
         base = _polynomial(FermionVector.basis(state))
         conjugated = exp_K(base, inverse=True)
         # psi_{k-m} vanishes below the lowest vacated sea slot, psi*_{k+m}
         # above the highest occupied slot
-        floor = min(state.removed, default=1)
-        top = max(state.added, default=0)
+        wedge = to_tuples(state)
+        floor, top = wedge.floor(), wedge.top()
         for op, step, shifts, q_sign in (
-                (psi, -1, max(0, m_slot - floor) + 1, 1),
-                (psi_star, 1, max(-1, max(top, 0) - m_slot) + 1, -1)):
+                (oracle_psi, -1, max(0, m_slot - floor) + 1, 1),
+                (oracle_psi_star, 1, max(-1, top - m_slot) + 1, -1)):
             rhs = FermionVector.zero()
             for shift in range(shifts):
                 h = complete_homogeneous(shift).map_variables(q_sign)
@@ -235,15 +374,17 @@ def oracle_dressed_fermion_check(k, max_energy):
 
 
 def test_alpha_matches_the_oracle_shift_operator_at_every_charge():
+    states = states_of_charge(range(-2, 3), 6)
     for lam in partitions_upto(5):
         maya = FermionVector.basis(state_for_partition_label(lam))
         # slot 6 is empty and slot -5 occupied in every |lambda| <= 5
-        for v in (maya, psi(Fraction(11, 2), maya),
+        for v in (psi(Fraction(11, 2), maya),
                   psi_star(Fraction(-11, 2), maya)):
-            (state, _), = v.terms.items()
-            for n in range(1, 8):
-                assert FermionVector(alpha(n, state)) == shift_operator(
-                    n, FermionVector.basis(state))
+            states += v.terms
+    for state in states:
+        for n in [*range(-8, 0), *range(1, 9)]:
+            assert FermionVector(alpha(n, state)) == shift_operator(
+                n, FermionVector.basis(state))
 
 
 def test_boson_fermion_map_agrees_with_the_oracle():
@@ -299,16 +440,6 @@ def test_power_sum_states_match_both_oracles():
                 if amplitude:
                     want[state] = amplitude
             assert vectors[mu].terms == want
-
-
-def charged_state(lam, charge):
-    """The wedge state occupying the slots lambda_i - i + 1 + charge."""
-    rows = lam + (0,) * (abs(charge) + 1)
-    occupied = {rows[i] - i + charge for i in range(len(rows))}
-    deepest = min(occupied)
-    return WedgeState(
-        tuple(sorted((m for m in occupied if m >= 1), reverse=True)),
-        tuple(m for m in range(0, deepest - 1, -1) if m not in occupied))
 
 
 def test_alpha_minus_n_is_the_adjoint_of_alpha_n():

@@ -57,7 +57,6 @@ ALLOWED = {
     "kp.Laurent.render": FAILURE,
     "kp.TruncatedTau.max_residual_term": FAILURE,
     "kp.TruncatedTau.__eq__": DUNDER,
-    "fermion.WedgeState.charge": CRITERION,
     "fermion.WedgeState.energy": CRITERION,
     "fermion.state_of_partition": CRITERION,
     "fermion.boson_fermion_map": CRITERION,

@@ -7,7 +7,9 @@ DIR is the root of a checkout (e.g. `git archive <commit> | tar -x -C DIR`).
 Each pair runs `bench/run.py --workload W --seed <pair> --seconds S --trace 0`
 once in each checkout, one after the other, and the side that goes first
 alternates from pair to pair.  The end-to-end metrics of `--trace 0` are all
-better when lower.
+better when lower.  Each run also records `net_s`, its `wall_s` less its
+`setup_s`: the import-only probe of the same run, so host drift that slows
+start-up on one side of a pair can be told apart from the workload's time.
 
 The out file keeps one entry per workload, so a second call with another
 workload adds its entry to the same file.  A call with a workload that the
@@ -45,6 +47,12 @@ def quartiles(values):
     """(first quartile, third quartile), inclusive method."""
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, q3
+
+
+def run_metrics(result):
+    """The metrics of one `--trace 0` result object, with `net_s`."""
+    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    return {**metrics, "net_s": metrics["wall_s"] - metrics["setup_s"]}
 
 
 def summarize(parent, change):
@@ -86,7 +94,7 @@ def measure(roots, workload, pairs, seconds, earlier=None):
         for side in order:
             context, result = run_bench(roots[side], workload, seed, seconds)
             contexts[side] = context
-            metrics = {k: m["value"] for k, m in result["metrics"].items()}
+            metrics = run_metrics(result)
             runs[side].append({
                 "metrics": metrics, "reps": len(context["reps"]),
                 "correct": result["correct"],
