@@ -17,13 +17,13 @@ above a toggled slot (`_flip`), or of those between the two slots of a move
   alpha_{-mu} |0> = sum_lambda chi^lambda(mu) |lambda> for every mu;
 - the dressed-fermion identities follow from e^{ad K} and the commutators
   [alpha_n, psi_k] = psi_{k-n}, [alpha_n, psi*_k] = -psi*_{k+n}, checked on
-  the states swept together with [alpha_n, alpha_m] = 0;
-- the diagonal operator O(z) = sum_k e^{kz} :psi_k psi_k*: is read off the
-  Maya diagram.
+  the states swept together with [alpha_n, alpha_m] = 0.
 
 The expansion of e^{K(q)} with polynomial coefficients, which these
-identities replace, is kept in the tests as their oracle, on a wedge of
-sorted slot tuples that shares no move or sign code with this one.
+identities replace, is their oracle in `tests/oracles.py`, on a wedge of
+sorted slot tuples that shares no move or sign code with this one; the
+creation strings of Frobenius coordinates and the diagonal operator
+O(z) = sum_k e^{kz} :psi_k psi_k*: are oracles there too.
 """
 
 from __future__ import annotations
@@ -31,11 +31,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .fock import FockPolynomial, mono_from_partition
-from .partitions import frobenius, partitions_upto
-from .scalars import (ExactScalar, SparseSum, add_into,
-                      eigenvalue_inner_series, lift)
-from .schur import centralizer_size
+from .partitions import partitions_upto
+from .scalars import SparseSum, add_into
 
 
 def _to_m(k):
@@ -60,13 +57,6 @@ class WedgeState(NamedTuple):
     @property
     def floor(self):
         return self.charge + 1 - self.mask.bit_count()
-
-    def energy(self):
-        """Sum of the occupied slots >= 1 less that of the vacated ones <= 0:
-        the mask's slots less those of the vacuum from f on, f(f - 1)/2."""
-        f = self.floor
-        return f * (f - 1) // 2 + sum(
-            f + i for i in range(self.mask.bit_length()) if self.mask >> i & 1)
 
     def occupied(self, m):
         f = self.floor
@@ -136,19 +126,6 @@ def psi_star(k, vector):
         lambda state, c: _flip(state, c, m) if state.occupied(m) else None)
 
 
-def state_of_partition(partition):
-    """|lambda> = psi_{alpha_1 + 1/2} ... psi_{alpha_d + 1/2}
-    psi*_{-beta_d - 1/2} ... psi*_{-beta_1 - 1/2} |0>, built by applying the
-    creation string right-to-left to the vacuum."""
-    coords = frobenius(tuple(partition))
-    vec = FermionVector.vacuum()
-    for beta_i in coords.beta:
-        vec = psi_star(-Fraction(2 * beta_i + 1, 2), vec)
-    for alpha_i in reversed(coords.alpha):
-        vec = psi(Fraction(2 * alpha_i + 1, 2), vec)
-    return vec
-
-
 # ---------------------------------------------------------------------------
 # boson-fermion correspondence
 
@@ -196,38 +173,8 @@ def power_sum_states(W):
     return vectors
 
 
-def boson_fermion_map(vector):
-    """Phi(v) = <0| e^{K(q)} v with K = sum_{n >= 1} q_n alpha_n / n.  The
-    alpha_n commute, so Phi(v) = sum_mu (q^mu / z_mu) <0| alpha_mu |v>, a
-    polynomial in q; as alpha_n^dagger = alpha_{-n}, <0| alpha_mu |v> is
-    v's inner product with alpha_{-mu} |0> (charge 0, energy |mu|)."""
-    top = max((state.energy() for state in vector.terms if not state.charge),
-              default=0)
-    terms = {}
-    for mu, column in power_sum_states(top).items():
-        amplitude = sum(c * vector.terms.get(state, 0)
-                        for state, c in column.terms.items())
-        if amplitude:
-            terms[mono_from_partition(mu)] = ExactScalar.from_rational(
-                Fraction(amplitude, centralizer_size(mu)))
-    return FockPolynomial(terms)
-
-
 # ---------------------------------------------------------------------------
-# diagonal operator and dressed fermions
-
-
-def diagonal_operator_eigenvalue(partition):
-    """Eigenvalue of O(z) = sum_k e^{kz} :psi_k psi_k*: on |lambda>, applied
-    slot by slot; returned as a canonical map exponent -> integer coefficient
-    representing sum c_e e^{z e}."""
-    state = state_for_partition_label(tuple(partition))
-    f, counts = state.floor, {}
-    for m in range(f, f + state.mask.bit_length()):
-        # occupied positive slots: +e^{kz}; vacated sea slots: -e^{kz}
-        if state.occupied(m) != (m <= 0):
-            add_into(counts, _to_k(m), 1 if m > 0 else -1)
-    return counts
+# dressed fermions
 
 
 def dressed_fermion_check(modes, max_energy):
@@ -270,15 +217,3 @@ def dressed_fermion_check(modes, max_energy):
                     if bracket != op(_to_k(s + step * n), v).scaled(sign):
                         return False
     return True
-
-
-def fermionic_hamiltonian_eigenvalue_series(partition, order):
-    """z-series of e^{z u0} (z * eig_O(lambda) + 1/s(z)) at hbar = 1: the
-    fermionic form of the Hamiltonian acting on |lambda>.
-
-    Agreement with the bosonic eigenvalue series at eps = 1 is the
-    independent wedge-side check of the eigenbasis theorem.
-    """
-    g = eigenvalue_inner_series(diagonal_operator_eigenvalue(partition),
-                                order)
-    return [lift(g, 0, n - 2).substitute(eps=1) for n in range(order + 1)]

@@ -8,9 +8,8 @@ every rendering and dump is reproducible byte-for-byte.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import factorial
 
 from .partitions import partitions_of
 from .scalars import ExactScalar, SparseSum, add_into
@@ -99,9 +98,6 @@ class FockPolynomial(SparseSum):
             return cls()
         return cls({tuple(mono): coeff})
 
-    def coefficient(self, mono):
-        return self.terms.get(tuple(mono), ExactScalar.zero())
-
     def __mul__(self, other):
         """Ring product, or scaling by an ExactScalar or a rational."""
         if isinstance(other, FockPolynomial):
@@ -117,10 +113,6 @@ class FockPolynomial(SparseSum):
             scalar_per_factor = ExactScalar.from_rational(scalar_per_factor)
         return self.remap(
             lambda m, c: (m, c * scalar_per_factor ** mono_degree(m)))
-
-    def is_homogeneous(self, w=None):
-        weights = {mono_weight(m) for m in self.terms}
-        return len(weights) <= 1 and (w is None or weights <= {w})
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: (mono_weight(t[0]), t[0]))
@@ -156,33 +148,11 @@ class NormalOrderedOperator(SparseSum):
 
     __slots__ = ()
 
-    @classmethod
-    def identity(cls, coeff=None):
-        coeff = ExactScalar.one() if coeff is None else coeff
-        return cls.term(EMPTY, EMPTY, coeff)
-
-    @classmethod
-    def term(cls, alpha, beta, coeff=None):
-        coeff = ExactScalar.one() if coeff is None else coeff
-        if isinstance(coeff, (int, Fraction)):
-            coeff = ExactScalar.from_rational(coeff)
-        if coeff.is_zero():
-            return cls()
-        return cls({(tuple(alpha), tuple(beta)): coeff})
-
-    def coefficient(self, alpha, beta):
-        return self.terms.get((tuple(alpha), tuple(beta)), ExactScalar.zero())
-
     __mul__ = __rmul__ = SparseSum.scaled
 
     def transpose(self):
         """Swap creation and annihilation multi-indices in every term."""
         return self.remap(lambda key, c: (key[::-1], c))
-
-    def restrict_weight(self, max_weight):
-        return NormalOrderedOperator({
-            (a, b): c for (a, b), c in self.terms.items()
-            if mono_weight(a) <= max_weight and mono_weight(b) <= max_weight})
 
     # -- action -----------------------------------------------------------
 
@@ -199,48 +169,6 @@ class NormalOrderedOperator(SparseSum):
                     eps_power=2 * mono_degree(beta))
                 add_into(result, mono_mul(rest, alpha), coeff)
         return FockPolynomial(result)
-
-    def compose(self, other, max_weight=None):
-        """Normally ordered product self . other, by Wick's rule
-        p_k^b q_k^a = sum_j j! C(a,j) C(b,j) (hbar k)^j q_k^(a-j) p_k^(b-j).
-
-        For terms (a1, b1, c1) of self and (a2, b2, c2) of other, a
-        contraction pattern gamma = {(k, j_k)} picks j_k in 0..min(a, b) for
-        each mode k in both b1 and a2, a = a2[k], b = b1[k], and adds
-        c1 c2 prod_k j_k! C(a, j_k) C(b, j_k) k^j_k eps^(2|gamma|) to
-        q^(a1 + a2 - gamma) p^(b1 - gamma + b2).
-
-        apply(compose(A, B), f) == apply(A, apply(B, f)) for every f the
-        truncation admits: given max_weight, terms of annihilation weight
-        above it are dropped (they kill every polynomial of weight <=
-        max_weight), as are pairs whose full contraction leaves more.
-        """
-        result = {}
-        right = [(a2, b2, mono_weight(b2), c2)
-                 for (a2, b2), c2 in other.terms.items()]
-        for (a1, b1), c1 in self.terms.items():
-            b1d, w_b1 = dict(b1), mono_weight(b1)
-            for a2, b2, w_b2, c2 in right:
-                shared = [(k, a, b1d[k]) for k, a in a2 if k in b1d]
-                if max_weight is not None and w_b1 + w_b2 - sum(
-                        k * min(a, b) for k, a, b in shared) > max_weight:
-                    continue
-                base = c1 * c2
-                for js in itertools.product(
-                        *(range(min(a, b) + 1) for _, a, b in shared)):
-                    gamma = [(k, j) for (k, _, _), j in zip(shared, js) if j]
-                    beta = mono_mul(mono_sub(b1, gamma), b2)
-                    if max_weight is not None and mono_weight(beta) > max_weight:
-                        continue
-                    weight = prod(factorial(j) * comb(a, j) * comb(b, j) * k ** j
-                                  for (k, a, b), j in zip(shared, js))
-                    add_into(result, (mono_mul(a1, mono_sub(a2, gamma)), beta),
-                             base * ExactScalar.monomial(weight, 2 * sum(js))
-                             if gamma else base)
-        return NormalOrderedOperator(result)
-
-    def commutator(self, other, max_weight=None):
-        return self.compose(other, max_weight) - other.compose(self, max_weight)
 
     # -- rendering and serialization --------------------------------------
 

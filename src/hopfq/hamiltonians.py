@@ -17,22 +17,21 @@ and `scalars.lift` adds u0, eps and the denominator back once per multiset
 and alpha! beta!.  The eigenvalues
 E_k(lambda) on the scaled Schur basis have the same shape, e^{z u0} G(eps z),
 and `eigenvalue_series` lifts them all from one G; the Bernoulli-sum forms
-are kept only as the independent oracles the tests compare it with.
+it is compared with are oracles in `tests/oracles.py`.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, factorial, gcd, inf, lcm, prod
+from math import factorial, gcd, inf, lcm, prod
 from operator import itemgetter, lshift, mul
 
 from .fock import (EMPTY, FockPolynomial, NormalOrderedOperator,
                    _lowering_factor, mono_degree, mono_from_partition,
                    mono_mul, mono_weight, weight_basis)
-from .partitions import frobenius, partitions_of
-from .scalars import (ExactScalar, _numerators, add_into, bernoulli,
+from .partitions import partitions_of
+from .scalars import (ExactScalar, _numerators, add_into,
                       eigenvalue_inner_series, inv_s_series, lift, s_series)
 from .schur import centralizer_size, character_table
 
@@ -136,54 +135,6 @@ def eigenvalue_series(partition, K):
     return {k: lift(g, 0, k) for k in range(-1, K + 1)}
 
 
-@lru_cache(maxsize=None)
-def vacuum_constant(k):
-    """c_k(u0, hbar) = -(1/(k+2)!) sum_j C(k+2, j) (1 - 2^(1-j)) B_j eps^j u0^(k+2-j).
-
-    Shared by every E_k(lambda); callers never mutate it."""
-    if k < -1:
-        raise ValueError("k must be >= -1")
-    acc = ExactScalar.zero()
-    for j in range(k + 3):
-        c = Fraction(comb(k + 2, j)) * (1 - Fraction(2) ** (1 - j)) * bernoulli(j)
-        if c:
-            acc = acc + ExactScalar.monomial(-c / factorial(k + 2), j, k + 2 - j)
-    return acc
-
-
-def _frobenius_shifts(partition):
-    """Pairs (alpha_i + 1/2, -(beta_i + 1/2)) over the Frobenius coordinates."""
-    coords = frobenius(tuple(partition))
-    return [(Fraction(2 * alpha_i + 1, 2), -Fraction(2 * beta_i + 1, 2))
-            for alpha_i, beta_i in zip(coords.alpha, coords.beta)]
-
-
-def _eigenvalue(k, shifts):
-    """c_k + eps sum ([u0 + eps a]^{k+1} - [u0 + eps b]^{k+1}) / (k+1)! over
-    the pairs (a, b) in `shifts`."""
-    acc = vacuum_constant(k)  # raises for k < -1
-    inv_fact = Fraction(1, factorial(k + 1))
-    for a, b in shifts:
-        for j in range(k + 2):
-            c = comb(k + 1, j) * (a ** j - b ** j) * inv_fact
-            if c:
-                acc = acc + ExactScalar.monomial(c, j + 1, k + 1 - j)
-    return acc
-
-
-def eigenvalue_closed_form(k, partition):
-    """E_k = c_k + eps sum_i ([u0 + eps a_i]^{k+1} - [u0 + eps b_i]^{k+1}) / (k+1)!,
-    with (a_i, b_i) the content shifts of the rows."""
-    return _eigenvalue(k, _content_shifts(partition))
-
-
-def eigenvalue_frobenius_form(k, partition):
-    """Same eigenvalue from Frobenius coordinates:
-    E_k = c_k + eps sum_i ([u0 + eps(alpha_i + 1/2)]^{k+1}
-                           - [u0 - eps(beta_i + 1/2)]^{k+1}) / (k+1)!."""
-    return _eigenvalue(k, _frobenius_shifts(partition))
-
-
 def _exponentials(shifts):
     """Multiset {exponent: sign} of sum (e^{z a} - e^{z b}) over `shifts`."""
     counts = {}
@@ -197,12 +148,6 @@ def exponential_row_form(partition):
     """Multiset of (sign, exponent) for sum_i [e^{z(lambda_i - i + 1/2)} -
     e^{z(-i + 1/2)}], canonicalized."""
     return _exponentials(_content_shifts(partition))
-
-
-def exponential_frobenius_form(partition):
-    """Multiset of (sign, exponent) for sum_i [e^{z(alpha_i + 1/2)} -
-    e^{-z(beta_i + 1/2)}]."""
-    return _exponentials(_frobenius_shifts(partition))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Partitions (Young tableaux): Frobenius coordinates, hooks, dimensions,
-enumeration, and a brute-force standard-Young-tableaux oracle.
+"""Partitions (Young tableaux): transposes, hooks, dimensions by the hook
+formula, and enumeration.  Frobenius coordinates and a brute-force
+standard-Young-tableaux count are test oracles, in `tests/oracles.py`.
 
 Partitions are plain tuples of weakly decreasing positive integers; the empty
 tuple is the empty partition.
@@ -9,9 +10,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import factorial
-from typing import NamedTuple
-
-SYT_BOUND = 12
 
 
 def size(partition):
@@ -24,30 +22,6 @@ def transpose(partition):
         return ()
     return tuple(sum(1 for p in partition if p >= j)
                  for j in range(1, partition[0] + 1))
-
-
-class Frobenius(NamedTuple):
-    alpha: tuple
-    beta: tuple
-
-
-def frobenius(partition):
-    """Frobenius coordinates alpha_i = lambda_i - i, beta_i = lambda'_i - i
-    along the diagonal d = max{i : lambda_i >= i}."""
-    conj = transpose(partition)
-    d = sum(1 for i, p in enumerate(partition, start=1) if p >= i)
-    alpha = tuple(partition[i - 1] - i for i in range(1, d + 1))
-    beta = tuple(conj[i - 1] - i for i in range(1, d + 1))
-    return Frobenius(alpha, beta)
-
-
-def b_sign_exponent(partition):
-    """sum_i beta_i over the Frobenius beta coordinates.
-
-    (-1) to this exponent is the sign relating the fermionic creation-string
-    state of a partition to its Schur polynomial image.
-    """
-    return sum(frobenius(partition).beta)
 
 
 def hooks(partition):
@@ -67,33 +41,6 @@ def dim(partition):
     d, rem = divmod(factorial(n), prod)
     assert rem == 0
     return d
-
-
-def syt_count(partition, bound=SYT_BOUND):
-    """Number of standard Young tableaux by backtracking enumeration.
-
-    Independent of the hook formula; refuses partitions larger than `bound`.
-    """
-    n = size(partition)
-    if n > bound:
-        raise ValueError(f"|partition| = {n} exceeds the enumeration bound {bound}")
-    if n == 0:
-        return 1
-    rows = len(partition)
-
-    def extend(filled):
-        # filled[i] = number of entries already placed in row i
-        if sum(filled) == n:
-            return 1
-        total = 0
-        for i in range(rows):
-            if filled[i] < partition[i] and (i == 0 or filled[i - 1] > filled[i]):
-                filled[i] += 1
-                total += extend(filled)
-                filled[i] -= 1
-        return total
-
-    return extend([0] * rows)
 
 
 @lru_cache(maxsize=None)

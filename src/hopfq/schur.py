@@ -4,11 +4,12 @@ The q_k are power sums, so s_lambda = sum_mu chi^lambda(mu) q^mu / z_mu and
 q^mu = sum_lambda chi^lambda(mu) s_lambda, with chi^lambda(mu) the integer
 character table of S_n (Murnaghan-Nakayama rule) and z_mu the centralizer
 order (Macdonald, Symmetric Functions and Hall Polynomials, I.7).  That one
-table gives both the Schur polynomials and the Schur coefficients of any
-polynomial, and `verify fermion` compares it with the wedge integers
-<0| alpha_mu |lambda>.  h_k, with sum_k h_k(q) z^k = exp(sum_k q_k z^k / k),
-serves the KP layer.  The eps-scaled s_lambda(q/eps) (uniform substitution
-q_k -> q_k / eps) is the eigenvector family of the quantum Hamiltonians.
+table gives the Schur polynomials, and `verify fermion` compares it with
+the wedge integers <0| alpha_mu |lambda>; the Schur coefficients of a
+polynomial and the transpose sign are oracles in `tests/oracles.py`.
+h_k, with sum_k h_k(q) z^k = exp(sum_k q_k z^k / k), serves the KP layer.
+The eps-scaled s_lambda(q/eps) (uniform substitution q_k -> q_k / eps) is
+the eigenvector family of the quantum Hamiltonians.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from math import factorial, prod
 from operator import add, itemgetter, sub
 
 from .fock import FockPolynomial, mono_from_partition
-from .partitions import partitions_of, size, transpose
+from .partitions import partitions_of, size
 from .scalars import ExactScalar
 
 
@@ -143,40 +144,3 @@ def scaled_schur(partition):
     """s_lambda(q/eps): every monomial q_mu picks up eps^(-l(mu))."""
     inv_eps = ExactScalar.eps(-1)
     return schur(partition).map_variables(inv_eps)
-
-
-def verify_transpose_sign(partition):
-    """Check s_{lambda'}(q) == (-1)^|lambda| s_lambda(-q) exactly."""
-    n = size(partition)
-    flipped = schur(partition).map_variables(-1)
-    if n % 2:
-        flipped = -flipped
-    return schur(transpose(partition)) == flipped
-
-
-# ---------------------------------------------------------------------------
-# expansion in the Schur basis: q^mu = sum_lambda chi^lambda(mu) s_lambda
-
-
-def expand_in_schur_basis(poly, n):
-    """Coefficients of a weight-n homogeneous polynomial in {s_lambda}:
-    for poly = sum_mu c_mu q^mu, the map lambda -> sum_mu chi^lambda(mu) c_mu
-    over the partitions lambda of n.  The c_mu must be rational; the
-    values are Fractions.
-    """
-    if not poly.is_homogeneous(n):
-        raise ValueError("polynomial is not homogeneous of the stated weight")
-    values = [(tuple(k for k, m in reversed(mono) for _ in range(m)),
-               c.as_fraction()) for mono, c in poly.terms.items()]
-    return {lam: sum((c * character(lam, mu) for mu, c in values),
-                     Fraction(0))
-            for lam in partitions_of(n)}
-
-
-def power_of_q1_expansion(n):
-    """Schur coefficients of q_1^n; equals dim(lambda) for every |lambda| = n."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    poly = FockPolynomial.monomial(((1, n),) if n else ())
-    return {lam: int(c) for lam, c in expand_in_schur_basis(poly, n).items()
-            if c}

@@ -13,25 +13,25 @@ import pytest
 from hopfq.disk import (disk_potential, integer_hbar_check,
                         hurwitz_match_report, p1_partition_function,
                         verify_printed_expansion)
-from hopfq.fermion import (FermionVector, boson_fermion_map,
-                           diagonal_operator_eigenvalue,
-                           dressed_fermion_check,
-                           fermionic_hamiltonian_eigenvalue_series, psi,
-                           psi_star, state_for_partition_label,
-                           state_of_partition)
+from hopfq.fermion import (FermionVector, dressed_fermion_check, psi,
+                           psi_star, state_for_partition_label)
 from hopfq.fock import NormalOrderedOperator, naive_hamiltonian
-from hopfq.hamiltonians import (eigenvalue_closed_form,
-                                eigenvalue_frobenius_form, eigenvalue_series,
-                                exponential_frobenius_form,
-                                exponential_row_form, hamiltonian,
-                                verify_commutativity, verify_eigenvectors)
+from hopfq.hamiltonians import (eigenvalue_series, exponential_row_form,
+                                hamiltonian, verify_commutativity,
+                                verify_eigenvectors)
 from hopfq.kp import (kp_bilinear_check, kp_equation_check,
                       kp_hierarchy_check, tau_from_disk)
-from hopfq.partitions import (b_sign_exponent, dim, partitions_of,
-                              partitions_upto, size, syt_count, transpose)
-from hopfq.schur import (power_of_q1_expansion, schur, scaled_schur,
-                         verify_transpose_sign)
+from hopfq.partitions import dim, partitions_of, partitions_upto, transpose
+from hopfq.schur import schur
 from hopfq.scalars import ExactScalar
+from oracles import (b_sign_exponent, boson_fermion_map, coefficient,
+                     commutator, diagonal_operator_eigenvalue,
+                     eigenvalue_closed_form, eigenvalue_frobenius_form,
+                     exponential_frobenius_form,
+                     fermionic_hamiltonian_eigenvalue_series, identity,
+                     power_of_q1_expansion, restrict_weight,
+                     state_of_partition, syt_count, term,
+                     verify_transpose_sign)
 
 
 @pytest.fixture
@@ -52,16 +52,16 @@ def test_criterion_01_commutativity(report):
 
 def test_criterion_02_naive_noncommutativity(report):
     W = 8
-    comm = naive_hamiltonian(1, W).commutator(naive_hamiltonian(2, W),
-                                              max_weight=W)
+    comm = commutator(naive_hamiltonian(1, W), naive_hamiltonian(2, W),
+                      max_weight=W)
     formula = NormalOrderedOperator.zero()
     for i in range(1, W):
         for j in range(1, W - i + 1):
             pair = ((i, 2),) if i == j else tuple(sorted([(i, 1), (j, 1)]))
             c = ExactScalar.monomial(Fraction(i * j * (i + j), 8), 4)
-            formula = formula + NormalOrderedOperator.term(((i + j, 1),), pair, c)
-            formula = formula - NormalOrderedOperator.term(pair, ((i + j, 1),), c)
-    assert comm.restrict_weight(W) == formula.restrict_weight(W)
+            formula = formula + term(((i + j, 1),), pair, c)
+            formula = formula - term(pair, ((i + j, 1),), c)
+    assert restrict_weight(comm, W) == restrict_weight(formula, W)
     report(2, "[H_1^0, H_2^0] equals the closed quadratic formula on "
               "weight <= 8")
 
@@ -71,13 +71,13 @@ def test_criterion_03_explicit_corrections(report):
     for n, const in [(0, ExactScalar.monomial(Fraction(-1, 24), 2)),
                      (1, ExactScalar.monomial(Fraction(-1, 24), 2, 1))]:
         diff = hamiltonian(n, W) - naive_hamiltonian(n, W)
-        assert diff == NormalOrderedOperator.identity(const)
+        assert diff == identity(const)
     diff = hamiltonian(2, W) - naive_hamiltonian(2, W)
-    expected = NormalOrderedOperator.identity(
+    expected = identity(
         ExactScalar.monomial(Fraction(-1, 48), 2, 2)
         + ExactScalar.monomial(Fraction(7, 5760), 4))
     for k in range(1, W + 1):
-        expected = expected + NormalOrderedOperator.term(
+        expected = expected + term(
             ((k, 1),), ((k, 1),),
             ExactScalar.monomial(Fraction(2 * k * k - 1, 24), 2))
     assert diff == expected
@@ -189,7 +189,7 @@ def test_criterion_11_classical_identities(report):
         assert expansion == {lam: dim(lam) for lam in partitions_of(n)}
         assert sum(dim(lam) ** 2 for lam in partitions_of(n)) == factorial(n)
         for lam in partitions_of(n):
-            lead = schur(lam).coefficient(((1, n),) if n else ())
+            lead = coefficient(schur(lam), ((1, n),) if n else ())
             assert lead == ExactScalar.from_rational(
                 Fraction(dim(lam), factorial(n)))
             assert dim(lam) == syt_count(lam)
@@ -205,7 +205,7 @@ def test_criterion_12_semiclassical_limit(report):
         quantum = hamiltonian(n, 8)
         naive = naive_hamiltonian(n, 8)
         for ab, c in naive.sorted_terms():
-            qc = quantum.coefficient(*ab)
+            qc = coefficient(quantum, *ab)
             for key, v in c.terms.items():
                 assert qc.terms.get(key) == v, (n, ab)
             low = min(e for e, _ in qc.terms)

@@ -50,6 +50,14 @@ PINNED_STDOUT = {
     ("tables", "p1", "--degree", "4", "--K", "2", "--u0", "0", "--hbar", "1",
      "--format", "json"):
         "6ff149705c85a258f3df1a7336d7d61bd47091e60032c00895aec859aae9be47",
+    ("verify", "hurwitz", "--n", "5", "--m", "6", "--no-cache"):
+        "11738e2bff67d97cb8d2ae5c5c8b540be49df4352a6c17104bc2f426cb2f5c75",
+    ("hamiltonian", "--n", "2", "--weight", "6", "--naive", "--no-cache"):
+        "f68e98833054296e71dd0a4eb052af8912fbb6b4c00c49a1bb5fa24966f08e44",
+    ("verify", "all", "--N", "2", "--K", "2", "--weight", "6", "--no-cache"):
+        "2036a60d25676c3ab1976f9e9087c7481ee72a3ec1de5409ef0f7fdb66cef4e0",
+    ("tables", "hurwitz", "--n", "5", "--m", "6"):
+        "dfc0af63cd95fd33a59d3e08c1f58b380ecd308942f176d92cbff1a17e6d51e1",
 }
 
 

@@ -5,9 +5,9 @@ from math import factorial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hopfq.partitions import (b_sign_exponent, dim, frobenius, hooks,
-                              partitions_of, partitions_upto, render, size,
-                              syt_count, transpose)
+from hopfq.partitions import (dim, hooks, partitions_of, partitions_upto,
+                              render, size, transpose)
+from oracles import b_sign_exponent, frobenius, syt_count
 
 small_partitions = st.integers(0, 8).flatmap(
     lambda n: st.sampled_from(partitions_of(n)))

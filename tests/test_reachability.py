@@ -1,7 +1,7 @@
 """Every function in `src/hopfq` is run by the `hopfq` CLI, or is named
-below with the reason it stays: an oracle an acceptance criterion imports,
-a failure report that a passing run never renders, a dunder, or a name
-the benchmark harness in `bench/` reads.
+below with the reason it stays: a failure report that a passing run never
+renders, a dunder, or a name the benchmark harness in `bench/` reads.  The
+oracles the tests compare the package with live in `tests/oracles.py`.
 
 The commands run in a fresh interpreter: the package memoises with
 `lru_cache`, and a cache hit never enters the function, so in this process
@@ -19,7 +19,6 @@ import hopfq
 
 PACKAGE = Path(hopfq.__file__).parent
 
-CRITERION = "acceptance-criterion oracle, or a part of one"
 FAILURE = "failure report, rendered only when a check fails"
 DUNDER = "dunder"
 BENCH = "named by bench/"
@@ -27,41 +26,16 @@ BENCH = "named by bench/"
 ALLOWED = {
     "scalars.ExactScalar.__rsub__": DUNDER,
     "scalars.ExactScalar.__repr__": DUNDER,
-    "partitions.frobenius": CRITERION,
-    "partitions.b_sign_exponent": CRITERION,
-    "partitions.syt_count": CRITERION,
-    "fock.FockPolynomial.is_homogeneous": CRITERION,
-    "fock.FockPolynomial.coefficient": CRITERION,
     "fock.FockPolynomial.sorted_terms": FAILURE,
     "fock.FockPolynomial.render": FAILURE,
     "fock.FockPolynomial.__repr__": DUNDER,
-    "fock.NormalOrderedOperator.identity": CRITERION,
-    "fock.NormalOrderedOperator.term": CRITERION,
-    "fock.NormalOrderedOperator.coefficient": CRITERION,
-    "fock.NormalOrderedOperator.restrict_weight": CRITERION,
     "fock.NormalOrderedOperator.apply": BENCH,
-    "fock.NormalOrderedOperator.compose": CRITERION,
-    "fock.NormalOrderedOperator.commutator": CRITERION,
     "fock.NormalOrderedOperator.__repr__": DUNDER,
-    "schur.verify_transpose_sign": CRITERION,
-    "schur.expand_in_schur_basis": CRITERION,
-    "schur.power_of_q1_expansion": CRITERION,
-    "hamiltonians.vacuum_constant": CRITERION,
-    "hamiltonians._frobenius_shifts": CRITERION,
-    "hamiltonians._eigenvalue": CRITERION,
-    "hamiltonians.eigenvalue_closed_form": CRITERION,
-    "hamiltonians.eigenvalue_frobenius_form": CRITERION,
-    "hamiltonians.exponential_frobenius_form": CRITERION,
     "hamiltonians._matrix_failures": FAILURE,
-    "kp.kp_bilinear_check": CRITERION,
+    "kp.kp_bilinear_check": FAILURE,
     "kp.Laurent.render": FAILURE,
     "kp.TruncatedTau.max_residual_term": FAILURE,
     "kp.TruncatedTau.__eq__": DUNDER,
-    "fermion.WedgeState.energy": CRITERION,
-    "fermion.state_of_partition": CRITERION,
-    "fermion.boson_fermion_map": CRITERION,
-    "fermion.diagonal_operator_eigenvalue": CRITERION,
-    "fermion.fermionic_hamiltonian_eigenvalue_series": CRITERION,
 }
 
 # Every subcommand, suite, table and format, at small bounds.  The two
@@ -152,3 +126,32 @@ def test_every_function_is_reached_or_allowed():
     stale = sorted(set(ALLOWED) - set(defined.values()))
     assert not stale, f"allowed names no longer defined: {stale}"
     assert not needless, f"allowed names the CLI runs: {needless}"
+
+
+def test_every_bench_name_is_named_in_bench():
+    bench = "".join(path.read_text() for path in
+                    sorted((PACKAGE.parents[1] / "bench").glob("*.py")))
+    unnamed = [name for name, why in ALLOWED.items()
+               if why == BENCH and name not in bench]
+    assert not unnamed, f"allowed as named by bench/, but not named: {unnamed}"
+
+
+def test_every_imported_name_is_read():
+    # a name a module imports and never reads (nor lists in `__all__`)
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        read |= {item.value for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", "") == "__all__"
+                         for t in node.targets)
+                 for item in node.value.elts}
+        unread += [f"{path.stem}.{name}" for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and getattr(node, "module", "") != "__future__"
+                   for alias in node.names
+                   if (name := (alias.asname or alias.name).split(".")[0])
+                   not in read]
+    assert not unread, f"imported and never read: {unread}"

@@ -12,9 +12,9 @@ from hopfq.fock import FockPolynomial
 from hopfq.partitions import dim, partitions_of, partitions_upto
 from hopfq.scalars import ExactScalar
 from hopfq.schur import (centralizer_size, character, character_table,
-                         complete_homogeneous,
-                         expand_in_schur_basis, power_of_q1_expansion,
-                         scaled_schur, schur, verify_transpose_sign)
+                         complete_homogeneous, scaled_schur, schur)
+from oracles import (coefficient, expand_in_schur_basis, is_homogeneous,
+                     power_of_q1_expansion, verify_transpose_sign)
 
 
 def jacobi_trudi(partition):
@@ -140,31 +140,31 @@ def test_character_refuses_what_is_not_a_partition(lam, mu):
 def test_complete_homogeneous_small():
     assert complete_homogeneous(0) == FockPolynomial.one()
     h2 = complete_homogeneous(2)
-    assert h2.coefficient(((1, 2),)) == ExactScalar.from_rational(Fraction(1, 2))
-    assert h2.coefficient(((2, 1),)) == ExactScalar.from_rational(Fraction(1, 2))
+    assert coefficient(h2, ((1, 2),)) == ExactScalar.from_rational(Fraction(1, 2))
+    assert coefficient(h2, ((2, 1),)) == ExactScalar.from_rational(Fraction(1, 2))
     # generating identity: h_k is homogeneous of weight k
     for k in range(6):
-        assert complete_homogeneous(k).is_homogeneous(k)
+        assert is_homogeneous(complete_homogeneous(k), k)
 
 
 def test_schur_known_values():
     # s_(1) = q1, s_(2) = (q1^2 + q2)/2, s_(1,1) = (q1^2 - q2)/2
     assert schur((1,)) == FockPolynomial.variable(1)
     s2 = schur((2,))
-    assert s2.coefficient(((2, 1),)) == ExactScalar.from_rational(Fraction(1, 2))
+    assert coefficient(s2, ((2, 1),)) == ExactScalar.from_rational(Fraction(1, 2))
     s11 = schur((1, 1))
-    assert s11.coefficient(((2, 1),)) == ExactScalar.from_rational(Fraction(-1, 2))
+    assert coefficient(s11, ((2, 1),)) == ExactScalar.from_rational(Fraction(-1, 2))
     # s_(2,1) = (q1^3 - q3)/3
     s21 = schur((2, 1))
-    assert s21.coefficient(((1, 3),)) == ExactScalar.from_rational(Fraction(1, 3))
-    assert s21.coefficient(((3, 1),)) == ExactScalar.from_rational(Fraction(-1, 3))
-    assert s21.coefficient(((1, 1), (2, 1))) == ExactScalar.zero()
+    assert coefficient(s21, ((1, 3),)) == ExactScalar.from_rational(Fraction(1, 3))
+    assert coefficient(s21, ((3, 1),)) == ExactScalar.from_rational(Fraction(-1, 3))
+    assert coefficient(s21, ((1, 1), (2, 1))) == ExactScalar.zero()
 
 
 def test_leading_q1_coefficient_is_dim_over_factorial():
     for lam in partitions_upto(7):
         n = sum(lam)
-        got = schur(lam).coefficient(((1, n),) if n else ())
+        got = coefficient(schur(lam), ((1, n),) if n else ())
         assert got == ExactScalar.from_rational(Fraction(dim(lam), factorial(n)))
 
 
@@ -178,7 +178,7 @@ def test_scaled_schur_relates_by_eps_degree():
     plain, scaled = schur(lam), scaled_schur(lam)
     for mono, c in plain.terms.items():
         degree = sum(m for _, m in mono)
-        assert scaled.coefficient(mono) == c.shift_eps(-degree)
+        assert coefficient(scaled, mono) == c.shift_eps(-degree)
 
 
 def test_schur_basis_expansion_roundtrip():
@@ -213,7 +213,7 @@ def test_plane_wave_expansion_is_exponential():
     acc = plane_wave_expansion(W)
     for n in range(W + 1):
         mono = ((1, n),) if n else ()
-        assert acc.coefficient(mono) == ExactScalar.monomial(
+        assert coefficient(acc, mono) == ExactScalar.monomial(
             Fraction(1, factorial(n)), -2 * n)
     # nothing but q1-powers survives the sum
     for mono, c in acc.terms.items():
