@@ -88,10 +88,6 @@ class FermionVector(SparseSum):
     __slots__ = ()
 
     @classmethod
-    def vacuum(cls):
-        return cls.basis(VACUUM)
-
-    @classmethod
     def basis(cls, state, coeff=1):
         return cls({state: coeff} if coeff else None)
 
@@ -130,15 +126,15 @@ def psi_star(k, vector):
 # boson-fermion correspondence
 
 
-def alpha(n, state):
-    """alpha_n = sum_j psi_j psi*_{j+n} (n != 0) on one state, as
-    {state: +-1}: every term moves an occupied slot m to the free slot
-    m - n.  No term needs normal ordering, so this holds at every charge.
-    The sign is (-1)^(number of occupied slots strictly between m and
-    m - n): psi*_m and then psi_{m-n} each count the occupied slots above
-    their own slot, and with m emptied the two counts differ by exactly
-    those between."""
-    charge, mask = state
+def _moves(n, mask, charge=None):
+    """alpha_n (n != 0) on the state of this mask, as {moved: +-1}: moved
+    is the state of each term at `charge`, or its bare mask, in the form
+    `_state` gives, when charge is None.  Every term moves an occupied slot
+    m to the free slot m - n; no term needs normal ordering or changes the
+    charge, so this holds at every charge.  The sign is (-1)^(number of
+    occupied slots strictly between m and m - n): psi*_m and then psi_{m-n}
+    each count the occupied slots above their own slot, and with m emptied
+    the two counts differ by exactly those between."""
     if n < 0:   # pad -n sea slots, the only ones that can rise to a free slot
         mask = (mask << -n) | ((1 << -n) - 1)
         movable = mask & ~(mask >> -n)
@@ -150,8 +146,17 @@ def alpha(n, state):
         movable ^= bead
         m = bead.bit_length() - 1
         between = (mask >> (min(m, m - n) + 1) & gap).bit_count()
-        terms[_state(charge, mask ^ bead ^ (1 << (m - n)))] = (-1) ** between
+        moved = mask ^ bead ^ (1 << (m - n))
+        moved >>= (~moved & (moved + 1)).bit_length() - 1
+        terms[moved if charge is None else WedgeState(charge, moved)] = \
+            -1 if between % 2 else 1
     return terms
+
+
+def alpha(n, state):
+    """alpha_n = sum_j psi_j psi*_{j+n} (n != 0) on one state, as
+    {state: +-1} (see `_moves`)."""
+    return _moves(n, state.mask, state.charge)
 
 
 def _apply_alpha(n, vector):
@@ -166,11 +171,19 @@ def power_sum_states(W):
     """{mu: alpha_{-mu} |0>} for every partition mu with |mu| <= W, each
     one alpha_{-mu_last} applied to the vector of mu without its last part
     (the alpha_{-n} commute).  By the boson-fermion map the vector of mu is
-    sum_lambda chi^lambda(mu) |lambda> (Macdonald I.7)."""
-    vectors = {(): FermionVector.vacuum()}
+    sum_lambda chi^lambda(mu) |lambda> (Macdonald I.7).  Every vector has
+    charge 0, as the vacuum has and alpha keeps, so they are built on bare
+    masks and made wedge states once, at the end."""
+    vectors = {(): {0: 1}}
     for mu in partitions_upto(W)[1:]:
-        vectors[mu] = _apply_alpha(-mu[-1], vectors[mu[:-1]])
-    return vectors
+        terms = {}
+        for mask, c in vectors[mu[:-1]].items():
+            for moved, sign in _moves(-mu[-1], mask).items():
+                add_into(terms, moved, sign * c)
+        vectors[mu] = terms
+    return {mu: FermionVector({WedgeState(0, mask): c
+                               for mask, c in terms.items()})
+            for mu, terms in vectors.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -130,16 +130,6 @@ class FockPolynomial(SparseSum):
 # ---------------------------------------------------------------------------
 
 
-def _lowering_factor(rest, beta):
-    """p^beta q^(rest + beta) = factor * q^rest at eps = 1."""
-    have = dict(rest)
-    factor = 1
-    for k, b in beta:
-        m = have.get(k, 0)
-        factor *= k ** b * factorial(m + b) // factorial(m)
-    return factor
-
-
 class NormalOrderedOperator(SparseSum):
     """Normally ordered operator: sparse map (alpha, beta) -> ExactScalar.
 
@@ -157,16 +147,21 @@ class NormalOrderedOperator(SparseSum):
     # -- action -----------------------------------------------------------
 
     def apply(self, f):
-        """Linear action on a FockPolynomial: annihilation part first."""
+        """Linear action on a FockPolynomial: annihilation part first, as
+        p^beta q^(rest + beta) = prod_k k^b (m + b)! / m! q^rest at eps = 1,
+        m and b the multiplicities of k in rest and beta."""
         result = {}
         for (alpha, beta), c in self.terms.items():
             for mono, cm in f.terms.items():
                 rest = mono_sub(mono, beta)
                 if rest is None:
                     continue
+                have, factor = dict(rest), 1
+                for k, b in beta:
+                    m = have.get(k, 0)
+                    factor *= k ** b * factorial(m + b) // factorial(m)
                 coeff = c * cm * ExactScalar.monomial(
-                    _lowering_factor(rest, beta),
-                    eps_power=2 * mono_degree(beta))
+                    factor, eps_power=2 * mono_degree(beta))
                 add_into(result, mono_mul(rest, alpha), coeff)
         return FockPolynomial(result)
 

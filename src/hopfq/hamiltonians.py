@@ -13,8 +13,9 @@ The coefficient of q^alpha p^beta is e^{z u0} z^(l(alpha) + l(beta)) g(eps z)
 / (alpha! beta!), with g(t) = (1/s(t)) prod_k s(k t)^(alpha_k + beta_k) a
 rational even series depending only on the multiset of modes.  So each g
 is built once, on its even powers, in integers over one common denominator,
-and `scalars.lift` adds u0, eps and the denominator back once per multiset
-and alpha! beta!.  The eigenvalues
+and `scalars.lift` adds u0, eps and the denominator back once per distinct
+value: many multisets and alpha! beta! read the same g_0 .. g_d over the
+same denominator.  The eigenvalues
 E_k(lambda) on the scaled Schur basis have the same shape, e^{z u0} G(eps z),
 and `eigenvalue_series` lifts them all from one G; the Bernoulli-sum forms
 it is compared with are oracles in `tests/oracles.py`.
@@ -22,14 +23,14 @@ it is compared with are oracles in `tests/oracles.py`.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from fractions import Fraction
-from math import factorial, gcd, inf, lcm, prod
-from operator import itemgetter, lshift, mul
+from itertools import repeat
+from math import factorial, inf, lcm, prod
+from operator import add, itemgetter, lshift, mul
 
 from .fock import (EMPTY, FockPolynomial, NormalOrderedOperator,
-                   _lowering_factor, mono_degree, mono_from_partition,
-                   mono_mul, mono_weight, weight_basis)
+                   mono_degree, mono_from_partition, mono_weight,
+                   weight_basis)
 from .partitions import partitions_of
 from .scalars import (ExactScalar, _numerators, add_into,
                       eigenvalue_inner_series, inv_s_series, lift, s_series)
@@ -43,21 +44,36 @@ def _mode_series(modes, top, s_even, memo):
     factor s(k t), whose t^(2m) numerator s_even[k][m] is k^(2m) times
     s_2m's, per occurrence of k.  g is even, so its odd coefficients are
     never formed.  memo maps each tuple already done to its list, and () to
-    1/s(t)'s."""
+    1/s(t)'s.  Past length top - 2 only g_0 is kept, so no prefix is
+    needed."""
     if modes not in memo:
-        prev = _mode_series(modes[:-1], top, s_even, memo)
-        factor = s_even[modes[-1]][:(top - len(modes)) // 2 + 1]
-        memo[modes] = [sum(map(mul, prev, factor[m::-1]))
-                       for m in range(len(factor))]
+        if len(modes) >= top - 1:  # only g_0: the constant terms' product
+            memo[modes] = [prod((s_even[k][0] for k in modes),
+                                start=memo[()][0])]
+        else:
+            prev = _mode_series(modes[:-1], top, s_even, memo)
+            factor = s_even[modes[-1]][:(top - len(modes)) // 2 + 1]
+            memo[modes] = [sum(map(mul, prev, factor[m::-1]))
+                           for m in range(len(factor))]
     return memo[modes]
+
+
+def _code(mono, top):
+    """sum_k m_k (top+1)^k for mono = q^m: while no multiplicity exceeds
+    top, each is a digit, so the code of a product of monomials is the sum
+    of their codes."""
+    return sum(m * (top + 1) ** k for k, m in mono)
 
 
 def _operators(ns, max_weight):
     """H_n for each n in the range `ns`, truncated to terms of creation
     weight <= max_weight.  The coefficient of q^alpha p^beta depends only
     on the modes of (alpha, beta) as a multiset and on alpha! beta!, so it
-    is lifted once per such key and shared by every pair that has it; no
-    ExactScalar is mutated in place, so sharing is safe."""
+    is built once per such key and shared by every pair that has it.  Its
+    z^(n+2) coefficient depends only on the numerators g_0 .. g_d it reads,
+    d = n + 2 - length, and on the denominator, so each such value is lifted
+    once and shared by every key that reads it; no ExactScalar is mutated
+    in place, so sharing is safe."""
     if max_weight < 0:
         raise ValueError("max_weight must be >= 0")
     top = ns[-1] + 2  # the highest power of z asked for
@@ -68,33 +84,47 @@ def _operators(ns, max_weight):
     inv_nums, inv_den = _numerators(inv[::2])
     s_even = [[c * k ** (2 * m) for m, c in enumerate(s_nums)]
               for k in range(max_weight + 1)]
+    dens = [inv_den * s_den ** length for length in range(top + 1)]
     memo = {(): inv_nums}
     ops = [{} for _ in ns]
-    shared = {}  # (modes, alpha! beta!) -> [(terms of H_n, coefficient)]
+    ends = [ops[len(ops) - c:] for c in range(len(ops) + 1)]  # the last c
+    shared = {}  # (code of the modes, alpha! beta!) -> the last coefficients
+    lifted = {}  # (denominator, g_0 .. g_d) -> the coefficient it lifts to
     for w in range(max_weight + 1):
-        monos = []  # (partition, monomial, its factorial) over weight w
-        for part in partitions_of(w):
-            mono = mono_from_partition(part)
-            monos.append((part, mono, prod(factorial(e) for _, e in mono)))
-        for ap, alpha, a_fact in monos:
-            for bp, beta, b_fact in monos:
+        # (partition, monomial, its factorial, its `_code` in base top + 1),
+        # shortest first: a pair has at most top modes, so the codes of two
+        # add as multisets
+        monos = sorted(((part, mono, prod(factorial(m) for _, m in mono),
+                         _code(mono, top))
+                        for part, mono in ((part, mono_from_partition(part))
+                                           for part in partitions_of(w))),
+                       key=lambda m: len(m[0]))
+        # (alpha, beta) and (beta, alpha) share their key, so each
+        # unordered pair is looked up once
+        for a, (ap, alpha, a_fact, a_code) in enumerate(monos):
+            for bp, beta, b_fact, b_code in monos[a:]:
                 length = len(ap) + len(bp)
                 if length > top:
-                    continue
-                key = tuple(sorted(ap + bp)), a_fact * b_fact
-                if key not in shared:
+                    break
+                key = a_code + b_code, a_fact * b_fact
+                coeffs = shared.get(key)
+                if coeffs is None:
                     g = [0] * (top - length + 1)
-                    g[::2] = _mode_series(key[0], top, s_even, memo)
-                    den = inv_den * s_den ** length * key[1]
-                    # z^length g(eps z) has no z^(n+2) below n = length - 2
-                    first = max(length - 2 - ns.start, 0)
-                    shared[key] = [
-                        (terms, coeff) for terms, coeff in zip(
-                            ops[first:], (lift(g, length, n, den)
-                                          for n in ns[first:]))
-                        if coeff.terms]
-                for terms, coeff in shared[key]:
-                    terms[(alpha, beta)] = coeff
+                    g[::2] = _mode_series(tuple(sorted(ap + bp)), top,
+                                          s_even, memo)
+                    den = dens[length] * key[1]
+                    # z^length g(eps z) has no z^(n+2) below n = length - 2;
+                    # from there on g_0 != 0 makes every coefficient nonzero
+                    coeffs = shared[key] = []
+                    for n in ns[max(length - 2 - ns.start, 0):]:
+                        reads = (den, *g[:n + 3 - length])
+                        coeff = lifted.get(reads)
+                        if coeff is None:
+                            coeff = lifted[reads] = lift(g, length, n, den)
+                        coeffs.append(coeff)
+                pair, mirror = (alpha, beta), (beta, alpha)
+                for terms, coeff in zip(ends[len(coeffs)], coeffs):
+                    terms[pair] = terms[mirror] = coeff
     return [NormalOrderedOperator(terms) for terms in ops]
 
 
@@ -155,41 +185,58 @@ def exponential_row_form(partition):
 # so both verifiers assert that structure, then sweep at u0 = 0, eps = 1
 
 
-def _is_antiderivative(x, below):
-    """Whether d/du0 x = below, by cross-multiplying the numerators and
-    denominators of matching terms; no Fraction is formed."""
-    terms = x.terms
-    for (e, u), v in below.terms.items():
-        y = terms.get((e, u + 1))
-        if y is None or (y.numerator * v.denominator * (u + 1)
-                         != v.numerator * y.denominator):
-            return False
-    return sum(1 for _, u in terms if u) == len(below.terms)
-
-
-def _lift_failures(chain, length, below):
-    """(premise, n, extra) for each break in `chain` = [X_{-1}, X_0, ...],
-    the z^(n+2) coefficients of a series e^{z u0} z^length g(eps z):
+def _lift_failures(chain, length, below, count=0):
+    """(failures, values) for `chain` = [X_{-1}, X_0, ...], the z^(n+2)
+    coefficients of a series e^{z u0} z^length g(eps z).  failures lists
+    (premise, n, extra) for each break:
       "grading": a term u0^a eps^b of X_n has a + b + length != n + 2;
       "u0_expansion": d/du0 X_n != X_{n-1}, X_{-2} = `below`; extra holds
           the expected X_n(0) + int_0^u0 X_{n-1}.
+    values lists (i, X_{i-1} at u0 = 0, eps = 1) for each i < count where
+    it is nonzero: the sum of X's u0-free terms, which is its one term
+    eps^(n+2-length) when X is graded.
     Over Q, d/du0 X_n = X_{n-1} for all n is X_n = sum_j u0^j/j! X_{n-j}(0),
-    X_{-2}(0) = below: by induction on n, integrate X_{n-1}'s expansion."""
-    failures = []
-    for n, x in enumerate(chain, start=-1):
-        if not (x.terms or below.terms):  # 0 links to 0
-            continue
-        d = n + 2 - length
-        if any(e + u != d for e, u in x.terms):
-            failures.append(("grading", n, {}))
-        if not _is_antiderivative(x, below):
-            expected = {key: v for key, v in x.terms.items() if not key[1]}
-            for (e, u), v in below.terms.items():
-                expected[(e, u + 1)] = v / (u + 1)
-            failures.append(("u0_expansion", n, {
-                "expected": ExactScalar(expected).render()}))
-        below = x
-    return failures
+    X_{-2}(0) = below: by induction on n, integrate X_{n-1}'s expansion.
+    The derivative is compared term by term, by cross-multiplying
+    numerators and denominators, with no Fraction formed."""
+    failures, values = [], []
+    low = below.terms
+    d = 1 - length  # n + 2 - length at n = -1
+    for i, x in enumerate(chain):
+        terms = x.terms
+        if terms or low:  # 0 links to 0
+            graded = True
+            for e, u in terms:
+                if e + u != d:
+                    graded = False
+                    failures.append(("grading", i - 1, {}))
+                    break
+            # d/du0 x = below: each term of below is the derivative of a
+            # term of x, and x has no other term with a u0
+            free = ((d, 0) in terms if graded
+                    else sum(1 for _, u in terms if not u))
+            linked = len(terms) - free == len(low)
+            if linked:
+                for (e, u), v in low.items():
+                    y = terms.get((e, u + 1))
+                    if y is None or (y.numerator * v.denominator * (u + 1)
+                                     != v.numerator * y.denominator):
+                        linked = False
+                        break
+            if not linked:
+                expected = {key: v for key, v in terms.items() if not key[1]}
+                for (e, u), v in low.items():
+                    expected[(e, u + 1)] = v / (u + 1)
+                failures.append(("u0_expansion", i - 1, {
+                    "expected": ExactScalar(expected).render()}))
+            if i < count:
+                v = (terms.get((d, 0)) if graded else
+                     sum(v for (_, u), v in terms.items() if not u))
+                if v:
+                    values.append((i, v))
+        low = terms
+        d += 1
+    return failures, values
 
 
 def _premise_failures(operators, W, count):
@@ -197,53 +244,61 @@ def _premise_failures(operators, W, count):
     `operators` (H_{-1}, H_0, ...).  entries: every term that breaks
     premise (a) or (b), from `_lift_failures` on each (alpha, beta) chain,
     with no grade fitting a term of wt(alpha) != wt(beta), the rest of (a).
-    by_weight[wt][beta][alpha] lists (i, value) over the i < count with a
-    nonzero value of operators[i] at u0 = 0, eps = 1 (the sum of its
-    u0-free terms), for wt(alpha) = wt(beta) = wt <= W; L_i = scales[i]
-    is the lcm of those values' denominators.  Pairs with the same modes
-    and alpha! beta! share their coefficient objects, so a chain is read
-    once per chain of objects, length and base case (identity or not), and
-    only the broken pairs are sorted."""
+    by_weight[wt] maps the `_code` of beta to (beta, the codes of its
+    alphas, their values) for wt(alpha) = wt(beta) = wt <= W, values
+    listing (i, L_i v) over the i < count with a nonzero value v of
+    operators[i] at u0 = 0, eps = 1; L_i = scales[i] is the lcm of the
+    denominators of those v.
+    The chains are lined up by merging the term maps, whose keys keep their
+    hashes; a monomial's weight, degree and code are found by its id.
+    Pairs with the same modes and alpha! beta! share their coefficient
+    objects, so a chain is read, and its values scaled to integers, once
+    per chain of objects and length (0 only for the identity, whose chain
+    is based on Id), and only the broken pairs are sorted."""
     zero, one = ExactScalar.zero(), ExactScalar.one()
-    identity = (EMPTY, EMPTY)
-    chains = {identity: [zero] * len(operators)}
-    for i, op in enumerate(operators):
-        for pair, c in op.terms.items():
-            chain = chains.get(pair)
-            if chain is None:
-                chain = chains[pair] = [zero] * len(operators)
-            chain[i] = c
-    shapes = {m: (mono_weight(m), mono_degree(m))
-              for m in {m for pair in chains for m in pair}}
-    memo, broken = {}, []
-    by_weight = [defaultdict(dict) for _ in range(W + 1)]
-    denominators = [set() for _ in range(count)]
-    for pair, chain in chains.items():
-        (wa, la), (wb, lb) = shapes[pair[0]], shapes[pair[1]]
+    terms = [op.terms for op in operators]
+    pairs = {(EMPTY, EMPTY): zero}
+    for t in terms:
+        pairs.update(t)
+    pairs = dict.fromkeys(pairs, zero)
+    columns = [{**pairs, **t}.values() for t in terms]
+    chains = zip(zip(*columns), zip(*(map(id, col) for col in columns)))
+    shapes = {}  # id of a monomial -> (its weight, degree, code)
+    for pair in pairs:
+        for m in pair:
+            if id(m) not in shapes:
+                shapes[id(m)] = mono_weight(m), mono_degree(m), _code(m, W)
+    memo, broken, swept = {}, [], {}
+    by_weight = [{} for _ in range(W + 1)]
+    for pair, (chain, ids) in zip(pairs, chains):
+        alpha, beta = pair
+        wa, la, a = shapes[id(alpha)]
+        wb, lb, b = shapes[id(beta)]
         length = la + lb if wa == wb else inf
-        below = one if pair == identity else zero
-        # chains holds every object keyed, so no id is reused meanwhile
-        key = (*map(id, chain), length, below is one)
+        key = ids, length  # the operators keep every keyed object alive
         found = memo.get(key)
         if found is None:
-            values = []
-            for i, c in enumerate(chain[:count]):
-                if not c.terms:  # no term of operators[i] at this pair
-                    continue
-                # generated coefficients have one u0-free term, no sum
-                free = [v for (_, u), v in c.terms.items() if not u]
-                v = free[0] if len(free) == 1 else sum(free)
-                if v:
-                    values.append((i, v))
-            found = memo[key] = _lift_failures(chain, length, below), values
+            found = memo[key] = _lift_failures(
+                chain, length, zero if length else one, count)
         failures, values = found
         if failures:
             broken.append((pair, chain, failures))
         # a term that changes the weight breaks (a) and is reported there
         if values and wa == wb <= W:
-            by_weight[wa][pair[1]][pair[0]] = values
-            for i, v in values:
-                denominators[i].add(v.denominator)
+            group = by_weight[wa].get(b)
+            if group is None:
+                group = by_weight[wa][b] = beta, [], []
+            group[1].append(a)
+            group[2].append(values)
+            swept[id(values)] = values
+    denominators = [set() for _ in range(count)]
+    for values in swept.values():
+        for i, v in values:
+            denominators[i].add(v.denominator)
+    scales = [lcm(*dens) for dens in denominators]
+    for values in swept.values():  # in place: by_weight holds these lists
+        values[:] = [(i, v.numerator * (scales[i] // v.denominator))
+                     for i, v in values]
     broken.sort(key=itemgetter(0))
     entries = [{"premise": premise, "n": n,
                 "alpha": [list(km) for km in alpha],
@@ -251,43 +306,50 @@ def _premise_failures(operators, W, count):
                 "coefficient": chain[n + 1].render(), **extra}
                for (alpha, beta), chain, failures in broken
                for premise, n, extra in failures]
-    return entries, [lcm(*dens) for dens in denominators], by_weight
+    return entries, scales, by_weight
 
 
 def _sparse_rows(scales, by_weight):
     """(bases, rows): bases[w] is the monomial basis of V_w, and rows[w][i]
-    lists the sparse rows (columns, values) of L_i R_i on V_w, with R_i the
-    matrix of the values by_weight[wt][beta][alpha] of operator i (column
-    mu holds the image of q^mu) and L_i = scales[i].  The lowering factor
-    and the column of each (beta, rest) serve every alpha and operator that
-    has that beta; one weight is built at a time."""
-    bases = [weight_basis(w) for w in range(len(by_weight))]
-    index = [{m: r for r, m in enumerate(basis)} for basis in bases]
-    # per weight: (beta, its index, [(alpha's index, [(i, L_i value)])])
-    terms = [[(beta, index[wt][beta], [
-        (index[wt][alpha], [(i, v.numerator * (scales[i] // v.denominator))
-                            for i, v in values])
-        for alpha, values in alphas.items()])
-        for beta, alphas in group.items()]
-        for wt, group in enumerate(by_weight)]
-    rows = []
+    is None when operator i has no value on V_w, else the sparse rows
+    (columns, values) of L_i R_i on V_w, with R_i the matrix of the values
+    in by_weight (column mu holds the image of q^mu), already scaled by
+    L_i = scales[i].  Monomials are found by `_code`, in base W + 1 as no
+    multiplicity at weight <= W exceeds W, so q^rest q^gamma is found by
+    the sum of the codes.  p^beta q^(rest + beta) = f q^rest at eps = 1,
+    f = prod_k k^b (m + b)! / m! with m, b the multiplicities of k in rest
+    and beta: the ratio z_(rest + beta) / z_rest of the centralizer sizes
+    z = prod_k k^m m!.  f and the column of each (beta, rest) serve every
+    alpha and operator that has that beta; one weight is built at a
+    time."""
+    W = len(by_weight) - 1
+    bases = [weight_basis(w) for w in range(W + 1)]
+    # (code, z) per monomial, z = prod_k k^m m! its centralizer size
+    rests = [[(_code(m, W), centralizer_size(mu))
+              for m, mu in zip(basis, partitions_of(w))]
+             for w, basis in enumerate(bases)]
+    # per weight, the operators with a value there
+    ops = [{i for _, _, lists in group.values() for values in lists
+            for i, _ in values} for group in by_weight]
+    rows, active = [], set()
     for w, basis in enumerate(bases):
-        mat = [[defaultdict(int) for _ in basis] for _ in scales]
-        for wt, betas in enumerate(terms[:w + 1]):
-            rests = bases[w - wt]
-            # the index in V_w of q^rest q^gamma, per rest, per gamma in V_wt
-            products = [[index[w][mono_mul(rest, gamma)]
-                         for gamma in bases[wt]] for rest in rests]
-            for beta, b, alphas in betas:
-                for rest, places in zip(rests, products):
-                    factor = _lowering_factor(rest, beta)
-                    col = places[b]
-                    for a, values in alphas:
-                        r = places[a]
+        index = {code: r for r, (code, _) in enumerate(rests[w])}
+        zs = [z for _, z in rests[w]]
+        active |= ops[w]
+        mat = [[{} for _ in basis] if i in active else None
+               for i in range(len(scales))]
+        for wt, group in enumerate(by_weight[:w + 1]):
+            for b, (beta, codes, lists) in group.items():
+                for rest, z in rests[w - wt]:
+                    col = index[rest + b]
+                    f = zs[col] // z
+                    for a, values in zip(codes, lists):
+                        r = index[rest + a]
                         for i, v in values:
-                            mat[i][r][col] += v * factor
-        rows.append([[(tuple(row), tuple(row.values())) for row in op_mat]
-                     for op_mat in mat])
+                            row = mat[i][r]
+                            row[col] = row.get(col, 0) + v * f
+        rows.append([op_mat and [(tuple(row), tuple(row.values()))
+                                 for row in op_mat] for op_mat in mat])
     return bases, rows
 
 
@@ -307,9 +369,23 @@ def _digit_bits(bound):
     return bound.bit_length() + 2
 
 
-def _pack(digits, shifts):
-    """sum_l digits[l] 2^shifts[l]: the digits Kronecker-packed in one int."""
-    return sum(map(lshift, digits, shifts))
+def _pack(vectors, weights, bits):
+    """[sum_l v[l] w[l] 2^(bits l) for v in vectors], w = weights: the
+    products v[l] w[l] of each vector Kronecker-packed in one int.  The
+    weights are shifted once, w[l] 2^(bits (l mod 32)), and each block of
+    32 products is one dot product with them, shifted into place: every
+    product is added into a sum of at most 32 digits, where one growing
+    sum over all the digits made the time quadratic in their number; only
+    the one join per block still grows."""
+    shifted = list(map(lshift, weights, [bits * (l % 32)
+                                         for l in range(len(weights))]))
+    packed = [0] * len(vectors)
+    for start in range(0, len(weights), 32):
+        block = shifted[start:start + 32]
+        packed = list(map(add, packed, map(lshift, [
+            sum(map(mul, v[start:start + 32], block)) for v in vectors],
+            repeat(bits * start))))
+    return packed
 
 
 def _unpack(x, bits, count):
@@ -321,22 +397,18 @@ def _unpack(x, bits, count):
     return [(x >> bits * l & mask) - half for l in range(count)]
 
 
-def _dot(row, packed):
-    """The sparse row (columns, values) times the vector `packed`."""
-    cols, vals = row
-    return sum(map(mul, vals, map(packed.__getitem__, cols)))
-
-
-def _basis_failures(w, parts, chi, vecs, packed, shifts):
+def _basis_failures(w, parts, chi, vecs, packed, heads, bits):
     """Entries for every pair lambda <= nu of partitions of w that breaks
     sum_mu chi^lambda(mu) (w!/z_mu) chi^nu(mu) = w! delta; these
     orthogonality relations make the vectors w! s_lambda a basis of V_w.
-    sum_mu chi^lambda(mu) packed[mu] packs lambda's products with every nu
-    (the products are symmetric in lambda, nu), so only a row that differs
-    from w! 2^shifts[lambda] is taken apart."""
+    sum_mu chi^lambda(mu) packed[mu] packs lambda's products with every nu,
+    each times d_nu = heads[nu] (the products are symmetric in lambda, nu),
+    so only a row that differs from w! d_lambda 2^(bits lambda) is taken
+    apart."""
     failures = []
     for a, vec in enumerate(vecs):
-        if sum(map(mul, chi[a], packed)) == factorial(w) << shifts[a]:
+        if (sum(map(mul, chi[a], packed))
+                == factorial(w) * heads[a] << bits * a):
             continue
         for b in range(a, len(vecs)):
             product = sum(map(mul, vec, chi[b]))
@@ -366,79 +438,87 @@ def _matrix_failures(w, basis, parts, vecs, images, scale, ratios, where):
 
 def _schur_sweep(scales, bases, rows, eigenvalues=None):
     """(failures, basis_dims): for every v = w! s_lambda(q) on bases[w] and
-    every A = rows[w][i] = L_i R_i (R_i an operator's matrix at u0 = 0,
-    eps = 1, L_i = scales[i]), read e = (A v)_p / v_p at v's pivot p, its
-    last nonzero entry (dim lambda at q_1^w), and test A v = e v.  When
-    eigenvalues(lambda) gives (entries for lambda's broken eigenvalue
+    every A = L_i R_i with rows rows[w][i] (R_i an operator's matrix at
+    u0 = 0, eps = 1, L_i = scales[i]), read e = (A v)_p / v_p at v's pivot
+    p, its last nonzero entry (dim lambda at q_1^w), and test A v = e v.
+    When eigenvalues(lambda) gives (entries for lambda's broken eigenvalue
     premises, e_i(lambda) per i), also test e = L_i e_i(lambda) by
     cross-multiplication; without it, premise (c) is asserted instead.  A
     failure gives R_i s - (e / L_i) s at u0 = 0, eps = 1 as "difference",
     with the e the check tested: the read one, or L_i e_i(lambda).
 
     The vectors of one weight are checked together, by Kronecker
-    substitution.  The digits of A V, V_c = sum_lambda v_lambda[c]
-    2^(B lambda), are the (A v_lambda)_j, at most S M for S the largest row
-    sum of |A| on V_w and M the largest |v_lambda[c]|: the pivot row's dot
-    product reads every ratio, and a failing (w, i) is unpacked into the
-    images A v_lambda.  The basis check is packed on V too, with digits at
-    most (max|chi|^2 + 1) w!, as sum_mu w!/z_mu = w!.  With lambda's ratios
-    written num_lambda / den_lambda over one den_lambda for every operator,
-      U_c = sum_lambda den_lambda v_lambda[c] 2^(C lambda),
-      T_j = sum_lambda num_lambda v_lambda[j] 2^(C lambda),
-    and (A U)_j - T_j = sum_lambda d_lambda 2^(C lambda), whose digits
-    d_lambda = den_lambda (A v_lambda)_j - num_lambda v_lambda[j] are at
-    most (|den_lambda| S + |num_lambda|) M; U is packed once per weight.  B
-    and C are two bits wider than their bounds, and a sum of d_l 2^(C l)
-    with every |d_l| < 2^(C-1) vanishes only when every d_l does, as its
-    top nonzero term outweighs the rest.  So A U = T exactly when every
-    A v_lambda = e_lambda v_lambda.  Every row with v_lambda[j] != 0 gives
-    the same verdict, so the entries, in their order (per weight, per
-    lambda: eigenvalue premises, then R_0, R_1, ...), are those of the
-    vector-by-vector sweep."""
+    substitution, on one packed vector per weight,
+      U_c = sum_lambda d_lambda v_lambda[c] 2^(B lambda),
+    d_lambda = v_lambda[p] (1 for v_lambda = 0).  The digits of (A U)_j
+    are d_lambda (A v_lambda)_j, at most D S M, with D the largest
+    |d_lambda|, S the largest row sum of |A| on V_w and M the largest
+    |v_lambda[c]|; the pivot row p of lambda reads h_lambda =
+    (A v_lambda)_p, and e_lambda = h_lambda / d_lambda.  Every eigenvalue
+    of A is at most S, so |h_lambda| > |d_lambda| S makes v_lambda fail
+    at once.  Otherwise, with
+      T_j = sum_lambda h_lambda v_lambda[j] 2^(B lambda),
+    (A U)_j - T_j has the digits d_lambda (A v_lambda)_j - h_lambda
+    v_lambda[j], at most 2 D S M, and zero for every j exactly when
+    A v_lambda = e_lambda v_lambda.  The basis check reads the same U:
+    sum_c chi^nu(c) U_c has the digits d_lambda <chi^nu, v_lambda>, to be
+    w! d_nu at lambda = nu and 0 elsewhere, which differ from them by at
+    most D (max|chi|^2 + 1) w!, as sum_mu w!/z_mu = w!.  B is two bits
+    wider than these bounds, and a sum of d_l 2^(B l) with every
+    |d_l| < 2^(B-1) vanishes only when every d_l does, as its top nonzero
+    term outweighs the rest.  So A U = T exactly when every A v_lambda =
+    e_lambda v_lambda, and a failing (w, i) is unpacked into the images
+    A v_lambda.  An operator with no rows on V_w has A v = 0 for every v
+    and forms no product; only its tested eigenvalues are compared.  Every
+    row with v_lambda[j] != 0 gives the same verdict, so the entries, in
+    their order (per weight, per lambda: eigenvalue premises, then R_0,
+    R_1, ...), are those of the vector-by-vector sweep."""
     failures = []
     for w, basis in enumerate(bases):
         parts, chi, vecs = _schur_vectors(w)
         count = len(parts)
         cols = list(zip(*vecs))  # cols[c][lambda] = vecs[lambda][c]
-        size = max(max(map(abs, col)) for col in cols)
-        width = max((sum(map(abs, vals)) for op_rows in rows[w]
-                     for _, vals in op_rows), default=0)
-        top = max(abs(x) for row in chi for x in row)
-        bits = _digit_bits(max(width * size, (top * top + 1) * factorial(w)))
-        shifts = range(0, bits * count, bits)
-        packed = [_pack(col, shifts) for col in cols]
+        pivots = [next((r for r in range(len(vec) - 1, -1, -1) if vec[r]), 0)
+                  for vec in vecs]
+        heads = [vec[r] or 1 for vec, r in zip(vecs, pivots)]
+        size = max(map(max, map(map, repeat(abs), vecs)))
+        width = max((max(map(sum, map(map, repeat(abs), map(itemgetter(1),
+                                                            op_rows))))
+                     for op_rows in rows[w] if op_rows), default=0)
+        top = max(map(max, map(map, repeat(abs), chi)))
+        bits = _digit_bits(max(map(abs, heads)) * max(
+            2 * width * size, (top * top + 1) * factorial(w)))
+        packed = _pack(cols, heads, bits)
         if eigenvalues is None:
-            failures += _basis_failures(w, parts, chi, vecs, packed, shifts)
+            failures += _basis_failures(w, parts, chi, vecs, packed, heads,
+                                        bits)
         premises, values = (zip(*map(eigenvalues, parts)) if eigenvalues
                             else ([[]] * count, None))
-        pivots = [max((r for r, x in enumerate(vec) if x), default=0)
-                  for vec in vecs]
-        reads = [{r: _unpack(_dot(op_rows[r], packed), bits, count)
-                  for r in set(pivots)} for op_rows in rows[w]]
-        # per lambda, its ratios over one denominator v_p / g, g the gcd of
-        # v_p and every (A v)_p (1 when all are 0, as for v = 0)
-        heads = [[read[r][a] for read in reads] for a, r in enumerate(pivots)]
-        gcds = [gcd(v[r], *h) or 1 for v, r, h in zip(vecs, pivots, heads)]
-        nums = [[x // g for x in h] for h, g in zip(heads, gcds)]
-        dens = [v[r] // g for v, r, g in zip(vecs, pivots, gcds)]
-        u_bits = _digit_bits(size * max(
-            abs(den) * width + max(map(abs, row), default=0)
-            for row, den in zip(nums, dens)))
-        u_shifts = range(0, u_bits * count, u_bits)
-        scaled = [_pack(map(mul, dens, col), u_shifts) for col in cols]
         broken = [[] for _ in parts]  # per lambda, for R_0, R_1, ...
-        for i, (op_rows, row_nums) in enumerate(zip(rows[w], zip(*nums))):
-            read = list(zip(row_nums, dens))
+        for i, op_rows in enumerate(rows[w]):
+            if op_rows is None:  # A = 0: every v has eigenvalue 0
+                if values is None:
+                    continue
+                products, nums = [0] * len(basis), [0] * count
+            else:
+                products = [sum(map(mul, v, map(packed.__getitem__, c)))
+                            for c, v in op_rows]
+                reads = {r: _unpack(products[r], bits, count)
+                         for r in set(pivots)}
+                nums = [reads[r][a] // d
+                        for a, (r, d) in enumerate(zip(pivots, heads))]
+            read = list(zip(nums, heads))
             tested = [(scales[i] * e[i].numerator, e[i].denominator)
-                      for e in values] if eigenvalues else read
-            targets = [_pack(map(mul, row_nums, col), u_shifts)
-                       for col in cols]
+                      for e in values] if values else read
             if (all(x * d == n * y for (x, y), (n, d) in zip(read, tested))
-                    and [_dot(row, scaled) for row in op_rows] == targets):
+                    and (op_rows is None
+                         or all(abs(x) <= abs(d) * width for x, d in read)
+                         and products == _pack(cols, nums, bits))):
                 continue
-            images = zip(*(_unpack(_dot(row, packed), bits, count)
-                           for row in op_rows))
-            where = {"k": i - 1} if eigenvalues else {"n": i - 1, "weight": w}
+            digits = zip(*(_unpack(x, bits, count) for x in products))
+            images = [[x // d for x in image]
+                      for image, d in zip(digits, heads)]
+            where = {"k": i - 1} if values else {"n": i - 1, "weight": w}
             for a, entry in _matrix_failures(w, basis, parts, vecs, images,
                                              scales[i], tested, where):
                 broken[a].append(entry)
@@ -475,12 +555,16 @@ def verify_commutativity(N, W, operators=None):
     D = diag(eps^l(mu)) and R_n H_n's matrix at u0 = 0, eps = 1; by (b), the
     H_n(u0) commute exactly when the H_n(0) do; by (c), the R_n commute on
     V_w when every w! s_lambda is an eigenvector of every R_n, with the
-    eigenvalue read off a pivot entry of the vector.
+    eigenvalue read off a pivot entry of the vector.  `operators`, when
+    given, must hold at least H_{-1} .. H_N; fewer raise ValueError.
     """
     if N < 0:
         raise ValueError("commutativity needs N >= 0 (at least one pair)")
     if operators is None:
         operators = hamiltonian_generating_coefficients(N, W)
+    if len(operators) < N + 2:
+        raise ValueError(f"N = {N} needs the {N + 2} operators H_-1 .. H_{N}, "
+                         f"not {len(operators)}")
     report = _verify(operators, W, len(operators))
     report["pairs_checked"] = len(operators) * (len(operators) - 1) // 2
     return report
@@ -499,13 +583,17 @@ def verify_eigenvectors(K, W, operators=None, series=None):
     with R_k H_k's matrix at u0 = 0, eps = 1 and e_k(lambda) the eps^(k+2)
     coefficient of E_k(lambda).  The sweep is that of
     `verify_commutativity`, plus a comparison of each ratio it reads with
-    e_k(lambda).
+    e_k(lambda).  `operators`, when given, must hold at least H_{-1} ..
+    H_K; fewer raise ValueError.
     """
     if K < 0:
         raise ValueError("the eigen check needs K >= 0: H_{-1} = u0 Id "
                          "fixes every vector")
     if operators is None:
         operators = hamiltonian_generating_coefficients(K, W)
+    if len(operators) < K + 2:
+        raise ValueError(f"K = {K} needs the {K + 2} operators H_-1 .. H_{K}, "
+                         f"not {len(operators)}")
 
     def eigenvalues(lam):
         values = eigenvalue_series(lam, K) if series is None else series[lam]
@@ -513,7 +601,7 @@ def verify_eigenvectors(K, W, operators=None, series=None):
         return ([{"premise": "eigenvalue_" + premise, "k": k,
                   "partition": list(lam), "eigenvalue": chain[k + 1].render(),
                   **extra} for premise, k, extra
-                 in _lift_failures(chain, 0, ExactScalar.one())],
+                 in _lift_failures(chain, 0, ExactScalar.one())[0]],
                 [x.terms.get((k + 2, 0), 0) for k, x in values.items()])
 
-    return _verify(operators, W, min(K + 2, len(operators)), eigenvalues)
+    return _verify(operators, W, K + 2, eigenvalues)

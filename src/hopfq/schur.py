@@ -87,22 +87,23 @@ def character_table(n):
     for r, group in groupby(parts, itemgetter(0)):
         sub_rows = character_table(n - r)[1]
         start = len(sub_rows) - sum(1 for _ in group)
-        blocks.append((r, _maya_index(n - r), sub_rows, start))
+        blocks.append((r, _maya_index(n - r),
+                       [row[start:] for row in sub_rows],
+                       (0,) * (len(sub_rows) - start)))
     rows = []
     for m in _maya_index(n):
         row = []
-        for r, sub_index, sub_rows, start in blocks:
+        for r, sub_index, tails, block in blocks:
             beads = (m & ~(m << r)) >> r << r
-            block = [0] * (len(sub_rows) - start)
             while beads:
                 bead = beads & -beads
                 beads ^= bead
                 stop = bead >> r
                 smaller = m ^ bead ^ stop
                 smaller >>= (~smaller & smaller + 1).bit_length() - 1
-                tail = sub_rows[sub_index[smaller]][start:]
                 odd = (m & (bead - stop)).bit_count() & 1
-                block = list(map(sub if odd else add, block, tail))
+                block = tuple(map(sub if odd else add, block,
+                                  tails[sub_index[smaller]]))
             row += block
         rows.append(tuple(row))
     return index, tuple(rows)

@@ -264,7 +264,7 @@ def state_of_partition(partition):
     psi*_{-beta_d - 1/2} ... psi*_{-beta_1 - 1/2} |0>, built by applying the
     creation string right-to-left to the vacuum."""
     coords = frobenius(tuple(partition))
-    vec = FermionVector.vacuum()
+    vec = FermionVector.basis(VACUUM)
     for beta_i in coords.beta:
         vec = psi_star(-Fraction(2 * beta_i + 1, 2), vec)
     for alpha_i in reversed(coords.alpha):

@@ -51,3 +51,23 @@ def test_every_metric_is_summarised():
     assert got["setup_s"]["change_won"] == [False, False]
     assert got["setup_s"]["median"] == {"parent": 1.0, "change": 1.5}
 
+
+
+def test_a_median_within_its_bound_is_flagged():
+    parent = runs([10, 10, 10, 10, 10])
+    got = bench_pairs.summarize(parent, runs([11, 12, 12, 12, 13]),
+                                {"wall_s": 0.24})["wall_s"]
+    assert got["median"]["change"] == 12
+    assert got["within_bound"] is True  # 12 <= 10 * 1.24
+    got = bench_pairs.summarize(parent, runs([12, 13, 13, 13, 14]),
+                                {"wall_s": 0.24})["wall_s"]
+    assert got["within_bound"] is False  # 13 > 12.4
+    # a metric with no bound is not judged
+    assert bench_pairs.summarize(parent, parent)["wall_s"][
+        "within_bound"] is None
+
+
+def test_the_bounds_are_read_from_the_benchmark():
+    bounds = bench_pairs.end_to_end_bounds()
+    assert set(bounds) == {"wall_s", "setup_s", "peak_rss_mb"}
+    assert all(0 < b < 1 for b in bounds.values())

@@ -3,7 +3,7 @@
 import importlib
 import itertools
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 
@@ -12,7 +12,7 @@ from hopfq.disk import (_cycle_type, _flip_eps, disk_potential,
                         hurwitz_match_report,
                         integer_hbar_check, p1_partition_function,
                         schroedinger_check, verify_printed_expansion)
-from hopfq.fock import (EMPTY, FockPolynomial, _lowering_factor,
+from hopfq.fock import (EMPTY, FockPolynomial,
                         mono_degree, mono_from_partition)
 from hopfq.hamiltonians import verify_eigenvectors
 from hopfq.kp import tau_from_disk
@@ -277,7 +277,8 @@ def fock_pairing(bra, ket):
         if c is None:
             continue
         acc = acc + b * c * ExactScalar.monomial(
-            _lowering_factor(EMPTY, mono), 2 * mono_degree(mono))
+            prod(k ** m * factorial(m) for k, m in mono),
+            2 * mono_degree(mono))
     return acc
 
 

@@ -34,7 +34,7 @@ def test_maya_roundtrip():
 
 
 def test_vacuum_annihilation():
-    vac = FermionVector.vacuum()
+    vac = FermionVector.basis(VACUUM)
     for k in [Fraction(1, 2), Fraction(3, 2)]:
         assert psi_star(k, vac).is_zero()   # removing an empty slot
         assert psi(-k, vac).is_zero()       # inserting an occupied sea slot
@@ -111,7 +111,7 @@ def test_fermionic_series_matches_bosonic_eigenvalues():
 
 def test_nonzero_charge_states():
     # remove a single deep sea slot: charge -1
-    v = psi_star(Fraction(-5, 2), FermionVector.vacuum())
+    v = psi_star(Fraction(-5, 2), FermionVector.basis(VACUUM))
     (state, _), = v.terms.items()
     assert state.charge == -1 and energy(state) == 2
     assert isinstance(state, WedgeState)
@@ -255,7 +255,7 @@ def test_alpha_minus_n_is_the_adjoint_of_alpha_n():
 def test_boson_fermion_map_of_a_mixed_vector():
     # energies 0, 1 and 3, rational coefficients and one state of charge 1,
     # which the vacuum bra never meets
-    charged = psi(Fraction(7, 2), FermionVector.vacuum())
+    charged = psi(Fraction(7, 2), FermionVector.basis(VACUUM))
     v = (FermionVector.basis(state_for_partition_label(()), Fraction(1, 2))
          + FermionVector.basis(state_for_partition_label((1,)), -3)
          + FermionVector.basis(state_for_partition_label((2, 1)), 2)

@@ -4,7 +4,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, lcm, prod
 from operator import mul
 
 import pytest
@@ -114,6 +114,18 @@ def test_commutativity_small_sweep():
     report = verify_commutativity(3, 6)
     assert report["failures"] == []
     assert report["pairs_checked"] == 10
+
+
+def test_too_few_operators_are_refused():
+    # H_-1 .. H_1 cannot decide K = 3 or N = 3: a sweep of them would check
+    # k <= 1 only and report no failure for H_2 and H_3
+    ops = hamiltonian_generating_coefficients(1, 4)
+    with pytest.raises(ValueError, match="needs the 5 operators"):
+        verify_eigenvectors(3, 4, ops)
+    with pytest.raises(ValueError, match="needs the 5 operators"):
+        verify_commutativity(3, 4, ops)
+    assert verify_eigenvectors(1, 4, ops)["failures"] == []
+    assert verify_commutativity(1, 4, ops)["pairs_checked"] == 3
 
 
 def test_semiclassical_limit():
@@ -328,6 +340,13 @@ def symbolic_eigenvectors(K, W, operators=None):
 # built dense on every V_w, with both products formed for every pair
 
 
+def lowering_factor(rest, beta):
+    """p^beta q^(rest + beta) = factor * q^rest at eps = 1."""
+    have = dict(rest)
+    return prod(k ** b * factorial(have.get(k, 0) + b)
+                // factorial(have.get(k, 0)) for k, b in beta)
+
+
 def integer_matrices(operators, W):
     """mats[i][w]: the integer matrix L_i R_i of operators[i] on V_w (column
     mu holds the image of q^mu), L_i the lcm of R_i's denominators."""
@@ -349,7 +368,7 @@ def integer_matrices(operators, W):
                 mat, idx = mats[w], index[w]
                 for rest in bases[w - wt]:
                     mat[idx[mono_mul(rest, alpha)]][idx[mono_mul(rest, beta)]] \
-                        += v * fock._lowering_factor(rest, beta)
+                        += v * lowering_factor(rest, beta)
         out.append(mats)
     return out
 
@@ -552,6 +571,21 @@ def test_eigenvalue_shift_fails_only_in_the_eigen_check():
     assert [(f["k"], f["partition"]) for f in report["failures"]] == [
         (3, list(lam)) for lam in partitions_upto(5)]
     assert report["failures"][-1]["difference"] == schur((1,) * 5).render()
+
+
+def test_an_operator_with_no_rows_keeps_its_eigenvalue_compared():
+    # H_-1 = u0 Id has no term at u0 = 0, so the sweep forms no product for
+    # it, but still compares its tested eigenvalue: eps added to
+    # E_-1((2, 1)) is graded and u0-free, breaks d/du0 E_0 = E_-1, and makes
+    # s_(2,1) fail as an eigenvector of H_-1 at u0 = 0
+    series = {lam: eigenvalue_series(lam, 1) for lam in partitions_upto(4)}
+    series[(2, 1)][-1] = series[(2, 1)][-1] + ExactScalar.monomial(1, 1)
+    report = verify_eigenvectors(1, 4, series=series)
+    assert [(f.get("premise"), f["k"], f["partition"])
+            for f in report["failures"]] == [
+        ("eigenvalue_u0_expansion", 0, [2, 1]), (None, -1, [2, 1])]
+    assert report["failures"][1]["difference"] == (
+        schur((2, 1)) * ExactScalar.from_rational(-1)).render()
 
 
 # A change to E_3((2, 1)) that keeps its eps^5 u0^0 coefficient, so the
@@ -839,13 +873,19 @@ def test_packed_sweep_agrees_with_per_vector_sweep_on_random_operators(seed):
 
 
 def test_digit_bound_covers_every_digit(monkeypatch):
-    # the two bounds each weight's widths are taken from, against the
-    # largest digits formed: (A v)_j and the basis products on V, then
-    # den (A v)_j - num v_j, with the ratios num / den read off the pivot
-    # over one den per lambda; the eigenvalues tested do not enter them
+    # the one bound each weight's width is taken from, against the largest
+    # digits formed on the packed vector U = sum_lambda d_lambda v_lambda
+    # 2^(B lambda), d_lambda = v_lambda's pivot entry: d (A v)_j; then
+    # d (A v)_j - h v_j, h = (A v)_p read off the pivot, for an operator
+    # whose every |h| is at most |d| S (S its largest row sum of |A|, which
+    # bounds every eigenvalue; a larger h is no eigenvalue's, and its
+    # operator fails without this comparison); and the basis digits
+    # d_lambda (<chi^nu, v_lambda> - w! delta); the eigenvalues tested do
+    # not enter it
     rng = random.Random(7)
     W = 6
     ops = [_random_operator(rng, W, density) for density in (0.3, 1)]
+    ops.append(hamiltonian_generating_coefficients(1, W)[2])
     ratios = {lam: [Fraction(rng.randint(-999, 999), rng.randint(1, 9))
                     for _ in ops] for lam in partitions_upto(W)}
     digit_bits = hamiltonians._digit_bits
@@ -858,37 +898,59 @@ def test_digit_bound_covers_every_digit(monkeypatch):
         packed_sweep(ops, W, eigenvalues)
         runs.append(bounds)
     assert runs[0] == runs[1]
-    assert len(bounds) == 2 * (W + 1)
+    assert len(bounds) == W + 1
     mats = integer_matrices(ops, W)
+    compared = 0
     for w in range(W + 1):
         _, chi, vecs = hamiltonians._schur_vectors(w)
-        # images[i][lambda]: A_i v_lambda
-        images = [[[sum(map(mul, row, vec)) for row in mat[w]]
-                   for vec in vecs] for mat in mats]
-        reach = max(abs(x) for per_op in images for image in per_op
-                    for x in image)
-        products = max(abs(sum(map(mul, vec, row)))
-                       for vec in vecs for row in chi)
-        assert max(reach, products) <= bounds[2 * w]
+        pivots = [max(j for j, x in enumerate(vec) if x) for vec in vecs]
+        heads = [vec[p] for vec, p in zip(vecs, pivots)]
+        width = max(sum(map(abs, row)) for mat in mats for row in mat[w])
         worst = 0
+        for mat in mats:
+            # images[lambda]: A v_lambda
+            images = [[sum(map(mul, row, vec)) for row in mat[w]]
+                      for vec in vecs]
+            reads = [image[p] for image, p in zip(images, pivots)]
+            worst = max(worst, *(abs(d * x) for image, d in zip(images, heads)
+                                 for x in image))
+            if all(abs(h) <= abs(d) * width for h, d in zip(reads, heads)):
+                compared += 1
+                worst = max(worst, *(abs(d * x - h * y) for image, vec, h, d
+                                     in zip(images, vecs, reads, heads)
+                                     for x, y in zip(image, vec)))
         for a, vec in enumerate(vecs):
-            p = max(j for j, x in enumerate(vec) if x)
-            es = [Fraction(per_op[a][p], vec[p]) for per_op in images]
-            den = lcm(*(e.denominator for e in es))
-            for e, per_op in zip(es, images):
-                worst = max(worst, *(abs(den * x - e * den * y)
-                                     for x, y in zip(per_op[a], vec)))
-        assert worst <= bounds[2 * w + 1]
+            for b, row in enumerate(chi):
+                product = sum(map(mul, vec, row))
+                expected = factorial(w) if a == b else 0
+                worst = max(worst, abs(heads[a] * (product - expected)))
+        assert worst <= bounds[w]
+    assert compared > W + 1  # the comparison's digits were bounded too
 
 
 @pytest.mark.parametrize("bits", [2, 3, 8, 61, 64])
 def test_signed_digits_round_trip(bits):
     top = (1 << bits - 1) - 1  # the largest digit magnitude allowed
     digits = [top, -top, 0, -1, 1, -top, top, top // 2, -(top // 3)]
-    shifts = range(0, bits * len(digits), bits)
-    packed = hamiltonians._pack(digits, shifts)
+    packed, = hamiltonians._pack([digits], [1] * len(digits), bits)
     assert hamiltonians._unpack(packed, bits, len(digits)) == digits
     assert packed == sum(d * 2 ** (bits * l) for l, d in enumerate(digits))
+
+
+def test_pack_joins_its_blocks_of_32_digits():
+    # 100 digits make four blocks, the last one short; each vector is
+    # weighted digit by digit
+    rng = random.Random(3)
+    bits = 40
+    top = (1 << bits - 2) - 1
+    vectors = [[rng.randint(-top, top) for _ in range(100)] for _ in range(3)]
+    weights = [rng.choice([-2, -1, 1, 2]) for _ in range(100)]
+    packed = hamiltonians._pack(vectors, weights, bits)
+    assert packed == [sum(x * w * 2 ** (bits * l)
+                          for l, (x, w) in enumerate(zip(v, weights)))
+                      for v in vectors]
+    assert [hamiltonians._unpack(x, bits, 100) for x in packed] == [
+        [x * w for x, w in zip(v, weights)] for v in vectors]
 
 
 def test_too_narrow_digits_miss_a_failure(monkeypatch):

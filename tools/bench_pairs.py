@@ -29,6 +29,7 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_bench(root, workload, seed, seconds):
@@ -47,12 +48,21 @@ def quartiles(values):
     return q1, q3
 
 
-def summarize(parent, change):
+def end_to_end_bounds():
+    """{metric: bound} of the end-to-end metrics in BENCHMARK.json."""
+    doc = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return {m["name"]: m["bound"] for m in doc["end_to_end"]}
+
+
+def summarize(parent, change, bounds=None):
     """Per metric, from the runs of each side in pair order (lists of
     {metric: value}, lower is better): the medians, the quartiles, which
-    pairs the change won, and whether the gain is resolved: the change won
-    at least 9 pairs in 10 and its median is lower than the parent's by
-    more than the parent's quartile distance."""
+    pairs the change won, whether the gain is resolved (the change won at
+    least 9 pairs in 10 and its median is lower than the parent's by more
+    than the parent's quartile distance), and, for a metric with a bound in
+    `bounds`, whether it is within it: the change's median is at most the
+    parent's median times (1 + bound)."""
+    bounds = bounds or {}
     summary = {}
     for name in parent[0]:
         p = [run[name] for run in parent]
@@ -68,6 +78,8 @@ def summarize(parent, change):
             "wins": sum(won),
             "resolved_gain": (10 * sum(won) >= 9 * len(won)
                               and p_med - c_med > p_q[1] - p_q[0]),
+            "within_bound": (c_med <= p_med * (1 + bounds[name])
+                             if name in bounds else None),
         }
     return summary
 
@@ -108,7 +120,7 @@ def measure(roots, workload, pairs, seconds, earlier=None):
                          "runs": runs[side]}
                   for side in SIDES},
         "summary": summarize(*([r["metrics"] for r in runs[side]]
-                               for side in SIDES)),
+                               for side in SIDES), end_to_end_bounds()),
     }
 
 
