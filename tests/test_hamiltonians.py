@@ -9,7 +9,7 @@ from operator import mul
 
 import pytest
 
-from hopfq import fock, hamiltonians, scalars
+from hopfq import hamiltonians, scalars
 from hopfq.fock import (FockPolynomial, NormalOrderedOperator,
                         mono_from_partition, mono_mul, mono_weight,
                         naive_hamiltonian, weight_basis)
@@ -877,9 +877,10 @@ def test_digit_bound_covers_every_digit(monkeypatch):
     # digits formed on the packed vector U = sum_lambda d_lambda v_lambda
     # 2^(B lambda), d_lambda = v_lambda's pivot entry: d (A v)_j; then
     # d (A v)_j - h v_j, h = (A v)_p read off the pivot, for an operator
-    # whose every |h| is at most |d| S (S its largest row sum of |A|, which
-    # bounds every eigenvalue; a larger h is no eigenvalue's, and its
-    # operator fails without this comparison); and the basis digits
+    # whose every |h| is at most |d| S (S the largest row sum of |A| over
+    # the operators, which bounds every eigenvalue; a larger h is no
+    # eigenvalue's, and its operator fails without this comparison); and
+    # the basis digits
     # d_lambda (<chi^nu, v_lambda> - w! delta); the eigenvalues tested do
     # not enter it
     rng = random.Random(7)
